@@ -19,7 +19,8 @@ from .pauli import (PauliString, StabilizerProduct, alternating_setting,
 from .thermal import (BoundReport, ThermalParams, beta_from_temperature,
                       deviation_leading_order, error_bounds, fidelity,
                       flip_probability, half_weight_expectation, invert_temperature,
-                      sample_size, setting_expectation, union_bound)
+                      minus_probability, sample_size, setting_expectation,
+                      union_bound)
 from .oracle import (DenseMixedState, DenseState, apply_operator, boltzmann_density,
                      build_pure_state, dense_expectation, dense_matrix,
                      hadamard_transform, stabilizer_check, thermal_density)
@@ -39,7 +40,7 @@ __all__ = [
     "parse_setting", "stabilizer_product", "try_to_pauli",
     "BoundReport", "ThermalParams", "beta_from_temperature",
     "deviation_leading_order", "error_bounds", "fidelity", "flip_probability",
-    "half_weight_expectation", "invert_temperature", "sample_size",
+    "half_weight_expectation", "invert_temperature", "minus_probability", "sample_size",
     "setting_expectation", "union_bound",
     "DenseMixedState", "DenseState", "apply_operator", "boltzmann_density",
     "build_pure_state", "dense_expectation", "dense_matrix", "hadamard_transform",

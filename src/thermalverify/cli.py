@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -32,8 +31,6 @@ from .thermal import (beta_from_temperature, deviation_leading_order, error_boun
                       fidelity, flip_probability, half_weight_expectation,
                       invert_temperature, sample_size, setting_expectation,
                       union_bound)
-
-WORKERS_ENV = "THERMALVERIFY_WORKERS"
 
 
 class CheckFailure(RuntimeError):
@@ -147,17 +144,6 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be >= 1, got {workers}")
-    return workers
-
-
 def _setting_for(spec, selector_bits) -> "PauliString":
     """Reduce a selector to the measured Pauli word for a (hyper)graph."""
     h = spec.as_hypergraph()
@@ -231,8 +217,7 @@ def cmd_verify(args) -> int:
     hits_bound = 0
     for trial in range(args.trials):
         config = ProtocolConfig(epsilon=args.epsilon, delta=args.delta,
-                                n_samples=args.samples, seed=args.seed + trial,
-                                workers=args.workers)
+                                n_samples=args.samples, seed=args.seed + trial)
         report = run_protocol(spec, setting, beta, config)
         fine = report.bound_report.fine_bound if report.bound_report else None
         within_eps = abs(report.f_est - expectation) <= args.epsilon
@@ -374,8 +359,7 @@ def cmd_certify_iqp(args) -> int:
         inst = build_family(args.n)
         setting = optimal_setting(inst)
         config = ProtocolConfig(epsilon=args.epsilon, delta=args.delta,
-                                n_samples=args.samples, seed=args.seed,
-                                workers=args.workers)
+                                n_samples=args.samples, seed=args.seed)
         report = run_protocol(inst.spec, setting, beta, config)
         decision = certify(report.f_est, args.n, allow_small_n=args.allow_small_n)
         result["report"] = report.to_dict()
@@ -427,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="samples per trial (default: derived from epsilon and delta)")
     p.add_argument("--seed", type=int, default=0, help="base seed; trial t uses seed + t")
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--output", default=None, help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_verify)
 
@@ -472,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=1e-2)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--allow-small-n", action="store_true",
                    help="evaluate below the full-scale regime n >= 4e5")
     p.add_argument("--output", default=None)

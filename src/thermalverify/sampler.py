@@ -2,23 +2,23 @@
 
 The simulator never touches statevectors: under independent phase-flip noise
 the outcome of measuring a signed Pauli word depends on the error pattern
-only through the parity of its overlap with the word's X/Y sites, so each
-sample costs O(n). Samples are drawn in fixed-size chunks from per-worker
-child streams of one seed sequence, which makes runs reproducible for a
-given (seed, worker count) regardless of scheduling.
+only through the parity of its overlap with the word's X/Y sites. Shots are
+therefore independent +-1 draws that read -1 with probability
+q = (1 - tanh(beta)^wt)/2, and a run of N shots is one Binomial(N, q) draw
+from a generator seeded with the run's seed: the cost does not depend on N
+or n, and the same seed gives the same report. sample_error_pattern and
+measure_outcome spell out the per-shot model explicitly, as a reference.
 """
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pauli import PauliString
-from .thermal import BoundReport, ThermalParams, error_bounds, sample_size
-
-_CHUNK_ROWS = 1 << 16
+from .thermal import (BoundReport, ThermalParams, error_bounds, minus_probability,
+                      sample_size)
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ class ProtocolConfig:
     delta: float
     n_samples: int | None = None
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
@@ -41,8 +40,6 @@ class ProtocolConfig:
             raise ValueError(f"need 0 < delta < 1, got {self.delta}")
         if self.n_samples is not None and self.n_samples < 1:
             raise ValueError(f"need n_samples >= 1, got {self.n_samples}")
-        if self.workers < 1:
-            raise ValueError(f"need workers >= 1, got {self.workers}")
 
     def resolved_samples(self) -> int:
         if self.n_samples is not None:
@@ -68,7 +65,6 @@ class VerificationReport:
     epsilon: float
     delta: float
     seed: int
-    workers: int
 
     def __post_init__(self):
         if self.plus_count + self.minus_count != self.n_samples:
@@ -97,7 +93,6 @@ class VerificationReport:
             "epsilon": self.epsilon,
             "delta": self.delta,
             "seed": self.seed,
-            "workers": self.workers,
         }
 
     def to_json(self) -> str:
@@ -126,24 +121,10 @@ def measure_outcome(pattern: int, setting: PauliString) -> int:
     return -1 if (pattern & setting.x_mask).bit_count() & 1 else 1
 
 
-def _count_minus(n: int, columns: np.ndarray, p: float, count: int,
-                 child: np.random.SeedSequence) -> int:
-    """Number of -1 outcomes among `count` samples from one child stream."""
-    rng = np.random.default_rng(child)
-    minus = 0
-    done = 0
-    while done < count:
-        rows = min(_CHUNK_ROWS, count - done)
-        errors = rng.random((rows, n)) < p
-        overlap = errors[:, columns].sum(axis=1)
-        minus += int(np.count_nonzero(overlap & 1))
-        done += rows
-    return minus
-
-
 def run_protocol(target, setting: PauliString, beta, config: ProtocolConfig) -> VerificationReport:
-    """Run the estimation protocol: draw error patterns, convert to outcomes
-    of `setting`, and aggregate the empirical mean with its error budget.
+    """Run the estimation protocol: draw the number of -1 outcomes of
+    `setting` among the sample budget, and aggregate the empirical mean with
+    its error budget.
 
     The parity model is exact when `setting` stabilizes the noiseless target;
     standard callers obtain it from stabilizer_product (graphs) or
@@ -158,21 +139,9 @@ def run_protocol(target, setting: PauliString, beta, config: ProtocolConfig) -> 
     if setting.n != n:
         raise ValueError(f"setting acts on {setting.n} sites but the state has {n}")
     params = beta if isinstance(beta, ThermalParams) else ThermalParams(beta)
-    p = params.p_flip
     total = config.resolved_samples()
-    columns = np.array(setting.xy_sites(), dtype=np.intp) - 1
-
-    base = total // config.workers
-    counts = [base + (1 if w < total % config.workers else 0)
-              for w in range(config.workers)]
-    children = np.random.SeedSequence(config.seed).spawn(config.workers)
-    if config.workers == 1:
-        minus = _count_minus(n, columns, p, counts[0], children[0])
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_count_minus, n, columns, p, c, child)
-                       for c, child in zip(counts, children)]
-            minus = sum(f.result() for f in futures)
+    q = minus_probability(n, setting.xy_support, params.beta)
+    minus = int(np.random.default_rng(config.seed).binomial(total, q))
     plus = total - minus
     bounds = None
     if n % 2 == 0 and n >= 4:
@@ -188,7 +157,6 @@ def run_protocol(target, setting: PauliString, beta, config: ProtocolConfig) -> 
         epsilon=config.epsilon,
         delta=config.delta,
         seed=config.seed,
-        workers=config.workers,
     )
 
 

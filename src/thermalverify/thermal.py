@@ -7,22 +7,18 @@ sentinel beta = math.inf, under which every expression below is exact
 
     flip probability      p = x / (1 + x)
     fidelity              F = 1 / (1 + x)^n
-    weight-wt expectation E = sum_m bracket(n, wt, m) x^m / (1 + x)^n
+    weight-wt expectation E = ((1 - x) / (1 + x))^wt = tanh(beta)^wt
     half-weight case      E = (1 - x^2)^(n/2) / (1 + x)^n
 
-The bracket coefficients are exact integers (identities module); they are
-combined with the x^m weights in log space, term by compensated term, so the
-alternating-sign sum stays accurate up to n = 1024 where the coefficients
-reach ~2^n and naive evaluation would lose every significant digit.
+Each X/Y site of the measured word flips the outcome independently with
+probability p, so E is a product of wt factors 1 - 2p = tanh(beta). It is
+evaluated as exp(-2*wt*atanh(x)), which keeps full relative precision even
+where tanh(beta) itself rounds to 1; it holds for every n.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .identities import signed_pattern_count
-
-MAX_GENERAL_N = 1024
 
 
 def _check_beta(beta: float) -> float:
@@ -106,33 +102,34 @@ def fidelity(n: int, beta: float) -> float:
     return math.exp(-n * math.log1p(x))
 
 
-def setting_expectation(n: int, wt: int, beta: float) -> float:
-    """Infinite-sample mean of a weight-wt setting on the thermal state.
-
-    Depends on the selector only through its Hamming weight. Each term
-    bracket * x^m / (1+x)^n has magnitude at most the binomial pmf of m
-    errors, so the compensated log-space sum carries no cancellation
-    beyond what is inherent in the value itself.
-    """
+def _log_setting_expectation(n: int, wt: int, beta: float) -> float:
+    """log E = -2*wt*atanh(exp(-2*beta)); -inf at beta = 0 when wt > 0."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > MAX_GENERAL_N:
-        raise ValueError(f"general expectation supports n <= {MAX_GENERAL_N}, got {n}")
     if not 0 <= wt <= n:
         raise ValueError(f"need 0 <= wt <= n, got wt={wt}, n={n}")
     beta = _check_beta(beta)
     if math.isinf(beta) or wt == 0:
-        return 1.0
+        return 0.0
     x = math.exp(-2.0 * beta)
-    log_denom = n * math.log1p(x)
-    terms = [math.exp(-log_denom)]  # m = 0
-    for m in range(1, n + 1):
-        coeff = signed_pattern_count(n, wt, m)
-        if coeff == 0:
-            continue
-        magnitude = math.exp(math.log(abs(coeff)) - 2.0 * m * beta - log_denom)
-        terms.append(math.copysign(magnitude, coeff))
-    return math.fsum(terms)
+    if x == 1.0:
+        return -math.inf
+    return -2.0 * wt * math.atanh(x)
+
+
+def setting_expectation(n: int, wt: int, beta: float) -> float:
+    """Infinite-sample mean tanh(beta)^wt of a weight-wt setting on the
+    thermal state; it depends on the selector only through wt."""
+    return math.exp(_log_setting_expectation(n, wt, beta))
+
+
+def minus_probability(n: int, wt: int, beta: float) -> float:
+    """Probability (1 - E)/2 that one shot of a weight-wt setting reads -1.
+
+    Computed through expm1, so a mean within an ulp of 1 still yields its
+    exact small deficit rather than 0.
+    """
+    return -0.5 * math.expm1(_log_setting_expectation(n, wt, beta))
 
 
 def half_weight_expectation(n: int, beta: float) -> float:
@@ -209,14 +206,14 @@ def sample_size(epsilon: float, delta: float) -> int:
     return math.ceil(2.0 / (epsilon * epsilon) * math.log(2.0 / delta))
 
 
-def invert_temperature(n: int, observed: float, from_fidelity: bool = False,
-                       tol: float = 1e-10) -> float:
+def invert_temperature(n: int, observed: float, from_fidelity: bool = False) -> float:
     """Inverse temperature at which the protocol's infinite-sample estimate
     equals `observed` (default), or at which the fidelity does.
 
-    The default inverts the half-weight expectation, i.e. the quantity the
-    estimator actually converges to; pass from_fidelity=True to invert the
-    fidelity instead. observed = 1 returns the T = 0 sentinel (math.inf).
+    The default inverts the half-weight expectation tanh(beta)^(n/2), i.e.
+    the quantity the estimator actually converges to; pass
+    from_fidelity=True to invert the fidelity instead. observed = 1 returns
+    the T = 0 sentinel (math.inf).
     """
     observed = float(observed)
     if not 0.0 < observed <= 1.0:
@@ -237,17 +234,7 @@ def invert_temperature(n: int, observed: float, from_fidelity: bool = False,
         return -math.log(x) / 2.0
     if n < 2 or n % 2:
         raise ValueError(f"expectation inversion requires even n >= 2, got {n}")
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if half_weight_expectation(n, hi) >= observed:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError(f"failed to bracket observed value {observed}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if half_weight_expectation(n, mid) < observed:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # beta = atanh(t) with t = observed^(2/n), written as log1p(2t/(1-t))/2
+    # so that neither t near 0 nor t near 1 loses precision
+    log_t = 2.0 * math.log(observed) / n
+    return 0.5 * math.log1p(2.0 * math.exp(log_t) / -math.expm1(log_t))

@@ -39,16 +39,6 @@ class TestParser:
                 ["expectation", "--graph", graph_file, "--beta", "1", "--temperature", "2"])
         assert err.value.code == 2
 
-    def test_worker_default_from_environment(self, monkeypatch, graph_file):
-        monkeypatch.setenv("THERMALVERIFY_WORKERS", "3")
-        args = build_parser().parse_args(
-            ["verify", "--graph", graph_file, "--beta", "1",
-             "--epsilon", "0.1", "--delta", "0.1"])
-        assert args.workers == 3
-        monkeypatch.setenv("THERMALVERIFY_WORKERS", "zero")
-        with pytest.raises(ValueError):
-            build_parser()
-
 
 class TestExpectation:
     def test_known_record(self, graph_file, capsys):
@@ -200,6 +190,14 @@ class TestCertifyCommand:
         doc = read_json(capsys)["result"]
         assert doc["report"]["f_est"] == 1.0
         assert doc["decision"]["verdict"] == "reject"
+
+    def test_paper_sample_budget(self, capsys):
+        # no --samples: the default epsilon 1e-6, delta 1e-2 budget is simulated
+        assert main(["certify-iqp", "--n", "2000", "--beta", "3", "--seed", "1",
+                     "--allow-small-n"]) == 0
+        result = read_json(capsys)["result"]
+        assert result["report"]["n_samples"] == 10_596_634_733_097
+        assert result["decision"]["verdict"] == "reject"
 
     def test_small_n_without_flag_is_validation_error(self):
         assert main(["certify-iqp", "--n", "12", "--f-est", "1"]) == 2

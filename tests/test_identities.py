@@ -25,6 +25,23 @@ def test_matches_exhaustive_enumeration_small_n():
                 assert signed_pattern_count(n, wt, m) == brute_force_count(n, wt, m)
 
 
+def polynomial_coefficients(minus_factors: int, plus_factors: int) -> list[int]:
+    """Coefficients of (1 - x)^minus_factors (1 + x)^plus_factors, lowest first."""
+    coeffs = [1]
+    for sign in [-1] * minus_factors + [1] * plus_factors:
+        coeffs = [a + sign * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def test_brackets_expand_the_closed_form():
+    # sum_m bracket(n, wt, m) x^m = (1-x)^wt (1+x)^(n-wt); dividing by
+    # (1+x)^n gives the expectation ((1-x)/(1+x))^wt = tanh(beta)^wt
+    for n in range(1, 41):
+        for wt in range(n + 1):
+            brackets = [signed_pattern_count(n, wt, m) for m in range(n + 1)]
+            assert brackets == polynomial_coefficients(wt, n - wt)
+
+
 def test_specific_values():
     assert signed_pattern_count(4, 2, 0) == 1
     assert signed_pattern_count(4, 2, 1) == 0

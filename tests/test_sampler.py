@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -101,16 +102,30 @@ class TestRunProtocol:
         second = run_protocol(g, setting, 0.8, config).to_json()
         assert first == second
 
-    def test_worker_sharding_reproducible(self):
+    def test_same_seed_reproducible(self):
         g = path_graph(6)
         setting = stabilizer_product(g, "111000")
-        for workers in (1, 2, 3):
-            config = ProtocolConfig(epsilon=0.05, delta=0.05, n_samples=30_000,
-                                    seed=13, workers=workers)
-            a = run_protocol(g, setting, 0.5, config)
-            b = run_protocol(g, setting, 0.5, config)
-            assert a.to_json() == b.to_json()
-            assert a.plus_count + a.minus_count == 30_000
+        config = ProtocolConfig(epsilon=0.05, delta=0.05, n_samples=30_000, seed=13)
+        a = run_protocol(g, setting, 0.5, config)
+        b = run_protocol(g, setting, 0.5, config)
+        assert a.to_json() == b.to_json()
+        assert a.plus_count + a.minus_count == 30_000
+
+    def test_paper_sample_budget(self):
+        # ~1.06e13 shots on a 4000-site word with X on sites 1..2000
+        n, wt, beta = 4000, 2000, 16.0
+        setting = PauliString.from_letters("X" * wt + "I" * (n - wt))
+        config = ProtocolConfig(epsilon=1e-6, delta=1e-2)
+        start = time.perf_counter()
+        report = run_protocol(GraphSpec(n), setting, beta, config)
+        elapsed = time.perf_counter() - start
+        assert report.n_samples == 10_596_634_733_097
+        # each shot reads -1 with probability (1 - (1 - 2p)^wt) / 2
+        q = -0.5 * math.expm1(wt * math.log1p(-2.0 * flip_probability(beta)))
+        expected = report.n_samples * q
+        assert 200 < expected < 350
+        assert abs(report.minus_count - expected) <= 6 * math.sqrt(expected)
+        assert elapsed < 1.0
 
     def test_identity_setting_always_plus_one(self):
         g = path_graph(4)
@@ -118,12 +133,13 @@ class TestRunProtocol:
         report = run_protocol(g, stabilizer_product(g, "0000"), 0.4, config)
         assert report.f_est == 1.0  # weight-0 word never sees an error
 
-    def test_more_workers_than_samples(self):
+    def test_tiny_sample_budgets(self):
         g = path_graph(4)
         setting = stabilizer_product(g, "1100")
-        config = ProtocolConfig(epsilon=0.5, delta=0.5, n_samples=3, seed=0, workers=8)
-        report = run_protocol(g, setting, 0.4, config)
-        assert report.plus_count + report.minus_count == 3
+        for n_samples in (1, 2, 3):
+            config = ProtocolConfig(epsilon=0.5, delta=0.5, n_samples=n_samples, seed=0)
+            report = run_protocol(g, setting, 0.4, config)
+            assert report.plus_count + report.minus_count == n_samples
 
     def test_infinite_temperature_runs(self):
         g = path_graph(4)
@@ -238,5 +254,3 @@ class TestProtocolConfig:
             ProtocolConfig(epsilon=0.5, delta=1.0)
         with pytest.raises(ValueError):
             ProtocolConfig(epsilon=0.5, delta=0.5, n_samples=0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(epsilon=0.5, delta=0.5, workers=0)

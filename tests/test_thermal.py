@@ -1,14 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from thermalverify import (BoundReport, ThermalParams, beta_from_temperature,
                            deviation_leading_order, error_bounds, fidelity,
                            flip_probability, half_weight_expectation,
-                           invert_temperature, sample_size, setting_expectation,
-                           union_bound)
-from util_dense import exhaustive_parity_expectation
+                           invert_temperature, minus_probability, sample_size,
+                           setting_expectation, union_bound)
+from util_dense import exact_setting_expectation, exhaustive_parity_expectation
 
 BETA_HALF = math.log(2) / 2  # exp(-2*beta) = 1/2
 
@@ -69,8 +71,50 @@ class TestSettingExpectation:
                     assert setting_expectation(n, wt, beta) == pytest.approx(expected, abs=1e-11)
 
     def test_size_cap(self):
+        # no cap on n; only the site count and the weight are validated
+        assert 0.0 < setting_expectation(400_000, 1, 1.0) <= 1.0
         with pytest.raises(ValueError):
-            setting_expectation(1025, 1, 1.0)
+            setting_expectation(0, 0, 1.0)
+        with pytest.raises(ValueError):
+            setting_expectation(4, 5, 1.0)
+
+    @given(st.integers(1, 200).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(0, n))),
+           st.floats(0.05, 12.0))
+    def test_matches_exact_bracket_sum(self, size_weight, beta):
+        n, wt = size_weight
+        exact = exact_setting_expectation(n, wt, beta)
+        assume(exact > Fraction(1e-300))
+        error = abs(Fraction(setting_expectation(n, wt, beta)) - exact)
+        assert error <= Fraction(1e-12) * exact
+
+    def test_cancellation_case_stays_positive(self):
+        # the bracket terms cancel to ~1e-86 here; the value must not go negative
+        exact = float(exact_setting_expectation(512, 256, 0.5))
+        assert setting_expectation(512, 256, 0.5) == pytest.approx(exact, rel=1e-12)
+
+    def test_paper_scale_stays_below_one(self):
+        # tanh(21) rounds to 1.0, but the mean is 1 - 2.3e-13
+        value = setting_expectation(400_000, 200_000, 21.0)
+        assert value < 1.0
+        assert 1.0 - value == pytest.approx(4e5 * math.exp(-42.0), rel=1e-3)
+
+
+class TestMinusProbability:
+    def test_half_of_one_minus_expectation(self):
+        for n, wt, beta in ((4, 2, BETA_HALF), (10, 3, 0.7), (50, 50, 2.0)):
+            expected = (1.0 - setting_expectation(n, wt, beta)) / 2.0
+            assert minus_probability(n, wt, beta) == pytest.approx(expected, abs=1e-15)
+
+    def test_limits(self):
+        assert minus_probability(6, 3, math.inf) == 0.0
+        assert minus_probability(6, 0, 0.0) == 0.0
+        assert minus_probability(6, 3, 0.0) == 0.5
+
+    def test_keeps_deficit_below_float_resolution_of_the_mean(self):
+        # 1 - E is far below an ulp of 1 here; q must still be nonzero
+        q = minus_probability(4000, 2000, 30.0)
+        assert q == pytest.approx(2000 * math.exp(-60.0), rel=1e-9)
 
 
 class TestHalfWeightExpectation:
@@ -196,6 +240,12 @@ class TestInvertTemperature:
             for beta in (0.1, 0.5, 1.0, 2.0, 3.0):
                 recovered = invert_temperature(n, half_weight_expectation(n, beta))
                 assert abs(recovered - beta) <= 1e-6
+
+    @given(st.integers(1, 200), st.floats(0.01, 10.0))
+    def test_round_trip_property(self, half_n, beta):
+        observed = half_weight_expectation(2 * half_n, beta)
+        assume(observed > 1e-300)
+        assert abs(invert_temperature(2 * half_n, observed) - beta) <= 1e-6
 
     def test_fidelity_round_trip(self):
         for n in (5, 12):

@@ -8,6 +8,8 @@ Index convention matches the package: bit i-1 of a basis index is site i.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -108,6 +110,19 @@ def exhaustive_parity_expectation(n: int, x_mask: int, p: float) -> float:
         overlap = bin(mask & x_mask).count("1")
         total += weight * (-1.0 if overlap & 1 else 1.0)
     return total
+
+
+def exact_setting_expectation(n: int, wt: int, beta: float) -> Fraction:
+    """Bracket sum sum_m signed_pattern_count(n, wt, m) x^m / (1+x)^n in
+    exact rationals, with x = exp(-2*beta) rounded to the float the package
+    itself starts from."""
+    from thermalverify import signed_pattern_count
+
+    x = Fraction(math.exp(-2.0 * beta))
+    total = Fraction(0)
+    for m in range(n, -1, -1):  # Horner
+        total = total * x + signed_pattern_count(n, wt, m)
+    return total / (1 + x) ** n
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
