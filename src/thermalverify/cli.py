@@ -376,7 +376,8 @@ def cmd_estimate_temperature(args) -> int:
         "observed": args.f_est,
         "mode": "fidelity" if args.from_fidelity else "expectation",
         "beta": "infinity" if math.isinf(beta) else beta,
-        "temperature": 0.0 if math.isinf(beta) else 1.0 / beta,
+        "temperature": (0.0 if math.isinf(beta)
+                        else "infinity" if beta == 0.0 else 1.0 / beta),
         "p_flip": flip_probability(beta),
     }
     _emit_json(args, result)

@@ -3,11 +3,18 @@
 Vertices are 1-indexed everywhere in the public interface. Edges connect two
 distinct vertices, hyperedges three. Edge sets use set semantics: duplicates
 collapse, storage is canonical (sorted tuples).
+
+Each spec indexes its edges once, on the first neighbors/incident_triples
+call: the index maps each vertex to its sorted neighbors (and, for
+hypergraphs, to its sorted hyperedges). Building it costs one sort of the
+edge set; every later lookup is O(1), so a pass over all vertices is linear
+in the size of the graph instead of quadratic.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 
@@ -31,6 +38,28 @@ def _check_vertex_count(n) -> None:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")
 
 
+def _check_vertex(i: int, n: int) -> None:
+    if not 1 <= i <= n:
+        raise ValueError(f"vertex {i} outside 1..{n}")
+
+
+def _edges_by_vertex(edges) -> dict[int, tuple]:
+    """Vertex -> the edges containing it, ascending. Vertices on no edge
+    are left out, so an empty edge set costs nothing for any n."""
+    rows: dict[int, list] = {}
+    for e in sorted(edges):
+        for v in e:
+            rows.setdefault(v, []).append(e)
+    return {v: tuple(row) for v, row in rows.items()}
+
+
+def _neighbors_by_vertex(edges) -> dict[int, tuple[int, ...]]:
+    """Vertex -> its neighbors, ascending. Sorted edges reach v first as
+    (a, v) with a < v, then as (v, b) with b > v, each group ascending."""
+    return {v: tuple(a if b == v else b for (a, b) in row)
+            for v, row in _edges_by_vertex(edges).items()}
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """An undirected simple graph on vertices 1..n (no self-loops)."""
@@ -43,12 +72,14 @@ class GraphSpec:
         canon = frozenset(_canonical_edge(e, self.n, 2) for e in self.edges)
         object.__setattr__(self, "edges", canon)
 
+    @cached_property
+    def _adjacency(self) -> dict[int, tuple[int, ...]]:
+        return _neighbors_by_vertex(self.edges)
+
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Vertices adjacent to vertex i, ascending."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"vertex {i} outside 1..{self.n}")
-        out = {b if a == i else a for (a, b) in self.edges if i in (a, b)}
-        return tuple(sorted(out))
+        _check_vertex(i, self.n)
+        return self._adjacency.get(i, ())
 
     def as_hypergraph(self) -> "HypergraphSpec":
         return HypergraphSpec(self.n, e2=self.edges)
@@ -74,18 +105,23 @@ class HypergraphSpec:
             self, "e3", frozenset(_canonical_edge(e, self.n, 3) for e in self.e3)
         )
 
+    @cached_property
+    def _adjacency(self) -> dict[int, tuple[int, ...]]:
+        return _neighbors_by_vertex(self.e2)
+
+    @cached_property
+    def _incidence(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
+        return _edges_by_vertex(self.e3)
+
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Vertices joined to i by a two-vertex edge, ascending."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"vertex {i} outside 1..{self.n}")
-        out = {b if a == i else a for (a, b) in self.e2 if i in (a, b)}
-        return tuple(sorted(out))
+        _check_vertex(i, self.n)
+        return self._adjacency.get(i, ())
 
     def incident_triples(self, i: int) -> tuple[tuple[int, int, int], ...]:
         """Hyperedges containing vertex i, sorted."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"vertex {i} outside 1..{self.n}")
-        return tuple(sorted(t for t in self.e3 if i in t))
+        _check_vertex(i, self.n)
+        return self._incidence.get(i, ())
 
     def as_hypergraph(self) -> "HypergraphSpec":
         return self

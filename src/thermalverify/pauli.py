@@ -12,6 +12,12 @@ Two operator representations live here:
 
 Sites are 1-indexed in every public signature; bit i-1 of a mask corresponds
 to site i.
+
+Selected products are built directly as masks in O(n + |E2| + |E3|):
+stabilizer_product from the closed form for graph states, generalized_product
+by one ascending pass that keeps the phase polynomial in per-site form and
+turns it into masks once at the end. Letter strings are formatted from whole
+masks, so printing a word is O(n) as well.
 """
 from __future__ import annotations
 
@@ -20,6 +26,9 @@ from dataclasses import dataclass
 from .graphs import GraphSpec, HypergraphSpec
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+# hex digit x + 2z of a site -> its letter (see PauliString.letters)
+_HEX_LETTERS = str.maketrans("0123", "IXZY")
+_ASCII_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _mask_from_sites(sites, n: int) -> int:
@@ -29,6 +38,12 @@ def _mask_from_sites(sites, n: int) -> int:
             raise ValueError(f"site {s} outside 1..{n}")
         mask |= 1 << (s - 1)
     return mask
+
+
+def _mask_from_bits(bits) -> int:
+    """Mask with bit i-1 set where bits[i-1] is 1; bits is a non-empty
+    sequence of 0/1 integers, site 1 first."""
+    return int(bytes(reversed(bits)).translate(_ASCII_DIGITS), 2)
 
 
 def _check_mask(mask: int, n: int, name: str) -> None:
@@ -120,7 +135,11 @@ class PauliString:
         return _LETTERS[((self.x_mask >> (i - 1)) & 1, (self.z_mask >> (i - 1)) & 1)]
 
     def letters(self) -> str:
-        return "".join(self.letter(i) for i in range(1, self.n + 1))
+        # Read each mask's binary digits as hex digits, so that site i owns
+        # hex digit i-1 of the sum x + 2z; one format call then yields every
+        # site's letter code at once.
+        code = int(format(self.x_mask, "b"), 16) + 2 * int(format(self.z_mask, "b"), 16)
+        return format(code, f"0{self.n}x")[::-1].translate(_HEX_LETTERS)
 
     def __str__(self) -> str:
         return ("+" if self.sign > 0 else "-") + self.letters()
@@ -131,7 +150,8 @@ class PauliString:
         return self.x_mask.bit_count()
 
     def xy_sites(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.n + 1) if (self.x_mask >> (i - 1)) & 1)
+        digits = format(self.x_mask, f"0{self.n}b")[::-1]
+        return tuple(i for i, d in enumerate(digits, start=1) if d == "1")
 
     def _phase(self) -> int:
         # exponent p in the internal form i^p X^x Z^z
@@ -237,18 +257,26 @@ def graph_stabilizer(g: GraphSpec, i: int) -> PauliString:
 
 
 def stabilizer_product(g: GraphSpec, setting) -> PauliString:
-    """Product of graph-state generators selected by the bits of `setting`.
+    """Product of graph-state generators selected by the bits of `setting`,
+    multiplied left to right in ascending vertex order.
 
-    Factors multiply left to right in ascending vertex order; the exact sign
-    is tracked through every XZ/ZX swap. Sites with selector bit 1 are
-    exactly the sites carrying X or Y in the result.
+    Closed form, with S the selected vertex set: X on S, Z^(|N(j) & S| mod 2)
+    on each site j, and sign (-1)^(|E(S)| + |X & Z| / 2), where E(S) are the
+    edges inside S and the second term turns each XZ into a Y letter. Sites
+    with selector bit 1 are exactly the sites carrying X or Y in the result.
     """
     bits = parse_setting(setting, g.n)
-    word = PauliString.identity(g.n)
+    z = bytearray(g.n)
+    inner = 0  # ordered (i, j) pairs with both ends in S: 2 |E(S)|
     for i, b in enumerate(bits, start=1):
         if b:
-            word = word * graph_stabilizer(g, i)
-    return word
+            for j in g.neighbors(i):
+                z[j - 1] ^= 1
+                inner += bits[j - 1]
+    x_mask = _mask_from_bits(bits)
+    z_mask = _mask_from_bits(z)
+    exponent = inner // 2 + (x_mask & z_mask).bit_count() // 2
+    return PauliString(g.n, -1 if exponent % 2 else 1, x_mask, z_mask)
 
 
 def hypergraph_stabilizer(h: HypergraphSpec, i: int) -> StabilizerProduct:
@@ -265,13 +293,44 @@ def hypergraph_stabilizer(h: HypergraphSpec, i: int) -> StabilizerProduct:
 
 
 def generalized_product(h: HypergraphSpec, setting) -> StabilizerProduct:
-    """Normal-form product of generalized generators selected by `setting`."""
+    """Normal-form product of generalized generators selected by `setting`,
+    multiplied left to right in ascending vertex order.
+
+    One pass does what StabilizerProduct.__mul__ does per factor. Pushing the
+    phase polynomial f through X_i adds f's linear coefficient at i to the
+    sign and toggles the linear coefficient of every quadratic partner of i;
+    the generator then adds its own Z letters (e2 neighbors) and CZ pairs
+    (incident hyperedges minus i). The linear part lives in a bytearray and
+    the quadratic part in a partner index, both turned into the normal form
+    once at the end.
+    """
     bits = parse_setting(setting, h.n)
-    word = StabilizerProduct.identity(h.n)
-    for i, b in enumerate(bits, start=1):
-        if b:
-            word = word * hypergraph_stabilizer(h, i)
-    return word
+    linear = bytearray(h.n)
+    partners: dict[int, set[int]] = {}
+    negative = 0
+    for i, selected in enumerate(bits, start=1):
+        if not selected:
+            continue
+        negative ^= linear[i - 1]
+        for p in partners.get(i, ()):
+            linear[p - 1] ^= 1
+        for j in h.neighbors(i):
+            linear[j - 1] ^= 1
+        for (a, b, c) in h.incident_triples(i):
+            u, v = (b, c) if a == i else (a, c) if b == i else (a, b)
+            for site, partner in ((u, v), (v, u)):
+                row = partners.get(site)
+                if row is None:
+                    partners[site] = {partner}
+                elif partner in row:
+                    row.remove(partner)
+                    if not row:
+                        del partners[site]
+                else:
+                    row.add(partner)
+    quadratic = frozenset((a, c) for a, row in partners.items() for c in row if a < c)
+    return StabilizerProduct(h.n, -1 if negative else 1,
+                             _mask_from_bits(bits), _mask_from_bits(linear), quadratic)
 
 
 def try_to_pauli(s: StabilizerProduct) -> PauliString | None:

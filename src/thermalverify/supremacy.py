@@ -48,18 +48,23 @@ class FamilyInstance:
 
 @dataclass(frozen=True)
 class CertificationDecision:
-    """Outcome of the accept/reject rule applied to an estimate."""
+    """Outcome of the accept/reject rule applied to an estimate: the rule
+    accepts when margin = f_est - 2/n reaches threshold (ACCEPT_MARGIN)."""
 
     f_est: float
     n: int
     threshold_met: bool
     tvd_bound: float
     verdict: str
+    margin: float
+    threshold: float
 
     def to_dict(self) -> dict:
         return {
             "f_est": self.f_est,
             "n": self.n,
+            "margin": self.margin,
+            "threshold": self.threshold,
             "threshold_met": self.threshold_met,
             "tvd_bound": self.tvd_bound,
             "verdict": self.verdict,
@@ -110,10 +115,17 @@ def optimal_setting(inst: FamilyInstance) -> PauliString:
 
 
 def certify(f_est: float, n: int, allow_small_n: bool = False) -> CertificationDecision:
-    """Apply the accept/reject rule to an estimate on n qubits.
+    """Apply the accept/reject rule to an estimate on n qubits: accept when
+    the margin f_est - 2/n reaches ACCEPT_MARGIN.
 
     The full-scale regime assumes n >= 400000 (with epsilon 1e-6); pass
     allow_small_n=True to evaluate the same arithmetic at desk scales.
+
+    At n = 400000 the rule sits on its boundary: 1 - 2/n equals 0.999995
+    exactly, and the float margin 1.0 - 2.0/400000 rounds to the same double
+    as ACCEPT_MARGIN, so only f_est == 1.0 (no -1 shot at all) accepts. One
+    -1 shot in the default budget N gives f_est = 1 - 2/N and rejects. At
+    both points the float comparison agrees with exact rational arithmetic.
     """
     if not -1.0 <= f_est <= 1.0:
         raise ValueError(f"f_est must lie in [-1, 1], got {f_est}")
@@ -133,6 +145,8 @@ def certify(f_est: float, n: int, allow_small_n: bool = False) -> CertificationD
         threshold_met=threshold_met,
         tvd_bound=tvd_bound,
         verdict="accept" if threshold_met else "reject",
+        margin=margin,
+        threshold=ACCEPT_MARGIN,
     )
 
 

@@ -231,7 +231,9 @@ def invert_temperature(n: int, observed: float, from_fidelity: bool = False) -> 
         x = math.expm1(-math.log(observed) / n)  # observed^(-1/n) - 1
         if x == 0.0:
             return math.inf
-        return -math.log(x) / 2.0
+        # at the floor x rounds to 1 (or just above): the result is beta = 0,
+        # never -0.0 or a negative rounding residue
+        return max(0.0, -math.log(x) / 2.0)
     if n < 2 or n % 2:
         raise ValueError(f"expectation inversion requires even n >= 2, got {n}")
     # beta = atanh(t) with t = observed^(2/n), written as log1p(2t/(1-t))/2

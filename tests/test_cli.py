@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -202,6 +203,21 @@ class TestCertifyCommand:
     def test_small_n_without_flag_is_validation_error(self):
         assert main(["certify-iqp", "--n", "12", "--f-est", "1"]) == 2
 
+    @pytest.mark.parametrize("thermal, verdict", [(["--temperature", "0"], "accept"),
+                                                  (["--beta", "3"], "reject")])
+    def test_paper_scale_end_to_end(self, capsys, thermal, verdict):
+        # n = 4e5 at the default epsilon 1e-6: the full reduction, the
+        # ~1.06e13-shot draw and the decision, well inside a time limit
+        start = time.perf_counter()
+        assert main(["certify-iqp", "--n", "400000"] + thermal) == 0
+        elapsed = time.perf_counter() - start
+        result = read_json(capsys)["result"]
+        assert result["decision"]["verdict"] == verdict
+        assert result["report"]["n_samples"] == 10_596_634_733_097
+        if verdict == "accept":
+            assert result["report"]["minus_count"] == 0
+        assert elapsed < 30.0
+
 
 class TestEstimateTemperature:
     def test_known_inversion(self, capsys):
@@ -223,6 +239,15 @@ class TestEstimateTemperature:
 
     def test_out_of_range_estimate(self):
         assert main(["estimate-temperature", "--n", "4", "--f-est", "0"]) == 2
+
+    def test_fidelity_floor_gives_infinite_temperature(self, capsys):
+        # f = 2^-n is the T = infinity fidelity; beta comes back as 0.0
+        assert main(["estimate-temperature", "--n", "1", "--f-est", "0.5",
+                     "--from-fidelity"]) == 0
+        result = read_json(capsys)["result"]
+        assert result["temperature"] == "infinity"
+        assert result["beta"] == 0.0 and math.copysign(1.0, result["beta"]) == 1.0
+        assert result["p_flip"] == 0.5
 
 
 class TestManifest:

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from thermalverify import GraphSpec, HypergraphSpec, load_hypergraph, path_graph, ring_graph
+from util_dense import hypergraphs_with_selector
 
 
 def test_edges_stored_canonically():
@@ -84,3 +86,19 @@ def test_helpers():
     assert ring_graph(4).edges == frozenset({(1, 2), (2, 3), (3, 4), (1, 4)})
     with pytest.raises(ValueError):
         ring_graph(2)
+
+
+@given(hypergraphs_with_selector())
+@settings(max_examples=200, deadline=None)
+def test_indexed_lookups_match_edge_scan(case):
+    h, _ = case
+    g = GraphSpec(h.n, edges=h.e2)
+    for i in range(1, h.n + 1):
+        scanned = tuple(sorted({b if a == i else a for (a, b) in h.e2 if i in (a, b)}))
+        assert g.neighbors(i) == scanned
+        assert h.neighbors(i) == scanned
+        assert h.incident_triples(i) == tuple(sorted(t for t in h.e3 if i in t))
+    for bad in (0, h.n + 1):
+        for lookup in (g.neighbors, h.neighbors, h.incident_triples):
+            with pytest.raises(ValueError, match=f"vertex {bad} outside 1..{h.n}"):
+                lookup(bad)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermalverify import (GraphSpec, HypergraphSpec, PauliString, StabilizerProduct,
                            alternating_setting, build_family, generalized_product,
                            graph_stabilizer, hypergraph_stabilizer, leading_half_setting,
                            parse_setting, path_graph, stabilizer_product, try_to_pauli)
-from util_dense import (all_graphs, hypergraph_state_vector, kron_chain, pauli_matrix,
+from util_dense import (all_graphs, ascending_generalized_product,
+                        ascending_stabilizer_product, hypergraph_state_vector,
+                        hypergraphs_with_selector, kron_chain, pauli_matrix,
                         random_hypergraph, stabilizer_product_matrix)
 
 
@@ -362,3 +365,32 @@ class TestSelectors:
             leading_half_setting(5)
         with pytest.raises(ValueError):
             alternating_setting(7)
+
+
+class TestFastReductions:
+    """The one-pass reductions against the ascending generator products."""
+
+    @given(hypergraphs_with_selector())
+    @settings(max_examples=300, deadline=None)
+    def test_stabilizer_product_matches_ascending_product(self, case):
+        h, bits = case
+        g = GraphSpec(h.n, edges=h.e2)
+        assert stabilizer_product(g, bits) == ascending_stabilizer_product(g, bits)
+
+    @given(hypergraphs_with_selector())
+    @settings(max_examples=300, deadline=None)
+    def test_generalized_product_matches_ascending_product(self, case):
+        h, bits = case
+        assert generalized_product(h, bits) == ascending_generalized_product(h, bits)
+
+    @given(st.integers(1, 130).flatmap(lambda n: st.tuples(
+        st.just(n), st.sampled_from((1, -1)),
+        st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))))
+    @settings(max_examples=200, deadline=None)
+    def test_letters_match_per_site_reference(self, word_args):
+        word = PauliString(*word_args)
+        letters = "".join(word.letter(i) for i in range(1, word.n + 1))
+        assert word.letters() == letters
+        assert str(word) == ("+" if word.sign > 0 else "-") + letters
+        assert word.xy_sites() == tuple(
+            i for i in range(1, word.n + 1) if word.letter(i) in "XY")

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from thermalverify import (CertificationDecision, FamilyInstance, HypergraphSpec
                            ProtocolConfig, build_family, build_pure_state, certify,
                            exact_outcome_distribution, family_triples, fidelity,
                            hadamard_transform, iqp_sample, optimal_setting,
-                           run_protocol, stabilizer_check)
+                           run_protocol, sample_size, stabilizer_check)
+from thermalverify.supremacy import ACCEPT_MARGIN, EPSILON_FULL_SCALE, MIN_FULL_SCALE_N
 from util_dense import total_variation
 
 FIG3_TRIANGLES = {
@@ -139,6 +141,28 @@ class TestCertify:
         doc = certify(1.0, 400_000).to_dict()
         assert doc["verdict"] == "accept" and doc["n"] == 400_000
         assert isinstance(certify(1.0, 400_000), CertificationDecision)
+
+    @pytest.mark.parametrize("f_est, n", [(1.0, 400_000), (0.99999, 400_000),
+                                          (0.9, 20), (-1.0, 4)])
+    def test_decision_reports_margin_and_threshold(self, f_est, n):
+        decision = certify(f_est, n, allow_small_n=True)
+        doc = decision.to_dict()
+        assert doc["margin"] == decision.margin == f_est - 2.0 / n
+        assert doc["threshold"] == decision.threshold == ACCEPT_MARGIN
+        assert doc["threshold_met"] is (doc["margin"] >= doc["threshold"])
+
+    def test_full_scale_boundary(self):
+        """At n = 4e5 only f_est == 1.0 accepts; one -1 shot in the default
+        budget rejects. The float rule agrees with exact rationals at both."""
+        n = MIN_FULL_SCALE_N
+        budget = sample_size(EPSILON_FULL_SCALE, 1e-2)
+        one_minus_shot = (budget - 2) / budget
+        assert one_minus_shot == 1 - 2 / budget
+        for f_est, verdict in ((1.0, "accept"), (one_minus_shot, "reject")):
+            decision = certify(f_est, n)
+            exact = Fraction(f_est) - Fraction(2, n) >= Fraction("0.999995")
+            assert decision.verdict == verdict
+            assert decision.threshold_met is exact
 
 
 class TestExactDistribution:

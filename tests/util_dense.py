@@ -2,7 +2,10 @@
 
 These deliberately avoid the package's bitmask application paths: operators
 are assembled letter by letter with np.kron and states by scalar loops over
-basis indices, so they can serve as ground truth for the fast code.
+basis indices, so they can serve as ground truth for the fast code. The
+ascending generator products are the references for the one-pass setting
+reductions in pauli, and hypergraphs_with_selector draws inputs for the
+property tests that compare them.
 
 Index convention matches the package: bit i-1 of a basis index is site i.
 """
@@ -13,6 +16,7 @@ from fractions import Fraction
 from functools import reduce
 
 import numpy as np
+from hypothesis import strategies as st
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -98,6 +102,52 @@ def random_hypergraph(n: int, rng: np.random.Generator):
             triples[t] for t in rng.choice(len(triples), size=min(2, len(triples)), replace=False)
         )
     return HypergraphSpec(n, e2=e2, e3=e3)
+
+
+def ascending_stabilizer_product(g, setting):
+    """Reference for pauli.stabilizer_product: multiply the selected
+    graph-state generators one by one, in ascending vertex order."""
+    from thermalverify import PauliString, graph_stabilizer, parse_setting
+
+    word = PauliString.identity(g.n)
+    for i, b in enumerate(parse_setting(setting, g.n), start=1):
+        if b:
+            word = word * graph_stabilizer(g, i)
+    return word
+
+
+def ascending_generalized_product(h, setting):
+    """Reference for pauli.generalized_product: multiply the selected
+    generalized generators one by one, in ascending vertex order."""
+    from thermalverify import StabilizerProduct, hypergraph_stabilizer, parse_setting
+
+    word = StabilizerProduct.identity(h.n)
+    for i, b in enumerate(parse_setting(setting, h.n), start=1):
+        if b:
+            word = word * hypergraph_stabilizer(h, i)
+    return word
+
+
+@st.composite
+def hypergraphs_with_selector(draw):
+    """A random HypergraphSpec on n <= 12 vertices and a 0/1 selector of
+    length n. Edges may repeat or list their vertices out of order; the
+    spec canonicalizes them."""
+    from thermalverify import HypergraphSpec
+
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(1, n)
+
+    def edges(arity):
+        if n < arity:
+            return []
+        edge = st.lists(vertex, min_size=arity, max_size=arity, unique=True)
+        return draw(st.lists(edge, max_size=2 * n))
+
+    h = HypergraphSpec(n, e2=frozenset(map(tuple, edges(2))),
+                       e3=frozenset(map(tuple, edges(3))))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return h, bits
 
 
 def exhaustive_parity_expectation(n: int, x_mask: int, p: float) -> float:
