@@ -6,10 +6,14 @@ phase-flip mixture, and the Gibbs exponential of the generator Hamiltonian)
 so the equivalence between the two pictures is something this package
 verifies rather than assumes.
 
-Operators apply to statevectors as index-permutation + sign maps, never as
-dense matrices, which keeps checks feasible up to n = 24. Dense matrices
-appear only in the Hamiltonian route (n <= 10) and density operators
-(n <= 12; note n = 12 allocates ~0.5 GB).
+Every supported operator (PauliString, StabilizerProduct) acts on a basis
+state as Op|z> = c[z] |z ^ x_mask>; one coefficient map c serves operator
+application, dense matrices and mixed-state expectations. Operators apply
+to statevectors as that index-permutation + sign map, never as dense
+matrices, which keeps checks feasible up to n = 24 (MAX_STATEVECTOR_N, also
+the cap of the X-basis functions in supremacy). Dense matrices appear only
+in the Hamiltonian route (n <= 10) and density operators (n <= 12; note
+n = 12 allocates ~0.5 GB).
 
 Computational-basis index convention: bit i-1 of the index is the state of
 site i (site 1 is the least significant bit).
@@ -36,12 +40,19 @@ def _parity(values: np.ndarray, mask: int) -> np.ndarray:
     return (np.bitwise_count(values & np.uint32(mask)) & 1).astype(np.int8)
 
 
-def _phase_poly_parity(op: StabilizerProduct, idx: np.ndarray) -> np.ndarray:
-    """Evaluate (-1)-exponent f over all basis indices; returns 0/1 array."""
-    acc = np.bitwise_count(idx & np.uint32(op.linear)).astype(np.uint32)
-    for (a, b) in op.quadratic:
-        acc += (idx >> np.uint32(a - 1)) & (idx >> np.uint32(b - 1)) & np.uint32(1)
-    return (acc & 1).astype(np.int8)
+def _coefficients(op, idx: np.ndarray) -> np.ndarray:
+    """c over the basis indices idx with Op|z> = c[z] |z ^ x_mask>, for a
+    PauliString (sign * i^|X&Z| * (-1)^(z.Z)) or a StabilizerProduct
+    (sign * (-1)^f(z) with its phase polynomial f)."""
+    if isinstance(op, PauliString):
+        prefactor = op.sign * (1j) ** ((op.x_mask & op.z_mask).bit_count())
+        return prefactor * np.where(_parity(idx, op.z_mask) == 1, -1.0, 1.0)
+    if isinstance(op, StabilizerProduct):
+        acc = np.bitwise_count(idx & np.uint32(op.linear)).astype(np.uint32)
+        for (a, b) in op.quadratic:
+            acc += (idx >> np.uint32(a - 1)) & (idx >> np.uint32(b - 1)) & np.uint32(1)
+        return op.sign * np.where(acc & 1, -1.0, 1.0)
+    raise TypeError(f"unsupported operator type {type(op).__name__}")
 
 
 class DenseState:
@@ -110,15 +121,7 @@ def apply_operator(op, amplitudes: np.ndarray) -> np.ndarray:
     if amplitudes.shape != (1 << n,):
         raise ValueError(f"operator on {n} sites cannot act on shape {amplitudes.shape}")
     idx = _indices(n)
-    if isinstance(op, PauliString):
-        prefactor = op.sign * (1j) ** ((op.x_mask & op.z_mask).bit_count())
-        coeff = np.where(_parity(idx, op.z_mask) == 1, -1.0, 1.0)
-        vals = prefactor * coeff * amplitudes
-    elif isinstance(op, StabilizerProduct):
-        coeff = np.where(_phase_poly_parity(op, idx) == 1, -1.0, 1.0)
-        vals = op.sign * coeff * amplitudes
-    else:
-        raise TypeError(f"cannot apply operator of type {type(op).__name__}")
+    vals = _coefficients(op, idx) * amplitudes
     return vals[idx ^ np.uint32(op.x_mask)]
 
 
@@ -128,14 +131,8 @@ def dense_matrix(op) -> np.ndarray:
     if n > MAX_HAMILTONIAN_N:
         raise ValueError(f"dense matrices limited to n <= {MAX_HAMILTONIAN_N}, got {n}")
     idx = _indices(n)
+    coeff = _coefficients(op, idx)
     out = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    if isinstance(op, PauliString):
-        prefactor = op.sign * (1j) ** ((op.x_mask & op.z_mask).bit_count())
-        coeff = prefactor * np.where(_parity(idx, op.z_mask) == 1, -1.0, 1.0)
-    elif isinstance(op, StabilizerProduct):
-        coeff = op.sign * np.where(_phase_poly_parity(op, idx) == 1, -1.0, 1.0)
-    else:
-        raise TypeError(f"cannot materialize operator of type {type(op).__name__}")
     out[idx ^ np.uint32(op.x_mask), idx] = coeff
     return out
 
@@ -199,13 +196,7 @@ def dense_expectation(state, op) -> float:
         if op.n != state.n:
             raise ValueError(f"dimension mismatch: state n={state.n}, op n={op.n}")
         idx = _indices(op.n)
-        if isinstance(op, PauliString):
-            prefactor = op.sign * (1j) ** ((op.x_mask & op.z_mask).bit_count())
-            coeff = prefactor * np.where(_parity(idx, op.z_mask) == 1, -1.0, 1.0)
-        elif isinstance(op, StabilizerProduct):
-            coeff = op.sign * np.where(_phase_poly_parity(op, idx) == 1, -1.0, 1.0)
-        else:
-            raise TypeError(f"cannot apply operator of type {type(op).__name__}")
+        coeff = _coefficients(op, idx)
         value = np.sum(state.matrix[idx, idx ^ np.uint32(op.x_mask)] * coeff)
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")

@@ -13,6 +13,12 @@ The decision rule accepts when f_est - 2/n >= 0.999995 and converts the
 accepted estimate into a bound on the (unhalved) l1 distance between the
 sampled and ideal output distributions: 2*sqrt(1 + 1e-6 - (f_est - 2/n)),
 which at the threshold is below the hardness target 1/192.
+
+Thermal noise is an independent phase flip Z per site with probability p,
+and H^n Z_e = X_e H^n, so the thermal X-basis distribution is the ideal one
+XOR-convolved with the product flip distribution. Both X-basis functions
+therefore cost one statevector and one Hadamard transform, and share the
+oracle's statevector cap n <= 24 (MAX_STATEVECTOR_N).
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import HypergraphSpec
-from .oracle import MAX_DENSITY_N, _indices, _parity, build_pure_state, hadamard_transform
+from .oracle import build_pure_state, hadamard_transform
 from .pauli import PauliString, alternating_setting, generalized_product, try_to_pauli
 from .thermal import flip_probability
 
@@ -31,7 +37,6 @@ ACCEPT_MARGIN = 0.999995
 EPSILON_FULL_SCALE = 1e-6
 L1_TARGET = 1.0 / 192.0
 MIN_FULL_SCALE_N = 400_000
-MAX_SAMPLING_N = 20
 
 
 @dataclass(frozen=True)
@@ -152,57 +157,34 @@ def certify(f_est: float, n: int, allow_small_n: bool = False) -> CertificationD
 
 def exact_outcome_distribution(inst: FamilyInstance, beta: float) -> np.ndarray:
     """Exact X-basis outcome distribution of the thermal instance, as a
-    length-2^n vector indexed with site 1 in the least significant bit."""
-    n = inst.n
-    if n > MAX_DENSITY_N:
-        raise ValueError(f"exact distribution limited to n <= {MAX_DENSITY_N}, got {n}")
-    psi = build_pure_state(inst.spec).amplitudes
+    length-2^n vector indexed with site 1 in the least significant bit.
+
+    The ideal distribution |H^n psi|^2 mixed once per site:
+    d <- (1-p) d + p flip_k(d), which is the XOR-convolution with the
+    product phase-flip distribution.
+    """
     p = flip_probability(beta)
-    idx = _indices(n)
-    dist = np.zeros(1 << n)
-    for mask in range(1 << n):
-        m = int(np.bitwise_count(np.uint32(mask)))
-        weight = p**m * (1.0 - p) ** (n - m)
-        if weight == 0.0:
-            continue
-        signs = np.where(_parity(idx, mask) == 1, -1.0, 1.0)
-        dist += weight * np.abs(hadamard_transform(signs * psi)) ** 2
+    dist = np.abs(hadamard_transform(build_pure_state(inst.spec).amplitudes)) ** 2
+    sites = dist.reshape((2,) * inst.n)  # one axis per site, a view of dist
+    for axis in range(inst.n):
+        sites[...] = (1.0 - p) * sites + p * np.flip(sites, axis)
     return dist / dist.sum()
 
 
 def iqp_sample(inst: FamilyInstance, beta: float, shots: int, seed: int) -> Counter:
     """Sample X-basis outcome strings from the thermal instance.
 
-    Per shot an error pattern is drawn, its Z mask applied to the ideal
-    statevector, and all sites are read in the X basis. Returns counts keyed
-    by the outcome string (site 1 first).
+    Per shot an ideal outcome is drawn from |H^n psi|^2 and XORed with an
+    error mask whose sites flip independently with probability p. Returns
+    counts keyed by the outcome string (site 1 first).
     """
-    n = inst.n
-    if n > MAX_SAMPLING_N:
-        raise ValueError(f"sampling limited to n <= {MAX_SAMPLING_N}, got {n}")
     if shots < 1:
         raise ValueError(f"need shots >= 1, got {shots}")
+    n = inst.n
+    ideal = exact_outcome_distribution(inst, math.inf)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    p = flip_probability(beta)
-    psi = build_pure_state(inst.spec).amplitudes
-    idx = _indices(n)
-
-    if p == 0.0:
-        masks = np.zeros(shots, dtype=np.uint64)
-    else:
-        powers = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-        bits = rng.random((shots, n)) < p
-        masks = bits.astype(np.uint64) @ powers
-    unique, group_sizes = np.unique(masks, return_counts=True)
-
-    totals = np.zeros(1 << n, dtype=np.int64)
-    for mask, size in zip(unique, group_sizes):
-        signs = np.where(_parity(idx, int(mask)) == 1, -1.0, 1.0)
-        dist = np.abs(hadamard_transform(signs * psi)) ** 2
-        dist /= dist.sum()
-        totals += rng.multinomial(int(size), dist)
-    counts = Counter()
-    for basis_index in np.flatnonzero(totals):
-        string = "".join(str((int(basis_index) >> b) & 1) for b in range(n))
-        counts[string] = int(totals[basis_index])
-    return counts
+    outcomes = rng.choice(1 << n, size=shots, p=ideal)
+    errors = (rng.random((shots, n)) < flip_probability(beta)) @ (1 << np.arange(n))
+    totals = np.bincount(outcomes ^ errors, minlength=1 << n)
+    return Counter({format(int(i), f"0{n}b")[::-1]: int(totals[i])
+                    for i in np.flatnonzero(totals)})

@@ -228,11 +228,13 @@ def invert_temperature(n: int, observed: float, from_fidelity: bool = False) -> 
             raise ValueError(
                 f"fidelity {observed} below the infinite-temperature value {floor}"
             )
+        if observed == floor:
+            return 0.0  # x below can round to just under 1 here
         x = math.expm1(-math.log(observed) / n)  # observed^(-1/n) - 1
         if x == 0.0:
             return math.inf
-        # at the floor x rounds to 1 (or just above): the result is beta = 0,
-        # never -0.0 or a negative rounding residue
+        # just above the floor x can round to 1 or above: the result is
+        # beta = 0, never -0.0 or a negative rounding residue
         return max(0.0, -math.log(x) / 2.0)
     if n < 2 or n % 2:
         raise ValueError(f"expectation inversion requires even n >= 2, got {n}")

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from thermalverify import fidelity
 from thermalverify.cli import build_parser, main
 
 PATH4 = {"n": 4, "e2": [[1, 2], [2, 3], [3, 4]]}
@@ -248,6 +249,14 @@ class TestEstimateTemperature:
         assert result["temperature"] == "infinity"
         assert result["beta"] == 0.0 and math.copysign(1.0, result["beta"]) == 1.0
         assert result["p_flip"] == 0.5
+
+    def test_fidelity_floor_at_n51_gives_infinite_temperature(self, capsys):
+        # n = 51 is one of the sizes where the floor used to invert to 1.1e-16
+        floor = fidelity(51, 0.0)
+        assert main(["estimate-temperature", "--n", "51", "--f-est", repr(floor),
+                     "--from-fidelity"]) == 0
+        result = read_json(capsys)["result"]
+        assert result["beta"] == 0.0 and result["temperature"] == "infinity"
 
 
 class TestManifest:

@@ -63,6 +63,18 @@ class TestApplyOperator:
             assert np.allclose(apply_operator(sp, vec), stabilizer_product_matrix(sp) @ vec,
                                atol=1e-12)
 
+    def test_unsupported_operator_rejected(self):
+        not_an_operator = GraphSpec(2, edges={(1, 2)})
+        psi = build_pure_state(not_an_operator)
+        rho = thermal_density(not_an_operator, 1.0)
+        with pytest.raises(TypeError, match="GraphSpec"):
+            apply_operator(not_an_operator, psi.amplitudes)
+        with pytest.raises(TypeError, match="GraphSpec"):
+            dense_matrix(not_an_operator)
+        for state in (psi, rho):
+            with pytest.raises(TypeError, match="GraphSpec"):
+                dense_expectation(state, not_an_operator)
+
     def test_dense_matrix_agrees_with_kron(self):
         word = PauliString.from_letters("XYZ", sign=-1)
         assert np.allclose(dense_matrix(word), pauli_matrix(word))

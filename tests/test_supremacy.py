@@ -1,17 +1,20 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermalverify import (CertificationDecision, FamilyInstance, HypergraphSpec,
                            ProtocolConfig, build_family, build_pure_state, certify,
                            exact_outcome_distribution, family_triples, fidelity,
                            hadamard_transform, iqp_sample, optimal_setting,
-                           run_protocol, sample_size, stabilizer_check)
+                           run_protocol, sample_size, stabilizer_check, thermal_density)
+from thermalverify.oracle import MAX_STATEVECTOR_N
 from thermalverify.supremacy import ACCEPT_MARGIN, EPSILON_FULL_SCALE, MIN_FULL_SCALE_N
-from util_dense import total_variation
+from util_dense import H2, family_members, mixture_outcome_distribution, total_variation
 
 FIG3_TRIANGLES = {
     (1, 2, 3), (5, 6, 7),
@@ -179,6 +182,21 @@ class TestExactDistribution:
             assert dist.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(dist >= 0)
 
+    @given(family_members(), st.one_of(st.sampled_from([0.0, math.inf]),
+                                       st.floats(0.0, 12.0)))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_per_mask_mixture(self, inst, beta):
+        reference = mixture_outcome_distribution(inst.spec, beta)
+        assert np.max(np.abs(exact_outcome_distribution(inst, beta) - reference)) <= 1e-12
+
+    def test_matches_diagonal_of_rotated_thermal_density(self):
+        inst = build_family(6, e2={(1, 4), (2, 6)})
+        hadamard = reduce(np.kron, [H2] * 6)
+        for beta in (0.0, 0.4, 2.0):
+            rho = thermal_density(inst.spec, beta).matrix
+            diagonal = np.diag(hadamard @ rho @ hadamard).real
+            assert np.max(np.abs(exact_outcome_distribution(inst, beta) - diagonal)) <= 1e-12
+
 
 class TestIqpSample:
     def test_reproducible(self):
@@ -227,12 +245,46 @@ class TestIqpSample:
         bound = 2 * math.sqrt(1 - fidelity(4, beta)) + 10 / math.sqrt(shots)
         assert l1 <= bound
 
+    def test_finite_temperature_close_to_exact(self):
+        # E[TV] <= 0.5 * sum_i sqrt(q_i (1 - q_i) / N) by Jensen, and one
+        # shot moves TV by at most 1/N, so McDiarmid puts TV above that mean
+        # bound plus 3/sqrt(N) with probability below exp(-18)
+        inst = build_family(6, e2={(2, 5)})
+        beta, shots = 0.5, 200_000
+        counts = iqp_sample(inst, beta, shots=shots, seed=11)
+        exact = exact_outcome_distribution(inst, beta)
+        empirical = np.zeros(1 << 6)
+        for string, c in counts.items():
+            empirical[int(string[::-1], 2)] = c / shots
+        budget = 0.5 * np.sqrt(exact * (1 - exact) / shots).sum() + 3 / math.sqrt(shots)
+        assert total_variation(empirical, exact) <= budget
+        # the errors visibly move the samples off the ideal distribution
+        ideal = exact_outcome_distribution(inst, math.inf)
+        assert total_variation(empirical, ideal) > 10 * budget
+
     def test_validation(self):
         inst = build_family(4)
         with pytest.raises(ValueError):
             iqp_sample(inst, 1.0, shots=0, seed=0)
         with pytest.raises(ValueError):
-            iqp_sample(build_family(22), 1.0, shots=10, seed=0)
+            iqp_sample(build_family(26), 1.0, shots=10, seed=0)
+
+
+class TestStatevectorCap:
+    """Both X-basis functions cost one statevector, so they share its cap."""
+
+    def test_fourteen_sites_run(self):
+        inst = build_family(14)
+        dist = exact_outcome_distribution(inst, 0.7)
+        assert dist.shape == (1 << 14,) and dist.sum() == pytest.approx(1.0, abs=1e-12)
+        assert sum(iqp_sample(inst, 0.7, shots=1000, seed=0).values()) == 1000
+
+    def test_above_cap_raises(self):
+        inst = build_family(26)
+        with pytest.raises(ValueError, match=f"n <= {MAX_STATEVECTOR_N}"):
+            exact_outcome_distribution(inst, 0.7)
+        with pytest.raises(ValueError, match=f"n <= {MAX_STATEVECTOR_N}"):
+            iqp_sample(inst, 0.7, shots=10, seed=0)
 
 
 def test_reduced_setting_expectation_matches_half_weight_closed_form():

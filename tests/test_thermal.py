@@ -253,6 +253,13 @@ class TestInvertTemperature:
                 recovered = invert_temperature(n, fidelity(n, beta), from_fidelity=True)
                 assert abs(recovered - beta) <= 1e-9
 
+    def test_fidelity_floor_is_exactly_zero(self):
+        # expm1(-log(floor)/n) rounds to just under 1 at some n (51, 95,
+        # 102, ...), which used to leave beta = 1.1e-16 instead of 0
+        for n in range(1, 201):
+            beta = invert_temperature(n, fidelity(n, 0.0), from_fidelity=True)
+            assert beta == 0.0 and math.copysign(1.0, beta) == 1.0, n
+
     def test_validation(self):
         with pytest.raises(ValueError):
             invert_temperature(10, 0.0)

@@ -5,7 +5,8 @@ are assembled letter by letter with np.kron and states by scalar loops over
 basis indices, so they can serve as ground truth for the fast code. The
 ascending generator products are the references for the one-pass setting
 reductions in pauli, and hypergraphs_with_selector draws inputs for the
-property tests that compare them.
+property tests that compare them. mixture_outcome_distribution is the
+per-error-mask reference for the X-basis distribution of a thermal state.
 
 Index convention matches the package: bit i-1 of a basis index is site i.
 """
@@ -22,6 +23,7 @@ I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
+H2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 MATS = {"I": I2, "X": X2, "Y": Y2, "Z": Z2}
 
 
@@ -72,6 +74,38 @@ def hypergraph_state_vector(h) -> np.ndarray:
                 sign = -sign
         vec[z] *= sign
     return vec
+
+
+def mixture_outcome_distribution(h, beta: float) -> np.ndarray:
+    """Reference for supremacy.exact_outcome_distribution: the per-mask sum
+    sum_e Pr(e) |H^n Z_e psi|^2 over every phase-flip mask e, with H^n and
+    Z_e as kron products and psi from hypergraph_state_vector."""
+    n = h.n
+    x = math.exp(-2.0 * beta)
+    p = x / (1.0 + x)
+    hadamard = reduce(np.kron, [H2] * n)
+    psi = hypergraph_state_vector(h)
+    dist = np.zeros(1 << n)
+    for mask in range(1 << n):
+        m = bin(mask).count("1")
+        weight = p**m * (1.0 - p) ** (n - m)
+        if weight == 0.0:
+            continue
+        z_e = reduce(np.kron, [np.diag(Z2 if (mask >> i) & 1 else I2)
+                               for i in reversed(range(n))])  # diagonal of Z_e
+        dist += weight * np.abs(hadamard @ (z_e * psi)) ** 2
+    return dist
+
+
+@st.composite
+def family_members(draw, sizes=(4, 6, 8)):
+    """A restricted-family instance of one of the given sizes with a random
+    set of two-vertex edges."""
+    from thermalverify import build_family
+
+    n = draw(st.sampled_from(sizes))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return build_family(n, e2=draw(st.sets(st.sampled_from(pairs), max_size=n)))
 
 
 def all_graphs(n: int):
