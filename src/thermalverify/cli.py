@@ -145,12 +145,9 @@ def _int_list(text: str) -> list[int]:
 
 
 def _setting_for(spec, selector_bits) -> "PauliString":
-    """Reduce a selector to the measured Pauli word for a (hyper)graph."""
-    h = spec.as_hypergraph()
-    if not h.e3:
-        graph = GraphSpec(h.n, edges=h.e2)
-        return stabilizer_product(graph, selector_bits)
-    word = try_to_pauli(generalized_product(h, selector_bits))
+    """Reduce a selector to the measured Pauli word for a (hyper)graph.
+    Without three-vertex edges the product always is a Pauli word."""
+    word = try_to_pauli(generalized_product(spec.as_hypergraph(), selector_bits))
     if word is None:
         raise ValueError(
             "selector does not reduce to a Pauli word on this hypergraph; "

@@ -4,11 +4,15 @@ Vertices are 1-indexed everywhere in the public interface. Edges connect two
 distinct vertices, hyperedges three. Edge sets use set semantics: duplicates
 collapse, storage is canonical (sorted tuples).
 
-Each spec indexes its edges once, on the first neighbors/incident_triples
-call: the index maps each vertex to its sorted neighbors (and, for
-hypergraphs, to its sorted hyperedges). Building it costs one sort of the
-edge set; every later lookup is O(1), so a pass over all vertices is linear
-in the size of the graph instead of quadratic.
+Validation costs one comparison chain per edge that is already canonical (a
+tuple of plain ints, strictly ascending inside 1..n), which is what the
+family builders generate; every other edge takes the full checks.
+
+The setting reductions in pauli read the edge sets directly and build no
+per-vertex index. The index exists only behind the public neighbors and
+incident_triples lookups: it is built once, on the first such call, and maps
+each vertex to its sorted neighbors (and, for hypergraphs, to its sorted
+hyperedges), so every later lookup is O(1).
 """
 from __future__ import annotations
 
@@ -19,6 +23,17 @@ from pathlib import Path
 
 
 def _canonical_edge(edge, n: int, arity: int) -> tuple[int, ...]:
+    # A tuple of plain ints, strictly ascending inside 1..n, is already
+    # canonical and is kept as it is; anything else takes the checks below.
+    if type(edge) is tuple and len(edge) == arity:
+        if arity == 2:
+            a, b = edge
+            if type(a) is type(b) is int and 0 < a < b <= n:
+                return edge
+        else:
+            a, b, c = edge
+            if type(a) is type(b) is type(c) is int and 0 < a < b < c <= n:
+                return edge
     name = "edge" if arity == 2 else "hyperedge"
     vertices = tuple(edge)
     if len(vertices) != arity:

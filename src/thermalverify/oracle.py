@@ -40,6 +40,13 @@ def _parity(values: np.ndarray, mask: int) -> np.ndarray:
     return (np.bitwise_count(values & np.uint32(mask)) & 1).astype(np.int8)
 
 
+def _operator_sites(op) -> int:
+    """Site count of a supported operator; anything else is a TypeError."""
+    if not isinstance(op, (PauliString, StabilizerProduct)):
+        raise TypeError(f"unsupported operator type {type(op).__name__}")
+    return op.n
+
+
 def _coefficients(op, idx: np.ndarray) -> np.ndarray:
     """c over the basis indices idx with Op|z> = c[z] |z ^ x_mask>, for a
     PauliString (sign * i^|X&Z| * (-1)^(z.Z)) or a StabilizerProduct
@@ -47,12 +54,10 @@ def _coefficients(op, idx: np.ndarray) -> np.ndarray:
     if isinstance(op, PauliString):
         prefactor = op.sign * (1j) ** ((op.x_mask & op.z_mask).bit_count())
         return prefactor * np.where(_parity(idx, op.z_mask) == 1, -1.0, 1.0)
-    if isinstance(op, StabilizerProduct):
-        acc = np.bitwise_count(idx & np.uint32(op.linear)).astype(np.uint32)
-        for (a, b) in op.quadratic:
-            acc += (idx >> np.uint32(a - 1)) & (idx >> np.uint32(b - 1)) & np.uint32(1)
-        return op.sign * np.where(acc & 1, -1.0, 1.0)
-    raise TypeError(f"unsupported operator type {type(op).__name__}")
+    acc = np.bitwise_count(idx & np.uint32(op.linear)).astype(np.uint32)
+    for (a, b) in op.quadratic:
+        acc += (idx >> np.uint32(a - 1)) & (idx >> np.uint32(b - 1)) & np.uint32(1)
+    return op.sign * np.where(acc & 1, -1.0, 1.0)
 
 
 class DenseState:
@@ -115,7 +120,7 @@ def build_pure_state(spec) -> DenseState:
 
 def apply_operator(op, amplitudes: np.ndarray) -> np.ndarray:
     """Apply a PauliString or StabilizerProduct to a statevector array."""
-    n = op.n
+    n = _operator_sites(op)
     if n > MAX_STATEVECTOR_N:
         raise ValueError(f"statevector maps limited to n <= {MAX_STATEVECTOR_N}, got {n}")
     if amplitudes.shape != (1 << n,):
@@ -127,7 +132,7 @@ def apply_operator(op, amplitudes: np.ndarray) -> np.ndarray:
 
 def dense_matrix(op) -> np.ndarray:
     """Materialize a PauliString or StabilizerProduct as a 2^n x 2^n array."""
-    n = op.n
+    n = _operator_sites(op)
     if n > MAX_HAMILTONIAN_N:
         raise ValueError(f"dense matrices limited to n <= {MAX_HAMILTONIAN_N}, got {n}")
     idx = _indices(n)
@@ -188,14 +193,15 @@ def boltzmann_density(spec, beta: float) -> DenseMixedState:
 
 def dense_expectation(state, op) -> float:
     """Tr[rho * Op] for a DenseMixedState, or <psi|Op|psi> for a DenseState."""
+    n = _operator_sites(op)
     if isinstance(state, DenseState):
-        if op.n != state.n:
-            raise ValueError(f"dimension mismatch: state n={state.n}, op n={op.n}")
+        if n != state.n:
+            raise ValueError(f"dimension mismatch: state n={state.n}, op n={n}")
         value = np.vdot(state.amplitudes, apply_operator(op, state.amplitudes))
     elif isinstance(state, DenseMixedState):
-        if op.n != state.n:
-            raise ValueError(f"dimension mismatch: state n={state.n}, op n={op.n}")
-        idx = _indices(op.n)
+        if n != state.n:
+            raise ValueError(f"dimension mismatch: state n={state.n}, op n={n}")
+        idx = _indices(n)
         coeff = _coefficients(op, idx)
         value = np.sum(state.matrix[idx, idx ^ np.uint32(op.x_mask)] * coeff)
     else:

@@ -13,11 +13,12 @@ Two operator representations live here:
 Sites are 1-indexed in every public signature; bit i-1 of a mask corresponds
 to site i.
 
-Selected products are built directly as masks in O(n + |E2| + |E3|):
-stabilizer_product from the closed form for graph states, generalized_product
-by one ascending pass that keeps the phase polynomial in per-site form and
-turns it into masks once at the end. Letter strings are formatted from whole
-masks, so printing a word is O(n) as well.
+Every generator is U X_i U^dagger, with U the product of the CZ and CCZ
+gates, so a selected product is U X_S U^dagger = sign * X_S * D_f. Both
+stabilizer_product and generalized_product build it in one pass over the
+edge list, O(n + |E2| + |E3|), summing each edge's share of f and turning
+the result into masks once at the end; no per-vertex index is built. Letter
+strings are formatted from whole masks, so printing a word is O(n) as well.
 """
 from __future__ import annotations
 
@@ -62,12 +63,12 @@ def parse_setting(setting, n: int | None = None) -> tuple[int, ...]:
     Accepts a string like "1100" or any sequence of 0/1 integers.
     """
     if isinstance(setting, str):
-        if not all(c in "01" for c in setting):
+        if not set(setting) <= {"0", "1"}:
             raise ValueError(f"setting string must contain only 0/1, got {setting!r}")
-        bits = tuple(int(c) for c in setting)
+        bits = tuple(map(int, setting))
     else:
-        bits = tuple(int(b) for b in setting)
-        if not all(b in (0, 1) for b in bits):
+        bits = tuple(map(int, setting))
+        if not set(bits) <= {0, 1}:
             raise ValueError(f"setting bits must be 0/1, got {setting!r}")
     if n is not None and len(bits) != n:
         raise ValueError(f"setting has {len(bits)} bits, expected {n}")
@@ -258,25 +259,15 @@ def graph_stabilizer(g: GraphSpec, i: int) -> PauliString:
 
 def stabilizer_product(g: GraphSpec, setting) -> PauliString:
     """Product of graph-state generators selected by the bits of `setting`,
-    multiplied left to right in ascending vertex order.
+    equal to their product in ascending vertex order (they commute).
 
-    Closed form, with S the selected vertex set: X on S, Z^(|N(j) & S| mod 2)
-    on each site j, and sign (-1)^(|E(S)| + |X & Z| / 2), where E(S) are the
-    edges inside S and the second term turns each XZ into a Y letter. Sites
-    with selector bit 1 are exactly the sites carrying X or Y in the result.
+    The e3-empty case of generalized_product, collapsed to a Pauli word: X
+    on the selected set S, Z^(|N(j) & S| mod 2) on each site j, and sign
+    (-1)^(|E(S)| + |X & Z| / 2), where E(S) are the edges inside S and the
+    second term turns each XZ into a Y letter. Sites with selector bit 1 are
+    exactly the sites carrying X or Y in the result.
     """
-    bits = parse_setting(setting, g.n)
-    z = bytearray(g.n)
-    inner = 0  # ordered (i, j) pairs with both ends in S: 2 |E(S)|
-    for i, b in enumerate(bits, start=1):
-        if b:
-            for j in g.neighbors(i):
-                z[j - 1] ^= 1
-                inner += bits[j - 1]
-    x_mask = _mask_from_bits(bits)
-    z_mask = _mask_from_bits(z)
-    exponent = inner // 2 + (x_mask & z_mask).bit_count() // 2
-    return PauliString(g.n, -1 if exponent % 2 else 1, x_mask, z_mask)
+    return try_to_pauli(_conjugated_x(g.n, parse_setting(setting, g.n), g.edges, ()))
 
 
 def hypergraph_stabilizer(h: HypergraphSpec, i: int) -> StabilizerProduct:
@@ -294,43 +285,46 @@ def hypergraph_stabilizer(h: HypergraphSpec, i: int) -> StabilizerProduct:
 
 def generalized_product(h: HypergraphSpec, setting) -> StabilizerProduct:
     """Normal-form product of generalized generators selected by `setting`,
-    multiplied left to right in ascending vertex order.
+    equal to their product in ascending vertex order (they commute)."""
+    return _conjugated_x(h.n, parse_setting(setting, h.n), h.e2, h.e3)
 
-    One pass does what StabilizerProduct.__mul__ does per factor. Pushing the
-    phase polynomial f through X_i adds f's linear coefficient at i to the
-    sign and toggles the linear coefficient of every quadratic partner of i;
-    the generator then adds its own Z letters (e2 neighbors) and CZ pairs
-    (incident hyperedges minus i). The linear part lives in a bytearray and
-    the quadratic part in a partner index, both turned into the normal form
-    once at the end.
+
+def _conjugated_x(n: int, bits, e2, e3) -> StabilizerProduct:
+    """U X_S U^dagger in normal form, for U the product of CZ over e2 and
+    CCZ over e3 and S the sites whose bit is 1.
+
+    Every generator is U X_i U^dagger, so the product over S is
+    U X_S U^dagger = X_S D_f with f(z) = sum over edges e of
+    prod_{v in e} (z_v ^ s_v) + prod_{v in e} z_v. Expanding one edge at a
+    time: (a, b) adds s_b z_a + s_a z_b; (a, b, c) adds the CZ pair (a, b)
+    if s_c, (a, c) if s_b, (b, c) if s_a, and the linear terms s_b s_c z_a,
+    s_a s_c z_b, s_a s_b z_c. The constant term, the number of edges inside
+    S, becomes the sign.
     """
-    bits = parse_setting(setting, h.n)
-    linear = bytearray(h.n)
-    partners: dict[int, set[int]] = {}
+    s = (0, *bits)  # s[v] is the bit of site v
+    linear = bytearray(n + 1)
     negative = 0
-    for i, selected in enumerate(bits, start=1):
-        if not selected:
-            continue
-        negative ^= linear[i - 1]
-        for p in partners.get(i, ()):
-            linear[p - 1] ^= 1
-        for j in h.neighbors(i):
-            linear[j - 1] ^= 1
-        for (a, b, c) in h.incident_triples(i):
-            u, v = (b, c) if a == i else (a, c) if b == i else (a, b)
-            for site, partner in ((u, v), (v, u)):
-                row = partners.get(site)
-                if row is None:
-                    partners[site] = {partner}
-                elif partner in row:
-                    row.remove(partner)
-                    if not row:
-                        del partners[site]
-                else:
-                    row.add(partner)
-    quadratic = frozenset((a, c) for a, row in partners.items() for c in row if a < c)
-    return StabilizerProduct(h.n, -1 if negative else 1,
-                             _mask_from_bits(bits), _mask_from_bits(linear), quadratic)
+    for (a, b) in e2:
+        sa, sb = s[a], s[b]
+        linear[a] ^= sb
+        linear[b] ^= sa
+        negative ^= sa & sb
+    quadratic = set()
+    for (a, b, c) in e3:
+        sa, sb, sc = s[a], s[b], s[c]
+        if sc:
+            quadratic ^= {(a, b)}
+        if sb:
+            quadratic ^= {(a, c)}
+        if sa:
+            quadratic ^= {(b, c)}
+        if sa + sb + sc > 1:  # the linear and constant terms need two selected sites
+            linear[a] ^= sb & sc
+            linear[b] ^= sa & sc
+            linear[c] ^= sa & sb
+            negative ^= sa & sb & sc
+    return StabilizerProduct(n, -1 if negative else 1, _mask_from_bits(bits),
+                             _mask_from_bits(linear[1:]), frozenset(quadratic))
 
 
 def try_to_pauli(s: StabilizerProduct) -> PauliString | None:

@@ -2,12 +2,12 @@
 certified sampling decision rule.
 
 The family fixes the three-vertex hyperedges to four arithmetic progressions
-of triangles (two-vertex edges stay arbitrary). Index limits can generate
-triples that stick out past vertex n; those are dropped, which reproduces the
-known 10-vertex instance exactly. On this family the alternating selector
-0101...01 collapses every CZ tail pairwise, so the product of generalized
-stabilizers is a plain signed Pauli word with X/Y on exactly half the sites,
-and the single-setting estimation protocol applies unchanged.
+of triangles (two-vertex edges stay arbitrary). Each progression stops at its
+last triple inside 1..n, which reproduces the known 10-vertex instance
+exactly. On this family the alternating selector 0101...01 collapses every
+CZ tail pairwise, so the product of generalized stabilizers is a plain
+signed Pauli word with X/Y on exactly half the sites, and the single-setting
+estimation protocol applies unchanged.
 
 The decision rule accepts when f_est - 2/n >= 0.999995 and converts the
 accepted estimate into a bound on the (unhalved) l1 distance between the
@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -77,17 +78,14 @@ class CertificationDecision:
 
 
 def family_triples(n: int) -> frozenset:
-    """The four triangle progressions, clipped to vertices <= n."""
-    triples = set()
-    for j in range(1, (n + 1 + 3) // 4 + 1):
-        triples.add((4 * j - 3, 4 * j - 2, 4 * j - 1))
-    for j in range(1, (n + 3) // 4 + 1):
-        triples.add((4 * j - 3, 4 * j - 1, 4 * j))
-    for j in range(1, (n - 1 + 3) // 4 + 1):
-        triples.add((4 * j - 1, 4 * j, 4 * j + 1))
-    for j in range(1, (n - 2 + 3) // 4 + 1):
-        triples.add((4 * j - 1, 4 * j + 1, 4 * j + 2))
-    return frozenset(t for t in triples if max(t) <= n)
+    """The four triangle progressions, each stopped at its last triple
+    inside 1..n. The progressions are disjoint."""
+    return frozenset(chain(
+        ((4 * j - 3, 4 * j - 2, 4 * j - 1) for j in range(1, (n + 1) // 4 + 1)),
+        ((4 * j - 3, 4 * j - 1, 4 * j) for j in range(1, n // 4 + 1)),
+        ((4 * j - 1, 4 * j, 4 * j + 1) for j in range(1, (n - 1) // 4 + 1)),
+        ((4 * j - 1, 4 * j + 1, 4 * j + 2) for j in range(1, (n - 2) // 4 + 1)),
+    ))
 
 
 def build_family(n: int, e2=frozenset()) -> FamilyInstance:
@@ -175,7 +173,8 @@ def iqp_sample(inst: FamilyInstance, beta: float, shots: int, seed: int) -> Coun
     """Sample X-basis outcome strings from the thermal instance.
 
     Per shot an ideal outcome is drawn from |H^n psi|^2 and XORed with an
-    error mask whose sites flip independently with probability p. Returns
+    error mask whose sites flip independently with probability p; the masks
+    are drawn one site at a time, so memory is O(shots) for any n. Returns
     counts keyed by the outcome string (site 1 first).
     """
     if shots < 1:
@@ -184,7 +183,9 @@ def iqp_sample(inst: FamilyInstance, beta: float, shots: int, seed: int) -> Coun
     ideal = exact_outcome_distribution(inst, math.inf)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     outcomes = rng.choice(1 << n, size=shots, p=ideal)
-    errors = (rng.random((shots, n)) < flip_probability(beta)) @ (1 << np.arange(n))
-    totals = np.bincount(outcomes ^ errors, minlength=1 << n)
+    p = flip_probability(beta)
+    for k in range(n):  # site by site, so memory stays O(shots)
+        outcomes ^= (rng.random(shots) < p).astype(outcomes.dtype) << k
+    totals = np.bincount(outcomes, minlength=1 << n)
     return Counter({format(int(i), f"0{n}b")[::-1]: int(totals[i])
                     for i in np.flatnonzero(totals)})

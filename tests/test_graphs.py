@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from thermalverify import GraphSpec, HypergraphSpec, load_hypergraph, path_graph, ring_graph
-from util_dense import hypergraphs_with_selector
+from util_dense import canonical_edge_reference, hypergraphs_with_selector, raw_edges
 
 
 def test_edges_stored_canonically():
@@ -102,3 +102,22 @@ def test_indexed_lookups_match_edge_scan(case):
         for lookup in (g.neighbors, h.neighbors, h.incident_triples):
             with pytest.raises(ValueError, match=f"vertex {bad} outside 1..{h.n}"):
                 lookup(bad)
+
+
+def _stored_or_message(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(raw_edges())
+@settings(max_examples=500, deadline=None)
+def test_validation_matches_reference(case):
+    n, arity, edge = case
+    expected = _stored_or_message(lambda: frozenset({canonical_edge_reference(edge, n, arity)}))
+    if arity == 2:
+        assert _stored_or_message(lambda: GraphSpec(n, edges=[edge]).edges) == expected
+        assert _stored_or_message(lambda: HypergraphSpec(n, e2=[edge]).e2) == expected
+    else:
+        assert _stored_or_message(lambda: HypergraphSpec(n, e3=[edge]).e3) == expected

@@ -75,6 +75,17 @@ class TestApplyOperator:
             with pytest.raises(TypeError, match="GraphSpec"):
                 dense_expectation(state, not_an_operator)
 
+    def test_operand_without_site_count_rejected_by_type(self):
+        psi = DenseState(np.ones(4) / 2, 2)
+        rho = DenseMixedState(np.eye(4) / 4, 2)
+        with pytest.raises(TypeError, match="unsupported operator type str"):
+            apply_operator("XZ", np.ones(4) / 2)
+        with pytest.raises(TypeError, match="unsupported operator type str"):
+            dense_matrix("XZ")
+        for state in (psi, rho):
+            with pytest.raises(TypeError, match="unsupported operator type str"):
+                dense_expectation(state, "XZ")
+
     def test_dense_matrix_agrees_with_kron(self):
         word = PauliString.from_letters("XYZ", sign=-1)
         assert np.allclose(dense_matrix(word), pauli_matrix(word))

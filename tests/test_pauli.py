@@ -383,6 +383,19 @@ class TestFastReductions:
         h, bits = case
         assert generalized_product(h, bits) == ascending_generalized_product(h, bits)
 
+    @given(hypergraphs_with_selector())
+    @settings(max_examples=300, deadline=None)
+    def test_graph_case_of_generalized_product_is_stabilizer_product(self, case):
+        h, bits = case
+        graph_part = HypergraphSpec(h.n, e2=h.e2)
+        assert (try_to_pauli(generalized_product(graph_part, bits))
+                == stabilizer_product(GraphSpec(h.n, h.e2), bits))
+
+    def test_reduction_builds_no_vertex_index(self):
+        g = path_graph(50)
+        stabilizer_product(g, leading_half_setting(50))
+        assert "_adjacency" not in g.__dict__
+
     @given(st.integers(1, 130).flatmap(lambda n: st.tuples(
         st.just(n), st.sampled_from((1, -1)),
         st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))))

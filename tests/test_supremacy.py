@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermalverify import (CertificationDecision, FamilyInstance, HypergraphSpec,
-                           ProtocolConfig, build_family, build_pure_state, certify,
-                           exact_outcome_distribution, family_triples, fidelity,
+                           ProtocolConfig, alternating_setting, build_family,
+                           build_pure_state, certify, exact_outcome_distribution,
+                           family_triples, fidelity, generalized_product,
                            hadamard_transform, iqp_sample, optimal_setting,
                            run_protocol, sample_size, stabilizer_check, thermal_density)
 from thermalverify.oracle import MAX_STATEVECTOR_N
 from thermalverify.supremacy import ACCEPT_MARGIN, EPSILON_FULL_SCALE, MIN_FULL_SCALE_N
-from util_dense import H2, family_members, mixture_outcome_distribution, total_variation
+from util_dense import (H2, ascending_generalized_product, family_members,
+                        mixture_outcome_distribution, total_variation)
 
 FIG3_TRIANGLES = {
     (1, 2, 3), (5, 6, 7),
@@ -66,6 +69,14 @@ class TestBuildFamily:
             assert expected in triples
         assert len(triples) == len(reference_triples(20))
 
+    def test_progressions_are_disjoint_sorted_and_inside(self):
+        for n in range(4, 65):
+            lengths = [sum(1 for j in range(1, n) if 4 * j + last <= n)
+                       for last in (-1, 0, 1, 2)]  # largest vertex of triple j
+            triples = family_triples(n)
+            assert len(triples) == sum(lengths)
+            assert all(a < b < c <= n for (a, b, c) in triples)
+
     def test_e2_is_passed_through(self):
         inst = build_family(10, e2={(1, 2), (9, 10)})
         assert inst.spec.e2 == frozenset({(1, 2), (9, 10)})
@@ -105,6 +116,17 @@ class TestOptimalSetting:
                 e2 = frozenset(p for p, t in zip(pairs, take) if t)
                 word = optimal_setting(build_family(n, e2=e2))
                 assert word.xy_support == n // 2
+
+    def test_reduction_builds_no_vertex_index(self):
+        inst = build_family(40, e2={(1, 2), (5, 9)})
+        optimal_setting(inst)
+        assert "_incidence" not in inst.spec.__dict__
+        assert "_adjacency" not in inst.spec.__dict__
+
+    def test_two_thousand_sites_match_ascending_product(self):
+        spec = build_family(2000).spec
+        bits = alternating_setting(2000)
+        assert generalized_product(spec, bits) == ascending_generalized_product(spec, bits)
 
     def test_outside_family_is_detected(self):
         bad = FamilyInstance(HypergraphSpec(6, e3={(2, 4, 6)}))
@@ -261,6 +283,16 @@ class TestIqpSample:
         # the errors visibly move the samples off the ideal distribution
         ideal = exact_outcome_distribution(inst, math.inf)
         assert total_variation(empirical, ideal) > 10 * budget
+
+    def test_memory_does_not_grow_with_sites(self):
+        peaks = []
+        for n in (4, 12):
+            inst = build_family(n)
+            tracemalloc.start()
+            iqp_sample(inst, 1.0, shots=200_000, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_validation(self):
         inst = build_family(4)

@@ -7,6 +7,8 @@ ascending generator products are the references for the one-pass setting
 reductions in pauli, and hypergraphs_with_selector draws inputs for the
 property tests that compare them. mixture_outcome_distribution is the
 per-error-mask reference for the X-basis distribution of a thermal state.
+canonical_edge_reference is the edge validation as it stood before
+graphs._canonical_edge gained its fast path for already canonical edges.
 
 Index convention matches the package: bit i-1 of a basis index is site i.
 """
@@ -182,6 +184,43 @@ def hypergraphs_with_selector(draw):
                        e3=frozenset(map(tuple, edges(3))))
     bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     return h, bits
+
+
+def canonical_edge_reference(edge, n: int, arity: int) -> tuple[int, ...]:
+    """Reference for graphs._canonical_edge: every edge takes every check."""
+    name = "edge" if arity == 2 else "hyperedge"
+    vertices = tuple(edge)
+    if len(vertices) != arity:
+        raise ValueError(f"{name} {tuple(edge)} must have {arity} vertices")
+    for v in vertices:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{name} {tuple(edge)} has non-integer vertex {v!r}")
+        if not 1 <= v <= n:
+            raise ValueError(f"{name} {tuple(edge)} has vertex {v} outside 1..{n}")
+    if len(set(vertices)) != arity:
+        raise ValueError(f"{name} {tuple(edge)} has repeated vertices")
+    return tuple(sorted(vertices))
+
+
+@st.composite
+def raw_edges(draw):
+    """(n, arity, edge): the edge is a tuple or list of ints, bools, floats
+    or np.int64, in any order, with repeats, out-of-range values and wrong
+    lengths. Half of the draws start from a sorted edge inside 0..n+1, often
+    canonical, whose vertices may then change type."""
+    n = draw(st.integers(1, 8))
+    arity = draw(st.sampled_from((2, 3)))
+    values = draw(st.one_of(
+        st.lists(st.integers(0, n + 1), min_size=arity, max_size=arity).map(sorted),
+        st.lists(st.integers(-1, n + 2), min_size=arity - 1, max_size=arity + 1),
+    ))
+
+    def retyped(v):
+        other = [float(v), v + 0.5, np.int64(v)] + [bool(v)] * (v in (0, 1))
+        return st.one_of(st.just(v), st.sampled_from(other))
+
+    vertices = [draw(retyped(v)) for v in values]
+    return n, arity, draw(st.sampled_from((tuple, list)))(vertices)
 
 
 def exhaustive_parity_expectation(n: int, x_mask: int, p: float) -> float:
