@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .graphs import GraphSpec, load_hypergraph, ring_graph
 from .identities import check_alternating, check_even, check_odd
-from .oracle import dense_expectation, thermal_density
+from .oracle import MAX_DENSITY_N, dense_expectation, thermal_density
 from .pauli import (leading_half_setting, parse_setting, stabilizer_product,
                     generalized_product, try_to_pauli)
 from .sampler import ProtocolConfig, run_protocol
@@ -256,8 +256,8 @@ def cmd_curves(args) -> int:
 
 def cmd_sweep_wt(args) -> int:
     n = args.n
-    if n < 2 or n % 2 or n > 40:
-        raise ValueError(f"sweep requires even n in [2, 40], got {n}")
+    if n < 2 or n % 2:
+        raise ValueError(f"sweep requires even n >= 2, got {n}")
     if not args.betas:
         raise ValueError("need at least one beta")
     header = ["n", "beta", "wt", "expectation", "fidelity", "deviation",
@@ -299,8 +299,12 @@ def cmd_identities(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    if args.nmax < 2 or args.nmax > 10:
-        raise ValueError(f"oracle check supports nmax in [2, 10], got {args.nmax}")
+    if not 2 <= args.nmax <= MAX_DENSITY_N:
+        raise ValueError(
+            f"oracle check supports nmax in [2, {MAX_DENSITY_N}], got {args.nmax}: each n "
+            f"checks all 2^n selectors against the dense thermal state, which is "
+            f"limited to n <= {MAX_DENSITY_N} (oracle.MAX_DENSITY_N)"
+        )
     worst = 0.0
     checked = 0
     for n in range(2, args.nmax + 1):

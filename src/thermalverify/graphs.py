@@ -2,38 +2,38 @@
 
 Vertices are 1-indexed everywhere in the public interface. Edges connect two
 distinct vertices, hyperedges three. Edge sets use set semantics: duplicates
-collapse, storage is canonical (sorted tuples).
+collapse, storage is canonical.
 
-Validation costs one comparison chain per edge that is already canonical (a
-tuple of plain ints, strictly ascending inside 1..n), which is what the
-family builders generate; every other edge takes the full checks.
+Storage is one sorted, deduplicated, read-only int64 array per edge set, of
+shape (m, 2) for edges and (m, 3) for hyperedges, each row ascending and the
+rows in lexicographic order (GraphSpec.edge_rows, HypergraphSpec.e2_rows and
+e3_rows). The constructors accept integer ndarrays and any iterable of
+edges. Integer ndarrays, and lists or tuples of edges whose every vertex is a
+plain int, are validated with whole-array operations: sort each row, require
+1 <= a < b (< c) <= n, then lexsort and deduplicate only if the rows are not
+already strictly ascending. Every other input, and any input that fails
+those checks, takes the per-edge checks in input order (an ndarray as its
+tolist() rows), so an error names the first offending edge.
 
-The setting reductions in pauli read the edge sets directly and build no
-per-vertex index. The index exists only behind the public neighbors and
-incident_triples lookups: it is built once, on the first such call, and maps
-each vertex to its sorted neighbors (and, for hypergraphs, to its sorted
-hyperedges), so every later lookup is O(1).
+The public edges, e2 and e3 stay frozensets of sorted tuples: they are views
+of the arrays, built on first read. The setting reductions in pauli and the
+statevector builder in oracle read the arrays and build neither the views
+nor a per-vertex index. The index exists only behind the public neighbors
+and incident_triples lookups: it is built once, on the first such call, and
+maps each vertex to its sorted neighbors (and, for hypergraphs, to its
+sorted hyperedges), so every later lookup is O(1).
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 
 def _canonical_edge(edge, n: int, arity: int) -> tuple[int, ...]:
-    # A tuple of plain ints, strictly ascending inside 1..n, is already
-    # canonical and is kept as it is; anything else takes the checks below.
-    if type(edge) is tuple and len(edge) == arity:
-        if arity == 2:
-            a, b = edge
-            if type(a) is type(b) is int and 0 < a < b <= n:
-                return edge
-        else:
-            a, b, c = edge
-            if type(a) is type(b) is type(c) is int and 0 < a < b < c <= n:
-                return edge
     name = "edge" if arity == 2 else "hyperedge"
     vertices = tuple(edge)
     if len(vertices) != arity:
@@ -48,6 +48,64 @@ def _canonical_edge(edge, n: int, arity: int) -> tuple[int, ...]:
     return tuple(sorted(vertices))
 
 
+def _plain_int_rows(edges, arity: int) -> np.ndarray | None:
+    """edges as an (m, arity) int64 array if it is a list or tuple of lists
+    and tuples of arity vertices, each of type exactly int (so no bool),
+    else None."""
+    if (set(map(type, edges)) <= {tuple, list} and set(map(len, edges)) <= {arity}
+            and set(map(type, chain.from_iterable(edges))) <= {int}):
+        try:
+            flat = np.fromiter(chain.from_iterable(edges), np.int64, arity * len(edges))
+        except OverflowError:  # a vertex beyond int64
+            return None
+        return flat.reshape(-1, arity)
+    return None
+
+
+def _checked_rows(rows: np.ndarray, n: int, arity: int) -> np.ndarray | None:
+    """The canonical copy of an integer array of edges, or None if it has
+    the wrong shape or any edge is invalid."""
+    if rows.ndim != 2 or rows.shape[1] != arity or not len(rows):
+        return None
+    rows = rows.astype(np.int64)  # a copy: the caller keeps theirs
+    rows.sort(axis=1)
+    if (not (rows[:, 1:] > rows[:, :-1]).all()
+            or rows[:, 0].min() < 1 or rows[:, -1].max() > n):
+        return None
+    later, same = rows[1:] > rows[:-1], rows[1:] == rows[:-1]
+    ascending = later[:, -1]  # row k+1 > row k, lexicographically
+    for col in range(arity - 2, -1, -1):
+        ascending = later[:, col] | (same[:, col] & ascending)
+    if not ascending.all():
+        rows = rows[np.lexsort(rows.T[::-1])]
+        rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+    return rows
+
+
+def _edge_rows(edges, n: int, arity: int) -> np.ndarray:
+    """Sorted, deduplicated, read-only (m, arity) int64 rows of an edge
+    collection; raises ValueError naming the first invalid edge."""
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
+        rows = _checked_rows(edges, n, arity)
+        if rows is None:
+            edges = edges.tolist()
+    else:
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)  # read an iterator once, in its own order
+        rows = _plain_int_rows(edges, arity)
+        if rows is not None:
+            rows = _checked_rows(rows, n, arity)
+    if rows is None:
+        canon = sorted({_canonical_edge(e, n, arity) for e in edges})
+        rows = np.array(canon, dtype=np.int64).reshape(-1, arity)
+    rows.flags.writeable = False
+    return rows
+
+
+def _edge_set(rows: np.ndarray) -> frozenset:
+    return frozenset(map(tuple, rows.tolist()))
+
+
 def _check_vertex_count(n) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")
@@ -58,38 +116,76 @@ def _check_vertex(i: int, n: int) -> None:
         raise ValueError(f"vertex {i} outside 1..{n}")
 
 
-def _edges_by_vertex(edges) -> dict[int, tuple]:
-    """Vertex -> the edges containing it, ascending. Vertices on no edge
-    are left out, so an empty edge set costs nothing for any n."""
-    rows: dict[int, list] = {}
-    for e in sorted(edges):
+def _edges_by_vertex(rows: np.ndarray) -> dict[int, tuple]:
+    """Vertex -> the edges containing it, ascending (the rows are sorted).
+    Vertices on no edge are left out, so an empty edge set costs nothing
+    for any n."""
+    index: dict[int, list] = {}
+    for e in map(tuple, rows.tolist()):
         for v in e:
-            rows.setdefault(v, []).append(e)
-    return {v: tuple(row) for v, row in rows.items()}
+            index.setdefault(v, []).append(e)
+    return {v: tuple(row) for v, row in index.items()}
 
 
-def _neighbors_by_vertex(edges) -> dict[int, tuple[int, ...]]:
+def _neighbors_by_vertex(rows: np.ndarray) -> dict[int, tuple[int, ...]]:
     """Vertex -> its neighbors, ascending. Sorted edges reach v first as
     (a, v) with a < v, then as (v, b) with b > v, each group ascending."""
     return {v: tuple(a if b == v else b for (a, b) in row)
-            for v, row in _edges_by_vertex(edges).items()}
+            for v, row in _edges_by_vertex(rows).items()}
 
 
-@dataclass(frozen=True)
-class GraphSpec:
-    """An undirected simple graph on vertices 1..n (no self-loops)."""
+class _Spec:
+    """Immutable after construction; equal and hashed by type, n and the
+    edge rows. _FIELDS names each constructor argument, the attribute that
+    holds its rows, and its arity."""
 
-    n: int
-    edges: frozenset = frozenset()
+    _FIELDS: tuple[tuple[str, str, int], ...] = ()
 
-    def __post_init__(self):
-        _check_vertex_count(self.n)
-        canon = frozenset(_canonical_edge(e, self.n, 2) for e in self.edges)
-        object.__setattr__(self, "edges", canon)
+    def __init__(self, n: int, **edge_sets):
+        _check_vertex_count(n)
+        object.__setattr__(self, "n", n)
+        for name, rows, arity in self._FIELDS:
+            object.__setattr__(self, rows, _edge_rows(edge_sets[name], n, arity))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return (self.n, *(getattr(self, rows).tobytes() for _, rows, _ in self._FIELDS))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = "".join(f", {name}={getattr(self, rows).tolist()}"
+                         for name, rows, _ in self._FIELDS)
+        return f"{type(self).__name__}(n={self.n}{fields})"
+
+
+class GraphSpec(_Spec):
+    """An undirected simple graph on vertices 1..n (no self-loops).
+
+    edge_rows is the (m, 2) int64 edge array; edges is its frozenset view.
+    """
+
+    _FIELDS = (("edges", "edge_rows", 2),)
+
+    def __init__(self, n: int, edges=frozenset()):
+        super().__init__(n, edges=edges)
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """The edges as sorted tuples, built on first read."""
+        return _edge_set(self.edge_rows)
 
     @cached_property
     def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        return _neighbors_by_vertex(self.edges)
+        return _neighbors_by_vertex(self.edge_rows)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Vertices adjacent to vertex i, ascending."""
@@ -97,36 +193,38 @@ class GraphSpec:
         return self._adjacency.get(i, ())
 
     def as_hypergraph(self) -> "HypergraphSpec":
-        return HypergraphSpec(self.n, e2=self.edges)
+        return HypergraphSpec(self.n, e2=self.edge_rows)
 
 
-@dataclass(frozen=True)
-class HypergraphSpec:
+class HypergraphSpec(_Spec):
     """A hypergraph with two-vertex edges (e2) and three-vertex edges (e3).
 
-    A GraphSpec embeds as the e3-empty case.
+    A GraphSpec embeds as the e3-empty case. e2_rows and e3_rows are the
+    (m, 2) and (m, 3) int64 arrays; e2 and e3 are their frozenset views.
     """
 
-    n: int
-    e2: frozenset = frozenset()
-    e3: frozenset = frozenset()
+    _FIELDS = (("e2", "e2_rows", 2), ("e3", "e3_rows", 3))
 
-    def __post_init__(self):
-        _check_vertex_count(self.n)
-        object.__setattr__(
-            self, "e2", frozenset(_canonical_edge(e, self.n, 2) for e in self.e2)
-        )
-        object.__setattr__(
-            self, "e3", frozenset(_canonical_edge(e, self.n, 3) for e in self.e3)
-        )
+    def __init__(self, n: int, e2=frozenset(), e3=frozenset()):
+        super().__init__(n, e2=e2, e3=e3)
+
+    @cached_property
+    def e2(self) -> frozenset:
+        """The two-vertex edges as sorted tuples, built on first read."""
+        return _edge_set(self.e2_rows)
+
+    @cached_property
+    def e3(self) -> frozenset:
+        """The three-vertex edges as sorted tuples, built on first read."""
+        return _edge_set(self.e3_rows)
 
     @cached_property
     def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        return _neighbors_by_vertex(self.e2)
+        return _neighbors_by_vertex(self.e2_rows)
 
     @cached_property
     def _incidence(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
-        return _edges_by_vertex(self.e3)
+        return _edges_by_vertex(self.e3_rows)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Vertices joined to i by a two-vertex edge, ascending."""
@@ -142,11 +240,7 @@ class HypergraphSpec:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "e2": [list(e) for e in sorted(self.e2)],
-            "e3": [list(e) for e in sorted(self.e3)],
-        }
+        return {"n": self.n, "e2": self.e2_rows.tolist(), "e3": self.e3_rows.tolist()}
 
 
 def load_hypergraph(source) -> HypergraphSpec:
@@ -169,9 +263,7 @@ def load_hypergraph(source) -> HypergraphSpec:
         raise ValueError(f"graph document has unknown keys {sorted(unknown)}")
     if "n" not in doc:
         raise ValueError('graph document is missing "n"')
-    e2 = [tuple(e) for e in doc.get("e2", [])]
-    e3 = [tuple(e) for e in doc.get("e3", [])]
-    return HypergraphSpec(doc["n"], e2=frozenset(e2), e3=frozenset(e3))
+    return HypergraphSpec(doc["n"], e2=doc.get("e2", []), e3=doc.get("e3", []))
 
 
 def path_graph(n: int) -> GraphSpec:

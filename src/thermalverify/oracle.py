@@ -108,10 +108,10 @@ def build_pure_state(spec) -> DenseState:
         raise ValueError(f"statevector limited to n <= {MAX_STATEVECTOR_N}, got {h.n}")
     idx = _indices(h.n)
     amps = np.full(1 << h.n, 2.0 ** (-h.n / 2.0), dtype=np.complex128)
-    for (i, j) in sorted(h.e2):
+    for (i, j) in h.e2_rows.tolist():
         both = (idx >> np.uint32(i - 1)) & (idx >> np.uint32(j - 1)) & np.uint32(1)
         amps[both == 1] *= -1.0
-    for (i, j, k) in sorted(h.e3):
+    for (i, j, k) in h.e3_rows.tolist():
         trip = ((idx >> np.uint32(i - 1)) & (idx >> np.uint32(j - 1))
                 & (idx >> np.uint32(k - 1)) & np.uint32(1))
         amps[trip == 1] *= -1.0

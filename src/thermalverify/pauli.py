@@ -15,21 +15,26 @@ to site i.
 
 Every generator is U X_i U^dagger, with U the product of the CZ and CCZ
 gates, so a selected product is U X_S U^dagger = sign * X_S * D_f. Both
-stabilizer_product and generalized_product build it in one pass over the
-edge list, O(n + |E2| + |E3|), summing each edge's share of f and turning
-the result into masks once at the end; no per-vertex index is built. Letter
-strings are formatted from whole masks, so printing a word is O(n) as well.
+stabilizer_product and generalized_product build it from the spec's int64
+edge arrays with whole-array numpy operations, O(n + |E2| + |E3|): each
+edge's share of f is gathered from the selector, the linear part is the
+parity of a bincount, the CZ pairs are the pair keys with odd counts, and
+the masks are packed bits read as one integer. Neither the frozenset edge
+views nor a per-vertex index is built. Letter strings are formatted from
+whole masks, so printing a word is O(n) as well.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graphs import GraphSpec, HypergraphSpec
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 # hex digit x + 2z of a site -> its letter (see PauliString.letters)
 _HEX_LETTERS = str.maketrans("0123", "IXZY")
-_ASCII_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_NO_TRIPLES = np.empty((0, 3), dtype=np.int64)
 
 
 def _mask_from_sites(sites, n: int) -> int:
@@ -41,10 +46,9 @@ def _mask_from_sites(sites, n: int) -> int:
     return mask
 
 
-def _mask_from_bits(bits) -> int:
-    """Mask with bit i-1 set where bits[i-1] is 1; bits is a non-empty
-    sequence of 0/1 integers, site 1 first."""
-    return int(bytes(reversed(bits)).translate(_ASCII_DIGITS), 2)
+def _mask_from_bits(bits: np.ndarray) -> int:
+    """Mask with bit i-1 set where bits[i-1] is nonzero (site 1 first)."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _check_mask(mask: int, n: int, name: str) -> None:
@@ -57,19 +61,35 @@ def _check_sign(sign: int) -> None:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 
+def _integral_bit(value) -> int:
+    bit = int(value)
+    if bit != value:
+        raise ValueError(f"setting bit {value!r} is not an integer")
+    return bit
+
+
 def parse_setting(setting, n: int | None = None) -> tuple[int, ...]:
     """Normalize a selector to a tuple of 0/1 bits (site 1 first).
 
-    Accepts a string like "1100" or any sequence of 0/1 integers.
+    Accepts a string like "1100" or any sequence of values equal to 0 or 1;
+    a value that is not integral (0.5, say) is rejected, not truncated.
     """
     if isinstance(setting, str):
         if not set(setting) <= {"0", "1"}:
             raise ValueError(f"setting string must contain only 0/1, got {setting!r}")
         bits = tuple(map(int, setting))
     else:
-        bits = tuple(map(int, setting))
-        if not set(bits) <= {0, 1}:
-            raise ValueError(f"setting bits must be 0/1, got {setting!r}")
+        values = tuple(setting)
+        try:
+            raw = bytes(values)  # the usual case: integers in 0..255
+        except (TypeError, ValueError):
+            raw = b""
+        if raw.count(0) + raw.count(1) == len(values):
+            bits = tuple(raw)
+        else:
+            bits = tuple(map(_integral_bit, values))
+            if not set(bits) <= {0, 1}:
+                raise ValueError(f"setting bits must be 0/1, got {setting!r}")
     if n is not None and len(bits) != n:
         raise ValueError(f"setting has {len(bits)} bits, expected {n}")
     return bits
@@ -267,7 +287,8 @@ def stabilizer_product(g: GraphSpec, setting) -> PauliString:
     second term turns each XZ into a Y letter. Sites with selector bit 1 are
     exactly the sites carrying X or Y in the result.
     """
-    return try_to_pauli(_conjugated_x(g.n, parse_setting(setting, g.n), g.edges, ()))
+    return try_to_pauli(_conjugated_x(g.n, parse_setting(setting, g.n), g.edge_rows,
+                                      _NO_TRIPLES))
 
 
 def hypergraph_stabilizer(h: HypergraphSpec, i: int) -> StabilizerProduct:
@@ -286,12 +307,12 @@ def hypergraph_stabilizer(h: HypergraphSpec, i: int) -> StabilizerProduct:
 def generalized_product(h: HypergraphSpec, setting) -> StabilizerProduct:
     """Normal-form product of generalized generators selected by `setting`,
     equal to their product in ascending vertex order (they commute)."""
-    return _conjugated_x(h.n, parse_setting(setting, h.n), h.e2, h.e3)
+    return _conjugated_x(h.n, parse_setting(setting, h.n), h.e2_rows, h.e3_rows)
 
 
-def _conjugated_x(n: int, bits, e2, e3) -> StabilizerProduct:
-    """U X_S U^dagger in normal form, for U the product of CZ over e2 and
-    CCZ over e3 and S the sites whose bit is 1.
+def _conjugated_x(n: int, bits, e2: np.ndarray, e3: np.ndarray) -> StabilizerProduct:
+    """U X_S U^dagger in normal form, for U the product of CZ over the e2
+    rows and CCZ over the e3 rows and S the sites whose bit is 1.
 
     Every generator is U X_i U^dagger, so the product over S is
     U X_S U^dagger = X_S D_f with f(z) = sum over edges e of
@@ -299,32 +320,27 @@ def _conjugated_x(n: int, bits, e2, e3) -> StabilizerProduct:
     time: (a, b) adds s_b z_a + s_a z_b; (a, b, c) adds the CZ pair (a, b)
     if s_c, (a, c) if s_b, (b, c) if s_a, and the linear terms s_b s_c z_a,
     s_a s_c z_b, s_a s_b z_c. The constant term, the number of edges inside
-    S, becomes the sign.
+    S, becomes the sign. All edges are summed at once: a linear bit is the
+    parity of its toggle count, a CZ pair survives when its count is odd.
     """
-    s = (0, *bits)  # s[v] is the bit of site v
-    linear = bytearray(n + 1)
-    negative = 0
-    for (a, b) in e2:
-        sa, sb = s[a], s[b]
-        linear[a] ^= sb
-        linear[b] ^= sa
-        negative ^= sa & sb
-    quadratic = set()
-    for (a, b, c) in e3:
-        sa, sb, sc = s[a], s[b], s[c]
-        if sc:
-            quadratic ^= {(a, b)}
-        if sb:
-            quadratic ^= {(a, c)}
-        if sa:
-            quadratic ^= {(b, c)}
-        if sa + sb + sc > 1:  # the linear and constant terms need two selected sites
-            linear[a] ^= sb & sc
-            linear[b] ^= sa & sc
-            linear[c] ^= sa & sb
-            negative ^= sa & sb & sc
-    return StabilizerProduct(n, -1 if negative else 1, _mask_from_bits(bits),
-                             _mask_from_bits(linear[1:]), frozenset(quadratic))
+    s = np.zeros(n + 1, dtype=bool)  # s[v] is the bit of site v
+    s[1:] = np.frombuffer(bytes(bits), dtype=np.uint8)
+    a, b = e2.T
+    sa, sb = s[a], s[b]
+    toggled = [a[sb], b[sa]]
+    inside = np.count_nonzero(sa & sb)
+    a, b, c = e3.T
+    sa, sb, sc = s[a], s[b], s[c]
+    toggled += [a[sb & sc], b[sa & sc], c[sa & sb]]
+    inside += np.count_nonzero(sa & sb & sc)
+    linear = np.bincount(np.concatenate(toggled), minlength=n + 1) & 1
+    keys = (np.concatenate((a[sc], a[sb], b[sa])) * (n + 1)
+            + np.concatenate((b[sc], c[sb], c[sa])))
+    keys, counts = np.unique(keys, return_counts=True)
+    first, second = np.divmod(keys[counts & 1 == 1], n + 1)
+    return StabilizerProduct(n, -1 if inside & 1 else 1, _mask_from_bits(s[1:]),
+                             _mask_from_bits(linear[1:]),
+                             frozenset(zip(first.tolist(), second.tolist())))
 
 
 def try_to_pauli(s: StabilizerProduct) -> PauliString | None:

@@ -7,6 +7,7 @@ import pytest
 
 from thermalverify import fidelity
 from thermalverify.cli import build_parser, main
+from thermalverify.oracle import MAX_DENSITY_N
 
 PATH4 = {"n": 4, "e2": [[1, 2], [2, 3], [3, 4]]}
 
@@ -145,6 +146,15 @@ class TestSweepWt:
         marked = [r for r in rows if r["is_argmin"] == "true"]
         assert len(marked) == 1 and marked[0]["wt"] == "6"
 
+    def test_sizes_past_forty(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-wt", "--n", "42", "--betas", "1.0,2.0",
+                     "--output", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 2 * 43 and rows[-1]["wt"] == "42"
+        assert main(["sweep-wt", "--n", "43", "--betas", "1.0"]) == 2
+        assert "even n >= 2, got 43" in capsys.readouterr().err
+
     def test_leading_term_symmetry(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep-wt", "--n", "8", "--betas", "2.0", "--output", str(out)]) == 0
@@ -168,6 +178,13 @@ class TestOracleCheckCommand:
 
     def test_nmax_validated(self):
         assert main(["oracle-check", "--nmax", "17"]) == 2
+
+    def test_nmax_cap_is_the_dense_limit_and_says_why(self, capsys):
+        for nmax in (1, MAX_DENSITY_N + 1):
+            assert main(["oracle-check", "--nmax", str(nmax)]) == 2
+            err = capsys.readouterr().err
+            assert f"nmax in [2, {MAX_DENSITY_N}], got {nmax}" in err
+            assert "2^n selectors" in err and f"n <= {MAX_DENSITY_N}" in err
 
 
 class TestCertifyCommand:

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from thermalverify import GraphSpec, HypergraphSpec, load_hypergraph, path_graph, ring_graph
-from util_dense import canonical_edge_reference, hypergraphs_with_selector, raw_edges
+from util_dense import (canonical_edge_reference, hypergraphs_with_selector, raw_edges,
+                        reference_edge_set)
 
 
 def test_edges_stored_canonically():
@@ -121,3 +123,91 @@ def test_validation_matches_reference(case):
         assert _stored_or_message(lambda: HypergraphSpec(n, e2=[edge]).e2) == expected
     else:
         assert _stored_or_message(lambda: HypergraphSpec(n, e3=[edge]).e3) == expected
+
+
+MULTI_EDGE_CASES = {
+    "reversed and duplicate rows": (4, 2, [(2, 1), (1, 2), (4, 3), [3, 4], (2, 1)]),
+    "reversed and duplicate triples": (4, 3, [(3, 2, 1), [1, 3, 2], (2, 3, 4), (4, 2, 3)]),
+    "True among ints": (3, 2, [(1, 2), (True, 3), (2, 3)]),
+    "True in a triple": (3, 3, [[1, 2, 3], [1, True, 3]]),
+    "np.int64 inside tuples": (3, 2, [(1, 2), (np.int64(2), 3)]),
+    "ragged, short row": (4, 3, [[1, 2, 3], [2, 3]]),
+    "ragged, long row": (4, 2, [[1, 2], [1, 2, 3]]),
+    "two bad rows, first named": (4, 2, [(1, 2), (1, 9), (0, 1)]),
+    "int ndarray, row out of range": (8, 2, np.array([[1, 2], [9, 1], [0, 3]])),
+    "int ndarray, reversed and repeated": (5, 3, np.array([[5, 4, 3], [3, 4, 5], [1, 2, 3]],
+                                                          dtype=np.int32)),
+    "int ndarray, repeated vertex": (5, 3, np.array([[1, 2, 3], [2, 2, 4]])),
+    "int ndarray, wrong arity": (5, 2, np.array([[1, 2, 3]])),
+    "uint64 ndarray beyond int64": (5, 2, np.array([[1, 2**64 - 1]], dtype=np.uint64)),
+    "bool ndarray": (3, 2, np.array([[True, False]])),
+}
+
+
+@pytest.mark.parametrize("case", MULTI_EDGE_CASES.values(), ids=MULTI_EDGE_CASES.keys())
+def test_multi_edge_validation_matches_reference_in_input_order(case):
+    n, arity, edges = case
+    rows = edges.tolist() if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" \
+        else edges
+    expected = reference_edge_set(rows, n, arity)
+    if arity == 2:
+        assert _stored_or_message(lambda: GraphSpec(n, edges=edges).edges) == expected
+        assert _stored_or_message(lambda: HypergraphSpec(n, e2=edges).e2) == expected
+    else:
+        assert _stored_or_message(lambda: HypergraphSpec(n, e3=edges).e3) == expected
+
+
+def test_json_true_is_rejected_like_the_reference():
+    doc = '{"n": 3, "e2": [[1, 2], [2, true]]}'
+    expected = reference_edge_set(json.loads(doc)["e2"], 3, 2)
+    assert expected == "edge (2, True) has non-integer vertex True"
+    with pytest.raises(ValueError) as exc:
+        load_hypergraph(doc)
+    assert str(exc.value) == expected
+
+
+def test_rows_are_sorted_read_only_int64():
+    h = HypergraphSpec(5, e2=[(4, 3), (2, 1), (1, 2)], e3=np.array([[5, 4, 3], [3, 2, 1]]))
+    assert h.e2_rows.tolist() == [[1, 2], [3, 4]] and h.e2_rows.dtype == np.int64
+    assert h.e3_rows.tolist() == [[1, 2, 3], [3, 4, 5]] and h.e3_rows.shape == (2, 3)
+    with pytest.raises(ValueError):
+        h.e3_rows[0, 0] = 2
+    with pytest.raises(AttributeError):
+        h.n = 6
+    source = np.array([[1, 2]])
+    g = GraphSpec(3, edges=source)
+    source[0, 1] = 3  # the spec holds its own copy
+    assert g.edges == frozenset({(1, 2)})
+    assert GraphSpec(3).edge_rows.shape == (0, 2)
+
+
+def test_specs_of_different_types_differ():
+    assert GraphSpec(3, edges={(1, 2)}) != HypergraphSpec(3, e2={(1, 2)})
+    assert HypergraphSpec(3, e2={(1, 2)}) != HypergraphSpec(3, e3={(1, 2, 3)})
+    assert HypergraphSpec(3, e2={(1, 2)}) != HypergraphSpec(4, e2={(1, 2)})
+    assert repr(GraphSpec(3, edges={(2, 1)})) == "GraphSpec(n=3, edges=[[1, 2]])"
+
+
+@given(hypergraphs_with_selector())
+@settings(max_examples=200, deadline=None)
+def test_to_dict_bytes_match_sorted_views(case):
+    h, _ = case
+    expected = {"n": h.n, "e2": [list(e) for e in sorted(h.e2)],
+                "e3": [list(e) for e in sorted(h.e3)]}
+    assert json.dumps(h.to_dict()) == json.dumps(expected)
+
+
+@given(hypergraphs_with_selector(), st.sampled_from((np.int64, np.int32, np.uint16)))
+@settings(max_examples=200, deadline=None)
+def test_ndarray_spec_equals_and_hashes_like_frozenset_spec(case, dtype):
+    h, _ = case
+    # every row reversed, then every row again: the array path must sort and dedupe
+    e2 = np.array([e[::-1] for e in h.e2] + list(h.e2), dtype=dtype).reshape(-1, 2)
+    e3 = np.array([e[::-1] for e in h.e3] + list(h.e3), dtype=dtype).reshape(-1, 3)
+    from_arrays = HypergraphSpec(h.n, e2=e2, e3=e3)
+    from_sets = HypergraphSpec(h.n, e2=frozenset(h.e2), e3=frozenset(h.e3))
+    assert from_arrays == from_sets and hash(from_arrays) == hash(from_sets)
+    assert from_arrays.e2 == h.e2 and from_arrays.e3 == h.e3
+    g = GraphSpec(h.n, edges=e2)
+    assert g == GraphSpec(h.n, edges=h.e2) and hash(g) == hash(GraphSpec(h.n, edges=h.e2))
+    assert g.as_hypergraph() == HypergraphSpec(h.n, e2=h.e2)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from thermalverify import (GraphSpec, HypergraphSpec, PauliString, StabilizerProduct,
                            alternating_setting, build_family, generalized_product,
                            graph_stabilizer, hypergraph_stabilizer, leading_half_setting,
                            parse_setting, path_graph, stabilizer_product, try_to_pauli)
 from util_dense import (all_graphs, ascending_generalized_product,
-                        ascending_stabilizer_product, hypergraph_state_vector,
+                        ascending_stabilizer_product, conjugated_x_reference,
+                        hypergraph_state_vector,
                         hypergraphs_with_selector, kron_chain, pauli_matrix,
                         random_hypergraph, stabilizer_product_matrix)
 
@@ -358,6 +359,18 @@ class TestSelectors:
         with pytest.raises(ValueError):
             parse_setting("01", n=3)
 
+    def test_parse_setting_rejects_non_integral_values(self):
+        for bad in ((0.5, 1), (1, 0, 1.5), [np.float64(0.25)]):
+            with pytest.raises(ValueError, match="is not an integer") as exc:
+                parse_setting(bad)
+            assert repr(next(v for v in bad if v != int(v))) in str(exc.value)
+        assert parse_setting((1.0, 0.0)) == (1, 0)
+        assert parse_setting([True, np.int64(0), np.uint8(1)]) == (1, 0, 1)
+        with pytest.raises(ValueError, match="must be 0/1"):
+            parse_setting((1.0, 2.0))
+        with pytest.raises(ValueError, match="must be 0/1"):
+            parse_setting((0, 256))
+
     def test_canned_selectors(self):
         assert leading_half_setting(4) == (1, 1, 0, 0)
         assert alternating_setting(6) == (0, 1, 0, 1, 0, 1)
@@ -390,6 +403,14 @@ class TestFastReductions:
         graph_part = HypergraphSpec(h.n, e2=h.e2)
         assert (try_to_pauli(generalized_product(graph_part, bits))
                 == stabilizer_product(GraphSpec(h.n, h.e2), bits))
+
+    @given(hypergraphs_with_selector())
+    @settings(max_examples=300, deadline=None)
+    def test_array_reduction_matches_pure_python_pass(self, case):
+        h, bits = case
+        expected = conjugated_x_reference(h.n, bits, h.e2, h.e3)
+        assert generalized_product(h, bits) == expected
+        assume(expected.quadratic)  # count only draws with CZ pairs left over
 
     def test_reduction_builds_no_vertex_index(self):
         g = path_graph(50)

@@ -17,7 +17,8 @@ from thermalverify import (CertificationDecision, FamilyInstance, HypergraphSpec
 from thermalverify.oracle import MAX_STATEVECTOR_N
 from thermalverify.supremacy import ACCEPT_MARGIN, EPSILON_FULL_SCALE, MIN_FULL_SCALE_N
 from util_dense import (H2, ascending_generalized_product, family_members,
-                        mixture_outcome_distribution, total_variation)
+                        family_triples_reference, mixture_outcome_distribution,
+                        total_variation)
 
 FIG3_TRIANGLES = {
     (1, 2, 3), (5, 6, 7),
@@ -77,6 +78,12 @@ class TestBuildFamily:
             assert len(triples) == sum(lengths)
             assert all(a < b < c <= n for (a, b, c) in triples)
 
+    def test_arange_block_matches_generator_reference(self):
+        for n in range(1, 201):
+            assert family_triples(n) == family_triples_reference(n)
+            if n >= 4 and n % 2 == 0:
+                assert build_family(n).spec.e3 == family_triples_reference(n)
+
     def test_e2_is_passed_through(self):
         inst = build_family(10, e2={(1, 2), (9, 10)})
         assert inst.spec.e2 == frozenset({(1, 2), (9, 10)})
@@ -122,6 +129,11 @@ class TestOptimalSetting:
         optimal_setting(inst)
         assert "_incidence" not in inst.spec.__dict__
         assert "_adjacency" not in inst.spec.__dict__
+
+    def test_reduction_builds_no_edge_views(self):
+        inst = build_family(2000, e2=np.array([[1, 2], [7, 3]]))
+        optimal_setting(inst)
+        assert not {"e2", "e3", "_incidence", "_adjacency"} & set(inst.spec.__dict__)
 
     def test_two_thousand_sites_match_ascending_product(self):
         spec = build_family(2000).spec

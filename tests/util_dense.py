@@ -5,10 +5,14 @@ are assembled letter by letter with np.kron and states by scalar loops over
 basis indices, so they can serve as ground truth for the fast code. The
 ascending generator products are the references for the one-pass setting
 reductions in pauli, and hypergraphs_with_selector draws inputs for the
-property tests that compare them. mixture_outcome_distribution is the
-per-error-mask reference for the X-basis distribution of a thermal state.
-canonical_edge_reference is the edge validation as it stood before
-graphs._canonical_edge gained its fast path for already canonical edges.
+property tests that compare them. conjugated_x_reference is the same
+reduction as one pure-Python pass over edge tuples, the reference for the
+array reduction in pauli, and family_triples_reference builds the family's
+progressions with generators, the reference for the arange block in
+supremacy. mixture_outcome_distribution is the per-error-mask reference for
+the X-basis distribution of a thermal state. canonical_edge_reference is
+the per-edge validation that every edge took before edge sets were
+validated as arrays.
 
 Index convention matches the package: bit i-1 of a basis index is site i.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 
 import numpy as np
 from hypothesis import strategies as st
@@ -164,6 +169,52 @@ def ascending_generalized_product(h, setting):
     return word
 
 
+def conjugated_x_reference(n: int, bits, e2, e3):
+    """Reference for pauli._conjugated_x: U X_S U^dagger summed edge by edge
+    in pure Python, with e2/e3 iterables of sorted vertex tuples. (a, b)
+    toggles linear[a] by s_b and linear[b] by s_a; (a, b, c) toggles the
+    CZ pair (a, b) if s_c, (a, c) if s_b, (b, c) if s_a, and linear[a] by
+    s_b s_c, and likewise for b and c; edges inside S flip the sign."""
+    from thermalverify import StabilizerProduct
+
+    s = (0, *bits)  # s[v] is the bit of site v
+    linear = [0] * (n + 1)
+    negative = 0
+    for (a, b) in e2:
+        sa, sb = s[a], s[b]
+        linear[a] ^= sb
+        linear[b] ^= sa
+        negative ^= sa & sb
+    quadratic = set()
+    for (a, b, c) in e3:
+        sa, sb, sc = s[a], s[b], s[c]
+        if sc:
+            quadratic ^= {(a, b)}
+        if sb:
+            quadratic ^= {(a, c)}
+        if sa:
+            quadratic ^= {(b, c)}
+        linear[a] ^= sb & sc
+        linear[b] ^= sa & sc
+        linear[c] ^= sa & sb
+        negative ^= sa & sb & sc
+    x_mask = sum(bit << (v - 1) for v, bit in enumerate(bits, start=1))
+    z_mask = sum(bit << (v - 1) for v, bit in enumerate(linear[1:], start=1))
+    return StabilizerProduct(n, -1 if negative else 1, x_mask, z_mask,
+                             frozenset(quadratic))
+
+
+def family_triples_reference(n: int) -> frozenset:
+    """Reference for supremacy.family_triples: the four progressions from
+    generators, each stopped at its last triple inside 1..n."""
+    return frozenset(chain(
+        ((4 * j - 3, 4 * j - 2, 4 * j - 1) for j in range(1, (n + 1) // 4 + 1)),
+        ((4 * j - 3, 4 * j - 1, 4 * j) for j in range(1, n // 4 + 1)),
+        ((4 * j - 1, 4 * j, 4 * j + 1) for j in range(1, (n - 1) // 4 + 1)),
+        ((4 * j - 1, 4 * j + 1, 4 * j + 2) for j in range(1, (n - 2) // 4 + 1)),
+    ))
+
+
 @st.composite
 def hypergraphs_with_selector(draw):
     """A random HypergraphSpec on n <= 12 vertices and a 0/1 selector of
@@ -200,6 +251,15 @@ def canonical_edge_reference(edge, n: int, arity: int) -> tuple[int, ...]:
     if len(set(vertices)) != arity:
         raise ValueError(f"{name} {tuple(edge)} has repeated vertices")
     return tuple(sorted(vertices))
+
+
+def reference_edge_set(edges, n: int, arity: int):
+    """The frozenset that canonical_edge_reference gives, edge by edge in
+    input order, or the message of the first edge it rejects."""
+    try:
+        return frozenset(canonical_edge_reference(e, n, arity) for e in edges)
+    except ValueError as exc:
+        return str(exc)
 
 
 @st.composite
