@@ -3,8 +3,11 @@
 The toolkit has three layers that deliberately overlap: exact closed forms
 (thermal, identities), a Monte-Carlo protocol simulator (sampler), and dense
 brute-force oracles (oracle) that re-derive every closed form from scratch at
-small qubit counts. The supremacy module builds the restricted hypergraph
-family whose single measurement setting certifies diagonal-circuit sampling.
+small qubit counts. Between the specs (graphs) and the closed forms, pauli
+reduces the one selected product of stabilizer generators to a normal form
+in a single pass over the edge arrays. The supremacy module builds the
+restricted hypergraph family whose single measurement setting certifies
+diagonal-circuit sampling.
 """
 
 __version__ = "0.1.0"
@@ -13,9 +16,8 @@ from .graphs import GraphSpec, HypergraphSpec, load_hypergraph, path_graph, ring
 from .identities import (IdentityReport, check_alternating, check_even, check_odd,
                          signed_pattern_count)
 from .pauli import (PauliString, StabilizerProduct, alternating_setting,
-                    generalized_product, graph_stabilizer, hypergraph_stabilizer,
-                    leading_half_setting, parse_setting, stabilizer_product,
-                    try_to_pauli)
+                    generalized_product, leading_half_setting, parse_setting,
+                    stabilizer_product, try_to_pauli)
 from .thermal import (BoundReport, ThermalParams, beta_from_temperature,
                       deviation_leading_order, error_bounds, fidelity,
                       flip_probability, half_weight_expectation, invert_temperature,
@@ -36,8 +38,7 @@ __all__ = [
     "IdentityReport", "check_alternating", "check_even", "check_odd",
     "signed_pattern_count",
     "PauliString", "StabilizerProduct", "alternating_setting", "generalized_product",
-    "graph_stabilizer", "hypergraph_stabilizer", "leading_half_setting",
-    "parse_setting", "stabilizer_product", "try_to_pauli",
+    "leading_half_setting", "parse_setting", "stabilizer_product", "try_to_pauli",
     "BoundReport", "ThermalParams", "beta_from_temperature",
     "deviation_leading_order", "error_bounds", "fidelity", "flip_probability",
     "half_weight_expectation", "invert_temperature", "minus_probability", "sample_size",

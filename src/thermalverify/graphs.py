@@ -17,11 +17,7 @@ tolist() rows), so an error names the first offending edge.
 
 The public edges, e2 and e3 stay frozensets of sorted tuples: they are views
 of the arrays, built on first read. The setting reductions in pauli and the
-statevector builder in oracle read the arrays and build neither the views
-nor a per-vertex index. The index exists only behind the public neighbors
-and incident_triples lookups: it is built once, on the first such call, and
-maps each vertex to its sorted neighbors (and, for hypergraphs, to its
-sorted hyperedges), so every later lookup is O(1).
+statevector builder in oracle read the arrays and never build the views.
 """
 from __future__ import annotations
 
@@ -111,29 +107,6 @@ def _check_vertex_count(n) -> None:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")
 
 
-def _check_vertex(i: int, n: int) -> None:
-    if not 1 <= i <= n:
-        raise ValueError(f"vertex {i} outside 1..{n}")
-
-
-def _edges_by_vertex(rows: np.ndarray) -> dict[int, tuple]:
-    """Vertex -> the edges containing it, ascending (the rows are sorted).
-    Vertices on no edge are left out, so an empty edge set costs nothing
-    for any n."""
-    index: dict[int, list] = {}
-    for e in map(tuple, rows.tolist()):
-        for v in e:
-            index.setdefault(v, []).append(e)
-    return {v: tuple(row) for v, row in index.items()}
-
-
-def _neighbors_by_vertex(rows: np.ndarray) -> dict[int, tuple[int, ...]]:
-    """Vertex -> its neighbors, ascending. Sorted edges reach v first as
-    (a, v) with a < v, then as (v, b) with b > v, each group ascending."""
-    return {v: tuple(a if b == v else b for (a, b) in row)
-            for v, row in _edges_by_vertex(rows).items()}
-
-
 class _Spec:
     """Immutable after construction; equal and hashed by type, n and the
     edge rows. _FIELDS names each constructor argument, the attribute that
@@ -183,15 +156,6 @@ class GraphSpec(_Spec):
         """The edges as sorted tuples, built on first read."""
         return _edge_set(self.edge_rows)
 
-    @cached_property
-    def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        return _neighbors_by_vertex(self.edge_rows)
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        """Vertices adjacent to vertex i, ascending."""
-        _check_vertex(i, self.n)
-        return self._adjacency.get(i, ())
-
     def as_hypergraph(self) -> "HypergraphSpec":
         return HypergraphSpec(self.n, e2=self.edge_rows)
 
@@ -217,24 +181,6 @@ class HypergraphSpec(_Spec):
     def e3(self) -> frozenset:
         """The three-vertex edges as sorted tuples, built on first read."""
         return _edge_set(self.e3_rows)
-
-    @cached_property
-    def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        return _neighbors_by_vertex(self.e2_rows)
-
-    @cached_property
-    def _incidence(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
-        return _edges_by_vertex(self.e3_rows)
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        """Vertices joined to i by a two-vertex edge, ascending."""
-        _check_vertex(i, self.n)
-        return self._adjacency.get(i, ())
-
-    def incident_triples(self, i: int) -> tuple[tuple[int, int, int], ...]:
-        """Hyperedges containing vertex i, sorted."""
-        _check_vertex(i, self.n)
-        return self._incidence.get(i, ())
 
     def as_hypergraph(self) -> "HypergraphSpec":
         return self

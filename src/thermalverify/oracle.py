@@ -4,7 +4,9 @@ Pure states are built by applying the CZ/CCZ sign pattern to the uniform
 superposition; thermal states are assembled two independent ways (explicit
 phase-flip mixture, and the Gibbs exponential of the generator Hamiltonian)
 so the equivalence between the two pictures is something this package
-verifies rather than assumes.
+verifies rather than assumes. The Hamiltonian is H = -sum_i D X_i D, with D
+the diagonal sign pattern of the pure state and X_i an index flip, so it
+shares no code with the symbolic generators in pauli that it cross-checks.
 
 Every supported operator (PauliString, StabilizerProduct) acts on a basis
 state as Op|z> = c[z] |z ^ x_mask>; one coefficient map c serves operator
@@ -24,7 +26,7 @@ import math
 
 import numpy as np
 
-from .pauli import PauliString, StabilizerProduct, hypergraph_stabilizer
+from .pauli import PauliString, StabilizerProduct
 from .thermal import flip_probability
 
 MAX_STATEVECTOR_N = 24
@@ -168,20 +170,25 @@ def thermal_density(spec, beta: float) -> DenseMixedState:
 
 def boltzmann_density(spec, beta: float) -> DenseMixedState:
     """Thermal state as exp(-beta * H)/Z with H = -(sum of generators),
-    via eigendecomposition of the dense Hamiltonian."""
+    via eigendecomposition of the dense Hamiltonian.
+
+    The generator of vertex i is U X_i U^dagger, with U the product of the
+    CZ and CCZ gates: the diagonal D of the pure state's amplitude signs.
+    So H = -sum_i D X_i D, whose entry at (z ^ 2^(i-1), z) is
+    -D[z ^ 2^(i-1)] * D[z], and H is real."""
     h = spec.as_hypergraph()
     if h.n > MAX_HAMILTONIAN_N:
         raise ValueError(f"Hamiltonian route limited to n <= {MAX_HAMILTONIAN_N}, got {h.n}")
     beta = float(beta)
     if math.isnan(beta) or beta < 0:
         raise ValueError(f"inverse temperature must be >= 0, got {beta}")
-    dim = 1 << h.n
-    ham = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(1, h.n + 1):
-        ham -= dense_matrix(hypergraph_stabilizer(h, i))
-    if np.max(np.abs(ham.imag)) > 1e-12:
-        raise RuntimeError("generator Hamiltonian acquired an imaginary part")
-    evals, evecs = np.linalg.eigh(ham.real)
+    signs = np.sign(build_pure_state(h).amplitudes.real)
+    idx = _indices(h.n)
+    ham = np.zeros((1 << h.n, 1 << h.n))
+    for i in range(h.n):
+        flipped = idx ^ np.uint32(1 << i)
+        ham[flipped, idx] = -signs[flipped] * signs
+    evals, evecs = np.linalg.eigh(ham)
     if math.isinf(beta):
         ground = evals <= evals[0] + 1e-9
         weights = ground.astype(float)

@@ -7,8 +7,8 @@ Two operator representations live here:
   are always +-1).
 * StabilizerProduct -- sign * (product of X_i over an x-mask) * D_f, where D_f
   is diagonal with entries (-1)^f(z) and f is a boolean polynomial of degree
-  at most two. Graph-state stabilizers, their CZ-dressed hypergraph
-  generalizations, and all products of these stay inside this normal form.
+  at most two. Every product of graph-state stabilizers, or of their
+  CZ-dressed hypergraph generalizations, has this normal form.
 
 Sites are 1-indexed in every public signature; bit i-1 of a mask corresponds
 to site i.
@@ -19,12 +19,13 @@ stabilizer_product and generalized_product build it from the spec's int64
 edge arrays with whole-array numpy operations, O(n + |E2| + |E3|): each
 edge's share of f is gathered from the selector, the linear part is the
 parity of a bincount, the CZ pairs are the pair keys with odd counts, and
-the masks are packed bits read as one integer. Neither the frozenset edge
-views nor a per-vertex index is built. Letter strings are formatted from
-whole masks, so printing a word is O(n) as well.
+the masks are packed bits read as one integer. The frozenset edge views
+are not built. Letter strings are formatted from whole masks, so printing a
+word is O(n) as well.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,15 +38,6 @@ _HEX_LETTERS = str.maketrans("0123", "IXZY")
 _NO_TRIPLES = np.empty((0, 3), dtype=np.int64)
 
 
-def _mask_from_sites(sites, n: int) -> int:
-    mask = 0
-    for s in sites:
-        if not 1 <= s <= n:
-            raise ValueError(f"site {s} outside 1..{n}")
-        mask |= 1 << (s - 1)
-    return mask
-
-
 def _mask_from_bits(bits: np.ndarray) -> int:
     """Mask with bit i-1 set where bits[i-1] is nonzero (site 1 first)."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
@@ -54,6 +46,23 @@ def _mask_from_bits(bits: np.ndarray) -> int:
 def _check_mask(mask: int, n: int, name: str) -> None:
     if mask < 0 or mask >> n:
         raise ValueError(f"{name} {bin(mask)} does not fit {n} sites")
+
+
+def _site_pair(pair, n: int) -> tuple[int, int]:
+    """A CZ pair as (a, b) with 1 <= a < b <= n and a, b plain ints. A site
+    may be any integer type but bool."""
+    try:
+        sites = tuple(pair)
+        if len(sites) != 2 or any(isinstance(v, bool) for v in sites):
+            raise TypeError
+        a, b = map(operator.index, sites)
+    except TypeError:
+        raise ValueError(f"quadratic pair {pair!r} must be two integer sites") from None
+    if a == b:
+        raise ValueError(f"quadratic pair {(a, b)} has repeated site")
+    if not (1 <= a <= n and 1 <= b <= n):
+        raise ValueError(f"quadratic pair {(a, b)} outside 1..{n}")
+    return (min(a, b), max(a, b))
 
 
 def _check_sign(sign: int) -> None:
@@ -202,9 +211,8 @@ class StabilizerProduct:
     """Normal form sign * X^x_mask * D_f with f of boolean degree <= 2.
 
     f(z) = sum_i linear_i z_i + sum_{(i,j) in quadratic} z_i z_j (mod 2),
-    with `linear` a bitmask and `quadratic` a set of sorted 1-indexed pairs.
-    The set of such operators is closed under multiplication, which is what
-    makes exact symbolic products of generalized stabilizers possible.
+    with `linear` a bitmask and `quadratic` a set of sorted 1-indexed pairs,
+    each two distinct integer sites.
     """
 
     n: int
@@ -219,15 +227,8 @@ class StabilizerProduct:
         _check_sign(self.sign)
         _check_mask(self.x_mask, self.n, "x_mask")
         _check_mask(self.linear, self.n, "linear")
-        canon = set()
-        for pair in self.quadratic:
-            a, b = pair
-            if a == b:
-                raise ValueError(f"quadratic pair {tuple(pair)} has repeated site")
-            if not (1 <= a <= self.n and 1 <= b <= self.n):
-                raise ValueError(f"quadratic pair {tuple(pair)} outside 1..{self.n}")
-            canon.add((min(a, b), max(a, b)))
-        object.__setattr__(self, "quadratic", frozenset(canon))
+        object.__setattr__(self, "quadratic",
+                           frozenset(_site_pair(p, self.n) for p in self.quadratic))
 
     @classmethod
     def identity(cls, n: int) -> "StabilizerProduct":
@@ -236,45 +237,6 @@ class StabilizerProduct:
     @property
     def xy_support(self) -> int:
         return self.x_mask.bit_count()
-
-    def phase_polynomial_degree(self) -> int:
-        if self.quadratic:
-            return 2
-        if self.linear:
-            return 1
-        return 0
-
-    def __mul__(self, other: "StabilizerProduct") -> "StabilizerProduct":
-        if not isinstance(other, StabilizerProduct):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n} sites")
-        # Push D_f(self) through other's X factors: substitute z -> z ^ c
-        # with c = other.x_mask. Degree never rises; constants become sign.
-        c = other.x_mask
-        const = (self.linear & c).bit_count()
-        linear = self.linear
-        quadratic = set(self.quadratic)
-        for (a, b) in self.quadratic:
-            ca = (c >> (a - 1)) & 1
-            cb = (c >> (b - 1)) & 1
-            if cb:
-                linear ^= 1 << (a - 1)
-            if ca:
-                linear ^= 1 << (b - 1)
-            const += ca & cb
-        linear ^= other.linear
-        quadratic ^= other.quadratic
-        sign = self.sign * other.sign * (-1 if const % 2 else 1)
-        return StabilizerProduct(self.n, sign, self.x_mask ^ other.x_mask, linear,
-                                 frozenset(quadratic))
-
-
-def graph_stabilizer(g: GraphSpec, i: int) -> PauliString:
-    """Generator of |G>: X on vertex i, Z on each neighbor."""
-    if not 1 <= i <= g.n:
-        raise ValueError(f"vertex {i} outside 1..{g.n}")
-    return PauliString(g.n, 1, 1 << (i - 1), _mask_from_sites(g.neighbors(i), g.n))
 
 
 def stabilizer_product(g: GraphSpec, setting) -> PauliString:
@@ -289,19 +251,6 @@ def stabilizer_product(g: GraphSpec, setting) -> PauliString:
     """
     return try_to_pauli(_conjugated_x(g.n, parse_setting(setting, g.n), g.edge_rows,
                                       _NO_TRIPLES))
-
-
-def hypergraph_stabilizer(h: HypergraphSpec, i: int) -> StabilizerProduct:
-    """Generalized generator of |G~>: X_i times Z on e2-neighbors times
-    CZ on the remaining pair of each incident hyperedge."""
-    if not 1 <= i <= h.n:
-        raise ValueError(f"vertex {i} outside 1..{h.n}")
-    quadratic = frozenset(
-        tuple(sorted(v for v in t if v != i)) for t in h.incident_triples(i)
-    )
-    return StabilizerProduct(
-        h.n, 1, 1 << (i - 1), _mask_from_sites(h.neighbors(i), h.n), quadratic
-    )
 
 
 def generalized_product(h: HypergraphSpec, setting) -> StabilizerProduct:

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermalverify import (DenseMixedState, DenseState, GraphSpec, HypergraphSpec,
                            PauliString, StabilizerProduct, apply_operator,
                            boltzmann_density, build_pure_state, dense_expectation,
                            dense_matrix, fidelity, flip_probability,
-                           generalized_product, graph_stabilizer, hadamard_transform,
-                           hypergraph_stabilizer, path_graph, setting_expectation,
-                           stabilizer_check, stabilizer_product, thermal_density)
-from util_dense import (exhaustive_parity_expectation, hypergraph_state_vector,
+                           generalized_product, hadamard_transform, path_graph,
+                           setting_expectation, stabilizer_check, stabilizer_product,
+                           thermal_density)
+from util_dense import (exhaustive_parity_expectation, generator, gibbs_reference,
+                        graph_generator, hypergraph_state_vector, hypergraphs_with_selector,
                         pauli_matrix, random_hypergraph, stabilizer_product_matrix)
 
 BETA_HALF = math.log(2) / 2
@@ -58,7 +60,7 @@ class TestApplyOperator:
         for _ in range(30):
             n = int(rng.integers(2, 6))
             h = random_hypergraph(n, rng)
-            sp = hypergraph_stabilizer(h, int(rng.integers(1, n + 1)))
+            sp = generator(h, int(rng.integers(1, n + 1)))
             vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             assert np.allclose(apply_operator(sp, vec), stabilizer_product_matrix(sp) @ vec,
                                atol=1e-12)
@@ -145,6 +147,14 @@ class TestBoltzmannDensity:
         assert np.allclose(rho.matrix, np.eye(8) / 8, atol=1e-12)
 
 
+@given(hypergraphs_with_selector(max_n=6),
+       st.one_of(st.sampled_from((0.0, math.inf)), st.floats(0.0, 8.0)))
+@settings(max_examples=150, deadline=None)
+def test_gibbs_state_matches_generator_sum_reference(case, beta):
+    h, _ = case
+    assert np.max(np.abs(boltzmann_density(h, beta).matrix - gibbs_reference(h, beta))) <= 1e-12
+
+
 class TestDenseExpectation:
     def test_identity_has_unit_expectation(self):
         rho = thermal_density(path_graph(3), 0.7)
@@ -203,7 +213,15 @@ class TestStabilizerCheck:
         g = path_graph(4)
         psi = build_pure_state(g)
         for i in range(1, 5):
-            assert stabilizer_check(psi, graph_stabilizer(g, i))
+            assert stabilizer_check(psi, graph_generator(g, i))
+
+    @given(hypergraphs_with_selector(max_n=10))
+    @settings(max_examples=100, deadline=None)
+    def test_test_side_generators_stabilize_the_statevector(self, case):
+        h, _ = case
+        psi = build_pure_state(h)
+        for i in range(1, h.n + 1):
+            assert stabilizer_check(psi, generator(h, i))
 
     def test_non_stabilizer_rejected(self):
         g = GraphSpec(2, edges={(1, 2)})

@@ -4,12 +4,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from thermalverify import (GraphSpec, HypergraphSpec, PauliString, StabilizerProduct,
                            alternating_setting, build_family, generalized_product,
-                           graph_stabilizer, hypergraph_stabilizer, leading_half_setting,
-                           parse_setting, path_graph, stabilizer_product, try_to_pauli)
+                           leading_half_setting, parse_setting, path_graph,
+                           stabilizer_product, try_to_pauli)
 from util_dense import (all_graphs, ascending_generalized_product,
-                        ascending_stabilizer_product, conjugated_x_reference,
-                        hypergraph_state_vector,
-                        hypergraphs_with_selector, kron_chain, pauli_matrix,
+                        ascending_stabilizer_product, conjugated_x_reference, generator,
+                        graph_generator, hypergraph_state_vector,
+                        hypergraphs_with_selector, kron_chain, multiply, pauli_matrix,
                         random_hypergraph, stabilizer_product_matrix)
 
 
@@ -70,23 +70,23 @@ class TestPauliString:
 class TestGraphStabilizers:
     def test_single_edge(self):
         g = GraphSpec(2, edges={(1, 2)})
-        assert str(graph_stabilizer(g, 1)) == "+XZ"
-        assert str(graph_stabilizer(g, 2)) == "+ZX"
+        assert str(graph_generator(g, 1)) == "+XZ"
+        assert str(graph_generator(g, 2)) == "+ZX"
 
     def test_isolated_vertex(self):
         g = GraphSpec(3)
-        assert str(graph_stabilizer(g, 2)) == "+IXI"
+        assert str(graph_generator(g, 2)) == "+IXI"
 
     def test_two_neighbors(self):
         g = path_graph(3)
-        assert str(graph_stabilizer(g, 2)) == "+ZXZ"
+        assert str(graph_generator(g, 2)) == "+ZXZ"
 
     def test_index_out_of_range(self):
         g = GraphSpec(2)
         with pytest.raises(ValueError):
-            graph_stabilizer(g, 0)
+            graph_generator(g, 0)
         with pytest.raises(ValueError):
-            graph_stabilizer(g, 3)
+            graph_generator(g, 3)
 
     def test_edge_graph_full_product_is_yy(self):
         g = GraphSpec(2, edges={(1, 2)})
@@ -99,13 +99,13 @@ class TestGraphStabilizers:
     def test_path_product_matches_dense_oracle(self):
         g = path_graph(4)
         word = stabilizer_product(g, "1100")
-        dense = pauli_matrix(graph_stabilizer(g, 1)) @ pauli_matrix(graph_stabilizer(g, 2))
+        dense = pauli_matrix(graph_generator(g, 1)) @ pauli_matrix(graph_generator(g, 2))
         assert np.allclose(pauli_matrix(word), dense, atol=1e-12)
 
     def test_all_graphs_all_selectors_match_dense_oracle(self):
         for n in (2, 3, 4):
             for g in all_graphs(n):
-                generators = [pauli_matrix(graph_stabilizer(g, i)) for i in range(1, n + 1)]
+                generators = [pauli_matrix(graph_generator(g, i)) for i in range(1, n + 1)]
                 for selector in range(1 << n):
                     bits = [(selector >> b) & 1 for b in range(n)]
                     dense = np.eye(1 << n, dtype=complex)
@@ -148,12 +148,12 @@ class TestGraphStabilizers:
             sites = [i for i in range(1, 7) if rng.random() < 0.5]
             forward = PauliString.identity(6)
             for i in sites:
-                forward = forward * graph_stabilizer(g, i)
+                forward = forward * graph_generator(g, i)
             shuffled = list(sites)
             rng.shuffle(shuffled)
             backward = PauliString.identity(6)
             for i in shuffled:
-                backward = backward * graph_stabilizer(g, i)
+                backward = backward * graph_generator(g, i)
             assert forward == backward
 
     def test_stabilizes_dense_graph_state(self):
@@ -173,18 +173,18 @@ class TestGraphStabilizers:
 class TestStabilizerProduct:
     def test_generator_fields_graph_case(self):
         h = HypergraphSpec(2, e2={(1, 2)})
-        sp = hypergraph_stabilizer(h, 1)
+        sp = generator(h, 1)
         assert sp.x_mask == 0b01 and sp.linear == 0b10 and sp.quadratic == frozenset()
 
     def test_generator_fields_triple_case(self):
         h = HypergraphSpec(3, e3={(1, 2, 3)})
-        sp = hypergraph_stabilizer(h, 1)
+        sp = generator(h, 1)
         assert sp.x_mask == 0b001 and sp.linear == 0
         assert sp.quadratic == frozenset({(2, 3)})
 
     def test_fig3_vertex3_quadratic(self):
         h = fig3_instance()
-        sp = hypergraph_stabilizer(h, 3)
+        sp = generator(h, 3)
         expected = frozenset(
             tuple(sorted(v for v in t if v != 3)) for t in h.e3 if 3 in t
         )
@@ -194,14 +194,14 @@ class TestStabilizerProduct:
     def test_generator_squares_to_identity(self):
         h = fig3_instance()
         for i in range(1, 11):
-            sp = hypergraph_stabilizer(h, i)
-            assert sp * sp == StabilizerProduct.identity(10)
+            sp = generator(h, i)
+            assert multiply(sp, sp) == StabilizerProduct.identity(10)
 
     def test_x_through_cz_both_orders_match_dense(self):
         x1 = StabilizerProduct(2, x_mask=0b01)
         cz = StabilizerProduct(2, quadratic=frozenset({(1, 2)}))
-        left = x1 * cz
-        right = cz * x1
+        left = multiply(x1, cz)
+        right = multiply(cz, x1)
         assert right.linear == 0b10  # CZ picks up a Z_2 when pushed past X_1
         for sp in (left, right):
             assert sp.quadratic == frozenset({(1, 2)})
@@ -217,18 +217,18 @@ class TestStabilizerProduct:
         for n in (3, 4, 5, 6):
             for _ in range(4):
                 h = random_hypergraph(n, rng)
-                gens = [hypergraph_stabilizer(h, i) for i in range(1, n + 1)]
+                gens = [generator(h, i) for i in range(1, n + 1)]
                 mats = [stabilizer_product_matrix(g) for g in gens]
                 for a in range(n):
                     for b in range(n):
-                        assert np.allclose(stabilizer_product_matrix(gens[a] * gens[b]),
+                        assert np.allclose(stabilizer_product_matrix(multiply(gens[a], gens[b])),
                                            mats[a] @ mats[b], atol=1e-12)
 
     def test_fig3_pair_product_matches_dense(self):
         h = fig3_instance()
-        g2 = hypergraph_stabilizer(h, 2)
-        g4 = hypergraph_stabilizer(h, 4)
-        assert np.allclose(stabilizer_product_matrix(g2 * g4),
+        g2 = generator(h, 2)
+        g4 = generator(h, 4)
+        assert np.allclose(stabilizer_product_matrix(multiply(g2, g4)),
                            stabilizer_product_matrix(g2) @ stabilizer_product_matrix(g4),
                            atol=1e-12)
 
@@ -238,12 +238,12 @@ class TestStabilizerProduct:
         from thermalverify import apply_operator
 
         h = HypergraphSpec(10, e2={(1, 6), (2, 9)}, e3=fig3_instance().e3)
-        gens = [hypergraph_stabilizer(h, i) for i in range(1, 11)]
+        gens = [generator(h, i) for i in range(1, 11)]
         rng = np.random.default_rng(61)
         vecs = rng.normal(size=(3, 1 << 10)) + 1j * rng.normal(size=(3, 1 << 10))
         for a in gens:
             for b in gens:
-                combined = a * b
+                combined = multiply(a, b)
                 for v in vecs:
                     assert np.allclose(apply_operator(combined, v),
                                        apply_operator(a, apply_operator(b, v)),
@@ -253,12 +253,25 @@ class TestStabilizerProduct:
         rng = np.random.default_rng(53)
         for _ in range(20):
             h = random_hypergraph(5, rng)
-            a, b, c = (hypergraph_stabilizer(h, int(i)) for i in rng.integers(1, 6, size=3))
-            assert (a * b) * c == a * (b * c)
+            a, b, c = (generator(h, int(i)) for i in rng.integers(1, 6, size=3))
+            assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+    def test_quadratic_pairs_are_two_distinct_integer_sites(self):
+        for bad in ((1.5, 2), (True, 2), (1, 2, 3)):
+            with pytest.raises(ValueError, match="must be two integer sites") as exc:
+                StabilizerProduct(3, quadratic={bad})
+            assert repr(bad) in str(exc.value)
+        with pytest.raises(ValueError, match=r"\(2, 2\) has repeated site"):
+            StabilizerProduct(3, quadratic={(2, 2)})
+        with pytest.raises(ValueError, match=r"\(1, 4\) outside 1\.\.3"):
+            StabilizerProduct(3, quadratic={(1, 4)})
+        sp = StabilizerProduct(3, quadratic={(np.int64(3), np.int64(1))})
+        assert sp == StabilizerProduct(3, quadratic={(1, 3)})
+        assert all(type(v) is int for pair in sp.quadratic for v in pair)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            _ = StabilizerProduct.identity(2) * StabilizerProduct.identity(3)
+            multiply(StabilizerProduct.identity(2), StabilizerProduct.identity(3))
 
 
 class TestGeneralizedProduct:
@@ -315,7 +328,8 @@ class TestGeneralizedProduct:
                 s1 = int(rng.integers(0, 1 << n))
                 s2 = int(rng.integers(0, 1 << n))
                 bits = lambda s: [(s >> b) & 1 for b in range(n)]
-                lhs = generalized_product(h, bits(s1)) * generalized_product(h, bits(s2))
+                lhs = multiply(generalized_product(h, bits(s1)),
+                               generalized_product(h, bits(s2)))
                 assert lhs == generalized_product(h, bits(s1 ^ s2))
 
 
@@ -326,7 +340,7 @@ class TestTryToPauli:
 
     def test_nonempty_quadratic_is_not_a_pauli_word(self):
         h = HypergraphSpec(3, e3={(1, 2, 3)})
-        assert try_to_pauli(hypergraph_stabilizer(h, 1)) is None
+        assert try_to_pauli(generator(h, 1)) is None
 
     def test_fig3_reduction_has_half_support(self):
         h = fig3_instance()
@@ -416,6 +430,7 @@ class TestFastReductions:
         g = path_graph(50)
         stabilizer_product(g, leading_half_setting(50))
         assert "_adjacency" not in g.__dict__
+        assert set(g.__dict__) == {"n", "edge_rows"}
 
     @given(st.integers(1, 130).flatmap(lambda n: st.tuples(
         st.just(n), st.sampled_from((1, -1)),

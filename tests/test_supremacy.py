@@ -129,11 +129,13 @@ class TestOptimalSetting:
         optimal_setting(inst)
         assert "_incidence" not in inst.spec.__dict__
         assert "_adjacency" not in inst.spec.__dict__
+        assert set(inst.spec.__dict__) == {"n", "e2_rows", "e3_rows"}
 
     def test_reduction_builds_no_edge_views(self):
         inst = build_family(2000, e2=np.array([[1, 2], [7, 3]]))
         optimal_setting(inst)
         assert not {"e2", "e3", "_incidence", "_adjacency"} & set(inst.spec.__dict__)
+        assert set(inst.spec.__dict__) == {"n", "e2_rows", "e3_rows"}
 
     def test_two_thousand_sites_match_ascending_product(self):
         spec = build_family(2000).spec

@@ -2,9 +2,13 @@
 
 These deliberately avoid the package's bitmask application paths: operators
 are assembled letter by letter with np.kron and states by scalar loops over
-basis indices, so they can serve as ground truth for the fast code. The
-ascending generator products are the references for the one-pass setting
-reductions in pauli, and hypergraphs_with_selector draws inputs for the
+basis indices, so they can serve as ground truth for the fast code.
+generator builds one stabilizer generator by scanning the edge rows, and
+multiply is the normal-form product of two StabilizerProducts; the package
+needs neither, because it reduces a whole selected product in one pass. The
+ascending generator products built from them are the references for the
+one-pass setting reductions in pauli, gibbs_reference is the reference for
+oracle.boltzmann_density, and hypergraphs_with_selector draws inputs for the
 property tests that compare them. conjugated_x_reference is the same
 reduction as one pure-Python pass over edge tuples, the reference for the
 array reduction in pauli, and family_triples_reference builds the family's
@@ -145,28 +149,92 @@ def random_hypergraph(n: int, rng: np.random.Generator):
     return HypergraphSpec(n, e2=e2, e3=e3)
 
 
+def generator(h, i: int):
+    """Generalized generator U X_i U^dagger of |G~> as a StabilizerProduct:
+    X on vertex i, Z on each e2-neighbor and CZ on the other two vertices of
+    each hyperedge through i, all found by scanning the edge rows."""
+    from thermalverify import StabilizerProduct
+
+    if not 1 <= i <= h.n:
+        raise ValueError(f"vertex {i} outside 1..{h.n}")
+    edges = h.e2_rows[(h.e2_rows == i).any(axis=1)]
+    triples = h.e3_rows[(h.e3_rows == i).any(axis=1)]
+    z_mask = sum(1 << (v - 1) for v in edges[edges != i].tolist())
+    pairs = frozenset(tuple(v for v in t if v != i) for t in triples.tolist())
+    return StabilizerProduct(h.n, 1, 1 << (i - 1), z_mask, pairs)
+
+
+def graph_generator(g, i: int):
+    """Generator of the graph state |G> as a PauliString: X on vertex i, Z
+    on each neighbor (the e3-empty generator collapsed to a word)."""
+    from thermalverify import try_to_pauli
+
+    return try_to_pauli(generator(g.as_hypergraph(), i))
+
+
+def multiply(a, b):
+    """Normal form of the product a * b of two StabilizerProducts."""
+    from thermalverify import StabilizerProduct
+
+    if a.n != b.n:
+        raise ValueError(f"size mismatch: {a.n} vs {b.n} sites")
+    # Push D_f(a) through b's X factors: substitute z -> z ^ c with
+    # c = b.x_mask. Degree never rises; constants become sign.
+    c = b.x_mask
+    const = (a.linear & c).bit_count()
+    linear = a.linear
+    quadratic = set(a.quadratic)
+    for (p, q) in a.quadratic:
+        cp = (c >> (p - 1)) & 1
+        cq = (c >> (q - 1)) & 1
+        if cq:
+            linear ^= 1 << (p - 1)
+        if cp:
+            linear ^= 1 << (q - 1)
+        const += cp & cq
+    linear ^= b.linear
+    quadratic ^= b.quadratic
+    sign = a.sign * b.sign * (-1 if const % 2 else 1)
+    return StabilizerProduct(a.n, sign, a.x_mask ^ b.x_mask, linear, frozenset(quadratic))
+
+
 def ascending_stabilizer_product(g, setting):
     """Reference for pauli.stabilizer_product: multiply the selected
     graph-state generators one by one, in ascending vertex order."""
-    from thermalverify import PauliString, graph_stabilizer, parse_setting
+    from thermalverify import PauliString, parse_setting
 
     word = PauliString.identity(g.n)
     for i, b in enumerate(parse_setting(setting, g.n), start=1):
         if b:
-            word = word * graph_stabilizer(g, i)
+            word = word * graph_generator(g, i)
     return word
 
 
 def ascending_generalized_product(h, setting):
     """Reference for pauli.generalized_product: multiply the selected
     generalized generators one by one, in ascending vertex order."""
-    from thermalverify import StabilizerProduct, hypergraph_stabilizer, parse_setting
+    from thermalverify import StabilizerProduct, parse_setting
 
     word = StabilizerProduct.identity(h.n)
     for i, b in enumerate(parse_setting(setting, h.n), start=1):
         if b:
-            word = word * hypergraph_stabilizer(h, i)
+            word = multiply(word, generator(h, i))
     return word
+
+
+def gibbs_reference(h, beta: float) -> np.ndarray:
+    """Reference for oracle.boltzmann_density: exp(-beta H)/Z for
+    H = -sum_i dense_matrix(generator(h, i)), the projector onto the ground
+    space of H at beta = inf."""
+    from thermalverify import dense_matrix
+
+    ham = -sum(dense_matrix(generator(h, i)) for i in range(1, h.n + 1))
+    evals, evecs = np.linalg.eigh(ham)
+    if math.isinf(beta):
+        weights = (evals <= evals[0] + 1e-9).astype(float)
+    else:
+        weights = np.exp(-beta * (evals - evals[0]))
+    return (evecs * weights) @ evecs.conj().T / weights.sum()
 
 
 def conjugated_x_reference(n: int, bits, e2, e3):
@@ -216,13 +284,13 @@ def family_triples_reference(n: int) -> frozenset:
 
 
 @st.composite
-def hypergraphs_with_selector(draw):
-    """A random HypergraphSpec on n <= 12 vertices and a 0/1 selector of
+def hypergraphs_with_selector(draw, max_n: int = 12):
+    """A random HypergraphSpec on n <= max_n vertices and a 0/1 selector of
     length n. Edges may repeat or list their vertices out of order; the
     spec canonicalizes them."""
     from thermalverify import HypergraphSpec
 
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_n))
     vertex = st.integers(1, n)
 
     def edges(arity):
