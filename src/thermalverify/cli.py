@@ -3,19 +3,22 @@
 Single-value subcommands print a JSON document {"manifest": ..., "result": ...};
 sweep subcommands write plain CSV (schema documented in the README, column
 order stable) and put the manifest in a sidecar file next to the output, or
-on stderr when writing CSV to stdout. Given the same parameters and seed,
-outputs are reproducible byte for byte, timestamps excluded.
+on stderr when writing CSV to stdout. All JSON goes through one encoder
+(_dumps): strict JSON with sorted keys, every infinite float at any depth
+written as the string "infinity". Given the same parameters and seed,
+outputs are reproducible byte for byte, timestamps excluded. Options that
+exclude each other are argparse groups, so a conflict exits 2.
 
 Exit codes: 0 success, 2 invalid input, 3 internal check failure.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,9 +30,9 @@ from .pauli import (leading_half_setting, parse_setting, stabilizer_product,
                     generalized_product, try_to_pauli)
 from .sampler import ProtocolConfig, run_protocol
 from .supremacy import build_family, certify, optimal_setting
-from .thermal import (beta_from_temperature, deviation_leading_order, error_bounds,
-                      fidelity, flip_probability, half_weight_expectation,
-                      invert_temperature, sample_size, setting_expectation,
+from .thermal import (ThermalParams, _check_beta, beta_from_temperature,
+                      deviation_leading_order, error_bounds, fidelity, flip_probability,
+                      half_weight_expectation, invert_temperature, setting_expectation,
                       union_bound)
 
 
@@ -37,43 +40,32 @@ class CheckFailure(RuntimeError):
     """An internal consistency check did not hold (exit code 3)."""
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def _manifest(args: argparse.Namespace) -> dict:
     """Provenance block serialized alongside every output."""
-
-    subcommand: str
-    parameters: dict
-    seed: int | None
-    version: str
-    timestamp: str
-
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
+    return {
+        "subcommand": args.subcommand,
+        "parameters": {key: value for key, value in vars(args).items()
+                       if key not in ("func", "output", "subcommand")},
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
 
 
-def _manifest(args: argparse.Namespace) -> RunManifest:
-    params = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "output", "subcommand"):
-            continue
-        if isinstance(value, Path):
-            value = str(value)
-        if isinstance(value, float) and math.isinf(value):
-            value = "infinity"
-        params[key] = value
-    return RunManifest(
-        subcommand=args.subcommand,
-        parameters=params,
-        seed=getattr(args, "seed", None),
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
+def _finite(value):
+    """`value` with every infinite float, at any depth, as "infinity" or "-infinity"."""
+    if isinstance(value, float) and math.isinf(value):
+        return "infinity" if value > 0 else "-infinity"
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
+def _dumps(doc) -> str:
+    """The one JSON encoder: strict JSON, keys sorted, infinities spelled out."""
+    return json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _cell(value) -> str:
@@ -87,8 +79,7 @@ def _cell(value) -> str:
 
 
 def _emit_json(args, result: dict) -> None:
-    doc = {"manifest": _manifest(args).to_dict(), "result": result}
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = _dumps({"manifest": _manifest(args), "result": result})
     if args.output:
         Path(args.output).write_text(text + "\n")
     else:
@@ -96,38 +87,32 @@ def _emit_json(args, result: dict) -> None:
 
 
 def _emit_csv(args, schema: str, header: list[str], rows: list[list]) -> None:
-    doc = _manifest(args).to_dict()
-    doc["csv_schema"] = schema
-    manifest = json.dumps(doc, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
-        Path(str(args.output) + ".manifest.json").write_text(manifest + "\n")
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+    manifest = _dumps({**_manifest(args), "csv_schema": schema})
+    with (open(args.output, "w", newline="") if args.output
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows([_cell(v) for v in row] for row in rows)
+    if args.output:
+        Path(args.output + ".manifest.json").write_text(manifest + "\n")
+    else:
         print(manifest, file=sys.stderr)
 
 
 def _resolve_beta(args) -> float:
     if args.beta is not None:
-        if args.beta < 0:
-            raise ValueError(f"--beta must be >= 0, got {args.beta}")
-        return float(args.beta)
+        return _check_beta(args.beta)
     return beta_from_temperature(args.temperature)
 
 
-def _add_thermal_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_thermal_arguments(parser: argparse.ArgumentParser):
+    """--beta/--temperature, one of which is required; returns their group."""
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--beta", type=float, default=None,
                        help="inverse temperature (k_B = 1); 'inf' means T = 0")
     group.add_argument("--temperature", type=float, default=None,
                        help="temperature (k_B = 1); 0 means the ideal state")
+    return group
 
 
 def _float_list(text: str) -> list[float]:
@@ -175,7 +160,7 @@ def cmd_expectation(args) -> int:
     result = {
         "n": n,
         "wt": wt,
-        "beta": "infinity" if math.isinf(beta) else beta,
+        "beta": beta,
         "p_flip": flip_probability(beta),
         "expectation": expectation,
         "fidelity": fid,
@@ -264,8 +249,6 @@ def cmd_sweep_wt(args) -> int:
               "leading_term", "is_argmin"]
     rows = []
     for beta in args.betas:
-        if beta < 0:
-            raise ValueError(f"beta must be >= 0, got {beta}")
         fid = fidelity(n, beta)
         deviations = []
         for wt in range(n + 1):
@@ -350,36 +333,34 @@ def _estimate_from_report(path: str) -> float:
 
 def cmd_certify_iqp(args) -> int:
     result: dict = {}
+    f_est = args.f_est
     if args.report is not None:
-        decision = certify(_estimate_from_report(args.report), args.n,
-                           allow_small_n=args.allow_small_n)
-    elif args.f_est is not None:
-        decision = certify(args.f_est, args.n, allow_small_n=args.allow_small_n)
-    else:
+        f_est = _estimate_from_report(args.report)
+    elif f_est is None:
         beta = _resolve_beta(args)
         inst = build_family(args.n)
         setting = optimal_setting(inst)
         config = ProtocolConfig(epsilon=args.epsilon, delta=args.delta,
                                 n_samples=args.samples, seed=args.seed)
         report = run_protocol(inst.spec, setting, beta, config)
-        decision = certify(report.f_est, args.n, allow_small_n=args.allow_small_n)
+        f_est = report.f_est
         result["report"] = report.to_dict()
-    result["decision"] = decision.to_dict()
+    result["decision"] = certify(f_est, args.n, allow_small_n=args.allow_small_n).to_dict()
     result["l1_target"] = 1.0 / 192.0
     _emit_json(args, result)
     return 0
 
 
 def cmd_estimate_temperature(args) -> int:
-    beta = invert_temperature(args.n, args.f_est, from_fidelity=args.from_fidelity)
+    params = ThermalParams(invert_temperature(args.n, args.f_est,
+                                              from_fidelity=args.from_fidelity))
     result = {
         "n": args.n,
         "observed": args.f_est,
         "mode": "fidelity" if args.from_fidelity else "expectation",
-        "beta": "infinity" if math.isinf(beta) else beta,
-        "temperature": (0.0 if math.isinf(beta)
-                        else "infinity" if beta == 0.0 else 1.0 / beta),
-        "p_flip": flip_probability(beta),
+        "beta": params.beta,
+        "temperature": params.temperature,
+        "p_flip": params.p_flip,
     }
     _emit_json(args, result)
     return 0
@@ -396,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expectation", help="closed-form expectation, fidelity, and bounds")
     p.add_argument("--graph", required=True, help="JSON graph/hypergraph file")
-    p.add_argument("--setting", default=None, help="selector bits, e.g. 1100")
-    p.add_argument("--wt", type=int, default=None, help="selector Hamming weight")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--setting", default=None, help="selector bits, e.g. 1100")
+    group.add_argument("--wt", type=int, default=None, help="selector Hamming weight")
     p.add_argument("--epsilon", type=float, default=0.0, help="statistical accuracy for bounds")
     _add_thermal_arguments(p)
     p.add_argument("--output", default=None, help="write JSON here instead of stdout")
@@ -446,13 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify-iqp", help="accept/reject rule for certified sampling")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--f-est", dest="f_est", type=float, default=None,
-                   help="evaluate the rule on a given estimate (no simulation)")
-    p.add_argument("--report", default=None,
-                   help="evaluate the rule on the f_est of a JSON report file")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--beta", type=float, default=None)
-    group.add_argument("--temperature", type=float, default=None)
+    group = _add_thermal_arguments(p)
+    group.add_argument("--f-est", dest="f_est", type=float, default=None,
+                       help="evaluate the rule on a given estimate (no simulation)")
+    group.add_argument("--report", default=None,
+                       help="evaluate the rule on the f_est of a JSON report file")
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--delta", type=float, default=1e-2)
     p.add_argument("--samples", type=int, default=None)
@@ -474,14 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "certify-iqp":
-        given = [v is not None for v in (args.f_est, args.report,
-                                         args.beta if args.temperature is None else args.temperature)]
-        if sum(given) != 1:
-            parser.error("certify-iqp needs exactly one of --f-est, --report, "
-                         "or --beta/--temperature")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CheckFailure as exc:

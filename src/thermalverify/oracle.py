@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .pauli import PauliString, StabilizerProduct
-from .thermal import flip_probability
+from .thermal import _check_beta, flip_probability
 
 MAX_STATEVECTOR_N = 24
 MAX_DENSITY_N = 12
@@ -179,9 +179,7 @@ def boltzmann_density(spec, beta: float) -> DenseMixedState:
     h = spec.as_hypergraph()
     if h.n > MAX_HAMILTONIAN_N:
         raise ValueError(f"Hamiltonian route limited to n <= {MAX_HAMILTONIAN_N}, got {h.n}")
-    beta = float(beta)
-    if math.isnan(beta) or beta < 0:
-        raise ValueError(f"inverse temperature must be >= 0, got {beta}")
+    beta = _check_beta(beta)
     signs = np.sign(build_pure_state(h).amplitudes.real)
     idx = _indices(h.n)
     ham = np.zeros((1 << h.n, 1 << h.n))

@@ -74,26 +74,9 @@ class VerificationReport:
             raise ValueError("f_est does not match the outcome counts")
 
     def to_dict(self) -> dict:
-        bounds = None
-        if self.bound_report is not None:
-            bounds = {
-                "fine_bound": self.bound_report.fine_bound,
-                "coarse_bound": self.bound_report.coarse_bound,
-                "union_bound": self.bound_report.union_bound,
-                "leading_coefficient": self.bound_report.leading_coefficient,
-            }
-        return {
-            "f_est": self.f_est,
-            "n_samples": self.n_samples,
-            "plus_count": self.plus_count,
-            "minus_count": self.minus_count,
-            "setting": self.setting,
-            "beta_used": self.beta_used.to_dict(),
-            "bound_report": bounds,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "seed": self.seed,
-        }
+        bounds = self.bound_report
+        return {**vars(self), "beta_used": self.beta_used.to_dict(),
+                "bound_report": None if bounds is None else dict(vars(bounds))}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

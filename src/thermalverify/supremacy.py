@@ -67,15 +67,7 @@ class CertificationDecision:
     threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "f_est": self.f_est,
-            "n": self.n,
-            "margin": self.margin,
-            "threshold": self.threshold,
-            "threshold_met": self.threshold_met,
-            "tvd_bound": self.tvd_bound,
-            "verdict": self.verdict,
-        }
+        return dict(vars(self))
 
 
 # Triple j of the four progressions, minus 4j: rows in lexicographic order.

@@ -23,6 +23,13 @@ def read_json(capsys):
     return json.loads(capsys.readouterr().out)
 
 
+def strict_json(text):
+    """Parse `text`, failing on the non-standard NaN/Infinity/-Infinity tokens."""
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestParser:
     def test_subcommands_exist(self):
         parser = build_parser()
@@ -41,6 +48,13 @@ class TestParser:
             build_parser().parse_args(
                 ["expectation", "--graph", graph_file, "--beta", "1", "--temperature", "2"])
         assert err.value.code == 2
+
+    def test_setting_and_wt_mutually_exclusive(self, graph_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["expectation", "--graph", graph_file, "--setting", "1100", "--wt", "3",
+                  "--beta", "1"])
+        assert err.value.code == 2
+        assert "not allowed with argument --setting" in capsys.readouterr().err
 
 
 class TestExpectation:
@@ -199,9 +213,10 @@ class TestCertifyCommand:
         assert read_json(capsys)["result"]["decision"]["verdict"] == "reject"
 
     def test_requires_estimate_or_temperature(self):
-        with pytest.raises(SystemExit) as err:
-            main(["certify-iqp", "--n", "400000"])
-        assert err.value.code == 2
+        for extra in ([], ["--f-est", "1", "--beta", "3"]):
+            with pytest.raises(SystemExit) as err:
+                main(["certify-iqp", "--n", "400000"] + extra)
+            assert err.value.code == 2
 
     def test_end_to_end_small_scale(self, capsys):
         assert main(["certify-iqp", "--n", "12", "--temperature", "0",
@@ -274,6 +289,53 @@ class TestEstimateTemperature:
                      "--from-fidelity"]) == 0
         result = read_json(capsys)["result"]
         assert result["beta"] == 0.0 and result["temperature"] == "infinity"
+
+
+class TestBetaRule:
+    MESSAGE = "inverse temperature must be >= 0 (inf means T=0), got "
+
+    @pytest.mark.parametrize("argv", [["expectation", "--beta", "-1"],
+                                      ["expectation", "--beta", "nan"],
+                                      ["sweep-wt", "--n", "4", "--betas", "nan"],
+                                      ["sweep-wt", "--n", "4", "--betas", "1,-1"],
+                                      ["certify-iqp", "--n", "12", "--allow-small-n",
+                                       "--beta", "-1"]])
+    def test_one_message_for_every_bad_beta(self, graph_file, capsys, argv):
+        if argv[0] == "expectation":
+            argv = argv + ["--graph", graph_file]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and self.MESSAGE in captured.err
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("argv", [["oracle-check", "--nmax", "2", "--betas", "inf,1"],
+                                      ["expectation", "--temperature", "0"],
+                                      ["estimate-temperature", "--n", "4", "--f-est", "1"]])
+    def test_stdout_has_no_nonstandard_tokens(self, graph_file, capsys, argv):
+        if argv[0] == "expectation":
+            argv = argv + ["--graph", graph_file]
+        assert main(argv) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert "infinity" in json.dumps(doc)
+
+    def test_infinite_betas_in_lists_are_spelled_out(self, capsys):
+        assert main(["oracle-check", "--nmax", "2", "--betas", "inf,1"]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["result"]["betas"] == ["infinity", 1.0]
+        assert doc["manifest"]["parameters"]["betas"] == ["infinity", 1.0]
+
+    def test_negative_infinity_keeps_its_sign(self, capsys):
+        assert main(["oracle-check", "--nmax", "2", "--tolerance=-inf"]) == 3
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["result"]["tolerance"] == "-infinity"
+
+    def test_csv_sidecar_is_strict(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-wt", "--n", "4", "--betas", "inf", "--output", str(out)]) == 0
+        manifest = strict_json((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["parameters"]["betas"] == ["infinity"]
+        assert manifest["csv_schema"] == "sweep-wt-v1"
 
 
 class TestManifest:

@@ -146,6 +146,12 @@ class TestBoltzmannDensity:
         rho = boltzmann_density(path_graph(3), 0.0)
         assert np.allclose(rho.matrix, np.eye(8) / 8, atol=1e-12)
 
+    @pytest.mark.parametrize("beta", [-1.0, math.nan])
+    def test_beta_rule_is_the_thermal_one(self, beta):
+        with pytest.raises(ValueError,
+                           match=r"inverse temperature must be >= 0 \(inf means T=0\), got"):
+            boltzmann_density(path_graph(2), beta)
+
 
 @given(hypergraphs_with_selector(max_n=6),
        st.one_of(st.sampled_from((0.0, math.inf)), st.floats(0.0, 8.0)))

@@ -213,6 +213,43 @@ class TestRunProtocol:
         assert report.bound_report is None
 
 
+class TestReportSerialization:
+    def test_zero_temperature_report_dict(self):
+        g = ring_graph(4)
+        config = ProtocolConfig(epsilon=0.25, delta=0.1, n_samples=100, seed=2)
+        report = run_protocol(g, stabilizer_product(g, "1100"), math.inf, config)
+        assert report.to_dict() == {
+            "f_est": 1.0, "n_samples": 100, "plus_count": 100, "minus_count": 0,
+            "setting": "+YYZZ", "beta_used": {"beta": "infinity", "p_flip": 0.0},
+            "bound_report": {"fine_bound": 0.25, "coarse_bound": 0.75,
+                             "union_bound": 1.0, "leading_coefficient": 0},
+            "epsilon": 0.25, "delta": 0.1, "seed": 2,
+        }
+
+    def test_odd_n_report_dict_has_no_bounds(self):
+        g = path_graph(3)
+        report = run_protocol(g, stabilizer_product(g, "110"), 0.5,
+                              ProtocolConfig(0.1, 0.1, 10, 0))
+        assert report.to_dict() == {
+            "f_est": 0.2, "n_samples": 10, "plus_count": 6, "minus_count": 4,
+            "setting": "+YYZ", "beta_used": {"beta": 0.5, "p_flip": flip_probability(0.5)},
+            "bound_report": None, "epsilon": 0.1, "delta": 0.1, "seed": 0,
+        }
+
+    def test_mutating_the_dict_leaves_the_report_unchanged(self):
+        g = ring_graph(4)
+        report = run_protocol(g, stabilizer_product(g, "1100"), 1.0,
+                              ProtocolConfig(0.1, 0.1, 50, 3))
+        before = report.to_dict()
+        doc = report.to_dict()
+        doc["f_est"] = -7.0
+        doc["beta_used"]["beta"] = -7.0
+        doc["bound_report"]["fine_bound"] = -7.0
+        assert report.to_dict() == before
+        assert report.bound_report.fine_bound == before["bound_report"]["fine_bound"]
+        assert report.beta_used.beta == 1.0
+
+
 class TestCheckErrorBound:
     def test_zero_temperature_always_passes(self):
         g = ring_graph(6)

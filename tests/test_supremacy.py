@@ -181,6 +181,14 @@ class TestCertify:
         assert doc["verdict"] == "accept" and doc["n"] == 400_000
         assert isinstance(certify(1.0, 400_000), CertificationDecision)
 
+    def test_decision_dict_keys_and_copy(self):
+        decision = certify(1.0, 400_000)
+        doc = decision.to_dict()
+        assert set(doc) == {"f_est", "n", "margin", "threshold", "threshold_met",
+                            "tvd_bound", "verdict"}
+        doc["verdict"] = "reject"
+        assert decision.verdict == "accept" and decision.to_dict()["verdict"] == "accept"
+
     @pytest.mark.parametrize("f_est, n", [(1.0, 400_000), (0.99999, 400_000),
                                           (0.9, 20), (-1.0, 4)])
     def test_decision_reports_margin_and_threshold(self, f_est, n):
