@@ -24,8 +24,8 @@ from .thermal import (BoundReport, ThermalParams, beta_from_temperature,
                       minus_probability, sample_size, setting_expectation,
                       union_bound)
 from .oracle import (DenseMixedState, DenseState, apply_operator, boltzmann_density,
-                     build_pure_state, dense_expectation, dense_matrix,
-                     hadamard_transform, stabilizer_check, thermal_density)
+                     build_pure_state, dense_expectation, hadamard_transform,
+                     stabilizer_check, thermal_density)
 from .sampler import (ProtocolConfig, VerificationReport, check_error_bound,
                       measure_outcome, run_protocol, sample_error_pattern)
 from .supremacy import (CertificationDecision, FamilyInstance, build_family, certify,
@@ -44,7 +44,7 @@ __all__ = [
     "half_weight_expectation", "invert_temperature", "minus_probability", "sample_size",
     "setting_expectation", "union_bound",
     "DenseMixedState", "DenseState", "apply_operator", "boltzmann_density",
-    "build_pure_state", "dense_expectation", "dense_matrix", "hadamard_transform",
+    "build_pure_state", "dense_expectation", "hadamard_transform",
     "stabilizer_check", "thermal_density",
     "ProtocolConfig", "VerificationReport", "check_error_bound", "measure_outcome",
     "run_protocol", "sample_error_pattern",

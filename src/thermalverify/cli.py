@@ -26,8 +26,7 @@ from . import __version__
 from .graphs import GraphSpec, load_hypergraph, ring_graph
 from .identities import check_alternating, check_even, check_odd
 from .oracle import MAX_DENSITY_N, dense_expectation, thermal_density
-from .pauli import (leading_half_setting, parse_setting, stabilizer_product,
-                    generalized_product, try_to_pauli)
+from .pauli import leading_half_setting, parse_setting, stabilizer_product
 from .sampler import ProtocolConfig, run_protocol
 from .supremacy import build_family, certify, optimal_setting
 from .thermal import (ThermalParams, _check_beta, beta_from_temperature,
@@ -129,19 +128,6 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _setting_for(spec, selector_bits) -> "PauliString":
-    """Reduce a selector to the measured Pauli word for a (hyper)graph.
-    Without three-vertex edges the product always is a Pauli word."""
-    word = try_to_pauli(generalized_product(spec.as_hypergraph(), selector_bits))
-    if word is None:
-        raise ValueError(
-            "selector does not reduce to a Pauli word on this hypergraph; "
-            "choose a selector whose CZ tails cancel (e.g. 0101...01 on the "
-            "restricted family)"
-        )
-    return word
-
-
 def cmd_expectation(args) -> int:
     spec = load_hypergraph(args.graph)
     beta = _resolve_beta(args)
@@ -186,7 +172,7 @@ def cmd_verify(args) -> int:
         bits = parse_setting(args.setting, n)
     else:
         bits = leading_half_setting(n)
-    setting = _setting_for(spec, bits)
+    setting = stabilizer_product(spec, bits)
     expectation = setting_expectation(n, setting.xy_support, beta)
     fid = fidelity(n, beta)
 

@@ -10,7 +10,7 @@ shares no code with the symbolic generators in pauli that it cross-checks.
 
 Every supported operator (PauliString, StabilizerProduct) acts on a basis
 state as Op|z> = c[z] |z ^ x_mask>; one coefficient map c serves operator
-application, dense matrices and mixed-state expectations. Operators apply
+application and mixed-state expectations. Operators apply
 to statevectors as that index-permutation + sign map, never as dense
 matrices, which keeps checks feasible up to n = 24 (MAX_STATEVECTOR_N, also
 the cap of the X-basis functions in supremacy). Dense matrices appear only
@@ -130,18 +130,6 @@ def apply_operator(op, amplitudes: np.ndarray) -> np.ndarray:
     idx = _indices(n)
     vals = _coefficients(op, idx) * amplitudes
     return vals[idx ^ np.uint32(op.x_mask)]
-
-
-def dense_matrix(op) -> np.ndarray:
-    """Materialize a PauliString or StabilizerProduct as a 2^n x 2^n array."""
-    n = _operator_sites(op)
-    if n > MAX_HAMILTONIAN_N:
-        raise ValueError(f"dense matrices limited to n <= {MAX_HAMILTONIAN_N}, got {n}")
-    idx = _indices(n)
-    coeff = _coefficients(op, idx)
-    out = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    out[idx ^ np.uint32(op.x_mask), idx] = coeff
-    return out
 
 
 def thermal_density(spec, beta: float) -> DenseMixedState:

@@ -14,14 +14,16 @@ Sites are 1-indexed in every public signature; bit i-1 of a mask corresponds
 to site i.
 
 Every generator is U X_i U^dagger, with U the product of the CZ and CCZ
-gates, so a selected product is U X_S U^dagger = sign * X_S * D_f. Both
-stabilizer_product and generalized_product build it from the spec's int64
-edge arrays with whole-array numpy operations, O(n + |E2| + |E3|): each
-edge's share of f is gathered from the selector, the linear part is the
-parity of a bincount, the CZ pairs are the pair keys with odd counts, and
-the masks are packed bits read as one integer. The frozenset edge views
-are not built. Letter strings are formatted from whole masks, so printing a
-word is O(n) as well.
+gates, so a selected product is U X_S U^dagger = sign * X_S * D_f.
+generalized_product is the one route to that normal form, and
+stabilizer_product, its collapse by try_to_pauli, the one route to the
+measured Pauli word. Both take a GraphSpec (no triples) or a
+HypergraphSpec and read its int64 edge arrays in place with whole-array
+numpy operations, O(n + |E2| + |E3|): each edge's share of f is gathered
+from the selector, the linear part is the parity of a bincount, the CZ
+pairs are the pair keys with odd counts, and the masks are packed bits
+read as one integer. The frozenset edge views are not built. Letter
+strings are formatted from whole masks, so printing a word is O(n) as well.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphSpec, HypergraphSpec
+from .graphs import GraphSpec
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 # hex digit x + 2z of a site -> its letter (see PauliString.letters)
@@ -239,24 +241,36 @@ class StabilizerProduct:
         return self.x_mask.bit_count()
 
 
-def stabilizer_product(g: GraphSpec, setting) -> PauliString:
-    """Product of graph-state generators selected by the bits of `setting`,
-    equal to their product in ascending vertex order (they commute).
+def stabilizer_product(spec, setting) -> PauliString:
+    """Product of the generators of a GraphSpec or HypergraphSpec selected
+    by the bits of `setting`, as the signed Pauli word it measures.
 
-    The e3-empty case of generalized_product, collapsed to a Pauli word: X
-    on the selected set S, Z^(|N(j) & S| mod 2) on each site j, and sign
+    The generalized_product collapsed by try_to_pauli: on a graph, X on the
+    selected set S, Z^(|N(j) & S| mod 2) on each site j, and sign
     (-1)^(|E(S)| + |X & Z| / 2), where E(S) are the edges inside S and the
     second term turns each XZ into a Y letter. Sites with selector bit 1 are
-    exactly the sites carrying X or Y in the result.
+    exactly the sites carrying X or Y in the result. Raises ValueError when
+    CZ tails remain (three-vertex edges the selector does not cancel).
     """
-    return try_to_pauli(_conjugated_x(g.n, parse_setting(setting, g.n), g.edge_rows,
-                                      _NO_TRIPLES))
+    word = try_to_pauli(generalized_product(spec, setting))
+    if word is None:
+        raise ValueError(
+            "selector does not reduce to a Pauli word on this hypergraph; "
+            "choose a selector whose CZ tails cancel (e.g. 0101...01 on the "
+            "restricted family)"
+        )
+    return word
 
 
-def generalized_product(h: HypergraphSpec, setting) -> StabilizerProduct:
-    """Normal-form product of generalized generators selected by `setting`,
-    equal to their product in ascending vertex order (they commute)."""
-    return _conjugated_x(h.n, parse_setting(setting, h.n), h.e2_rows, h.e3_rows)
+def generalized_product(spec, setting) -> StabilizerProduct:
+    """Normal-form product of the generalized generators of a GraphSpec or
+    HypergraphSpec selected by `setting`, equal to their product in
+    ascending vertex order (they commute). The edge rows are read in place."""
+    if isinstance(spec, GraphSpec):
+        e2, e3 = spec.edge_rows, _NO_TRIPLES
+    else:
+        e2, e3 = spec.e2_rows, spec.e3_rows
+    return _conjugated_x(spec.n, parse_setting(setting, spec.n), e2, e3)
 
 
 def _conjugated_x(n: int, bits, e2: np.ndarray, e3: np.ndarray) -> StabilizerProduct:

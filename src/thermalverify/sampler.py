@@ -21,11 +21,15 @@ from .thermal import (BoundReport, ThermalParams, error_bounds, minus_probabilit
                       sample_size)
 
 
+MAX_SAMPLES = 2**63 - 1  # the binomial draw counts shots in an int64
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Accuracy target, failure probability, sample budget, and seed.
 
-    n_samples = None derives the budget from (epsilon, delta).
+    n_samples = None derives the budget from (epsilon, delta). An explicit
+    or derived budget above MAX_SAMPLES is rejected.
     """
 
     epsilon: float
@@ -40,6 +44,8 @@ class ProtocolConfig:
             raise ValueError(f"need 0 < delta < 1, got {self.delta}")
         if self.n_samples is not None and self.n_samples < 1:
             raise ValueError(f"need n_samples >= 1, got {self.n_samples}")
+        if (total := self.resolved_samples()) > MAX_SAMPLES:
+            raise ValueError(f"sample budget {total} exceeds the limit 2^63 - 1 = {MAX_SAMPLES}")
 
     def resolved_samples(self) -> int:
         if self.n_samples is not None:
@@ -110,13 +116,13 @@ def run_protocol(target, setting: PauliString, beta, config: ProtocolConfig) -> 
     its error budget.
 
     The parity model is exact when `setting` stabilizes the noiseless target;
-    standard callers obtain it from stabilizer_product (graphs) or
-    optimal_setting (restricted hypergraphs).
+    callers obtain it from stabilizer_product(target, selector), which takes
+    a graph or a hypergraph (optimal_setting on the restricted family).
     """
     if not isinstance(setting, PauliString):
         raise ValueError(
-            "setting must be a signed Pauli word; reduce a StabilizerProduct "
-            "with try_to_pauli first"
+            "setting must be a signed Pauli word; reduce the selector with "
+            "stabilizer_product first"
         )
     n = target.n
     if setting.n != n:

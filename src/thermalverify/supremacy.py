@@ -18,9 +18,10 @@ which at the threshold is below the hardness target 1/192.
 
 Thermal noise is an independent phase flip Z per site with probability p,
 and H^n Z_e = X_e H^n, so the thermal X-basis distribution is the ideal one
-XOR-convolved with the product flip distribution. Both X-basis functions
-therefore cost one statevector and one Hadamard transform, and share the
-oracle's statevector cap n <= 24 (MAX_STATEVECTOR_N).
+XOR-convolved with the product flip distribution, and iqp_sample draws
+every shot from it. Both X-basis functions therefore cost one statevector
+and one Hadamard transform, and share the oracle's statevector cap
+n <= 24 (MAX_STATEVECTOR_N).
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .graphs import HypergraphSpec
 from .oracle import build_pure_state, hadamard_transform
-from .pauli import PauliString, alternating_setting, generalized_product, try_to_pauli
+from .pauli import PauliString, alternating_setting, stabilizer_product
 from .thermal import flip_probability
 
 ACCEPT_MARGIN = 0.999995
@@ -103,21 +104,17 @@ def optimal_setting(inst: FamilyInstance) -> PauliString:
     """The single measurement setting: product of the even-site generalized
     stabilizers, collapsed to a signed Pauli word.
 
-    X/Y letters land on exactly half the sites; two-vertex edges only dress
-    the word with extra Z letters (CZ conjugation), never X/Y.
+    X/Y letters land on exactly half the sites (the selector's ones); the
+    two-vertex edges only dress the word with extra Z letters (CZ
+    conjugation), never X/Y.
     """
-    word = generalized_product(inst.spec, alternating_setting(inst.n))
-    pauli = try_to_pauli(word)
-    if pauli is None:
+    try:
+        return stabilizer_product(inst.spec, alternating_setting(inst.n))
+    except ValueError:
         raise RuntimeError(
             "alternating-selector product did not reduce to a Pauli word; "
             "the hypergraph is outside the restricted family"
-        )
-    if pauli.xy_support != inst.n // 2:
-        raise RuntimeError(
-            f"reduced setting has X/Y support {pauli.xy_support}, expected {inst.n // 2}"
-        )
-    return pauli
+        ) from None
 
 
 def certify(f_est: float, n: int, allow_small_n: bool = False) -> CertificationDecision:
@@ -173,22 +170,16 @@ def exact_outcome_distribution(inst: FamilyInstance, beta: float) -> np.ndarray:
 
 
 def iqp_sample(inst: FamilyInstance, beta: float, shots: int, seed: int) -> Counter:
-    """Sample X-basis outcome strings from the thermal instance.
-
-    Per shot an ideal outcome is drawn from |H^n psi|^2 and XORed with an
-    error mask whose sites flip independently with probability p; the masks
-    are drawn one site at a time, so memory is O(shots) for any n. Returns
-    counts keyed by the outcome string (site 1 first).
+    """Sample X-basis outcome strings from the thermal instance: every shot
+    is one draw from exact_outcome_distribution(inst, beta), so memory is
+    O(shots + 2^n). Returns counts keyed by the outcome string (site 1
+    first).
     """
     if shots < 1:
         raise ValueError(f"need shots >= 1, got {shots}")
     n = inst.n
-    ideal = exact_outcome_distribution(inst, math.inf)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    outcomes = rng.choice(1 << n, size=shots, p=ideal)
-    p = flip_probability(beta)
-    for k in range(n):  # site by site, so memory stays O(shots)
-        outcomes ^= (rng.random(shots) < p).astype(outcomes.dtype) << k
+    outcomes = rng.choice(1 << n, size=shots, p=exact_outcome_distribution(inst, beta))
     totals = np.bincount(outcomes, minlength=1 << n)
     return Counter({format(int(i), f"0{n}b")[::-1]: int(totals[i])
                     for i in np.flatnonzero(totals)})

@@ -203,7 +203,11 @@ def sample_size(epsilon: float, delta: float) -> int:
         raise ValueError(f"need 0 < epsilon <= 1, got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"need 0 < delta < 1, got {delta}")
-    return math.ceil(2.0 / (epsilon * epsilon) * math.log(2.0 / delta))
+    square = epsilon * epsilon
+    budget = 2.0 / square * math.log(2.0 / delta) if square else math.inf
+    if math.isinf(budget):
+        raise ValueError(f"sample budget for epsilon = {epsilon} overflows a float")
+    return math.ceil(budget)
 
 
 def invert_temperature(n: int, observed: float, from_fidelity: bool = False) -> float:
@@ -215,14 +219,16 @@ def invert_temperature(n: int, observed: float, from_fidelity: bool = False) -> 
     from_fidelity=True to invert the fidelity instead. observed = 1 returns
     the T = 0 sentinel (math.inf).
     """
+    if from_fidelity and n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if not from_fidelity and (n < 2 or n % 2):
+        raise ValueError(f"expectation inversion requires even n >= 2, got {n}")
     observed = float(observed)
     if not 0.0 < observed <= 1.0:
         raise ValueError(f"observed value must be in (0, 1], got {observed}")
     if observed == 1.0:
         return math.inf
     if from_fidelity:
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
         floor = fidelity(n, 0.0)
         if observed < floor:
             raise ValueError(
@@ -236,8 +242,6 @@ def invert_temperature(n: int, observed: float, from_fidelity: bool = False) -> 
         # just above the floor x can round to 1 or above: the result is
         # beta = 0, never -0.0 or a negative rounding residue
         return max(0.0, -math.log(x) / 2.0)
-    if n < 2 or n % 2:
-        raise ValueError(f"expectation inversion requires even n >= 2, got {n}")
     # beta = atanh(t) with t = observed^(2/n), written as log1p(2t/(1-t))/2
     # so that neither t near 0 nor t near 1 loses precision
     log_t = 2.0 * math.log(observed) / n

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from thermalverify import fidelity
+from thermalverify import build_family, fidelity
 from thermalverify.cli import build_parser, main
 from thermalverify.oracle import MAX_DENSITY_N
 
@@ -123,6 +123,18 @@ class TestVerify:
         assert main(args + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_selector_must_cancel_the_cz_tails(self, tmp_path, capsys):
+        path = tmp_path / "family10.json"
+        path.write_text(json.dumps(build_family(10).spec.to_dict()))
+        args = ["verify", "--graph", str(path), "--beta", "3", "--epsilon", "0.1",
+                "--delta", "0.1", "--samples", "1000"]
+        assert main(args + ["--setting", "1000000000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: selector does not reduce to a Pauli word on this hypergraph; "
+            "choose a selector whose CZ tails cancel (e.g. 0101...01 on the "
+            "restricted family)\n")
+        assert main(args + ["--setting", "0101010101"]) == 0
+
 
 class TestCurves:
     def test_schema_and_monotonicity(self, tmp_path):
@@ -236,6 +248,18 @@ class TestCertifyCommand:
     def test_small_n_without_flag_is_validation_error(self):
         assert main(["certify-iqp", "--n", "12", "--f-est", "1"]) == 2
 
+    @pytest.mark.parametrize("budget", [["--epsilon", "1e-12"],
+                                        ["--samples", "100000000000000000000"]])
+    def test_budget_beyond_int64_is_validation_error(self, capsys, budget):
+        assert main(["certify-iqp", "--n", "2000", "--beta", "3",
+                     "--allow-small-n"] + budget) == 2
+        assert "exceeds the limit 2^63 - 1 = 9223372036854775807" in capsys.readouterr().err
+
+    def test_int64_budget_runs(self, capsys):
+        assert main(["certify-iqp", "--n", "2000", "--beta", "3", "--allow-small-n",
+                     "--samples", "9223372036854775807"]) == 0
+        assert read_json(capsys)["result"]["report"]["n_samples"] == 2**63 - 1
+
     @pytest.mark.parametrize("thermal, verdict", [(["--temperature", "0"], "accept"),
                                                   (["--beta", "3"], "reject")])
     def test_paper_scale_end_to_end(self, capsys, thermal, verdict):
@@ -272,6 +296,15 @@ class TestEstimateTemperature:
 
     def test_out_of_range_estimate(self):
         assert main(["estimate-temperature", "--n", "4", "--f-est", "0"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "-5", "--f-est", "1"], "requires even n >= 2, got -5"),
+        (["--n", "3", "--f-est", "1"], "requires even n >= 2, got 3"),
+        (["--n", "0", "--f-est", "1", "--from-fidelity"], "need n >= 1, got 0"),
+    ])
+    def test_site_count_checked_for_a_perfect_estimate(self, capsys, argv, message):
+        assert main(["estimate-temperature"] + argv) == 2
+        assert message in capsys.readouterr().err
 
     def test_fidelity_floor_gives_infinite_temperature(self, capsys):
         # f = 2^-n is the T = infinity fidelity; beta comes back as 0.0

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from thermalverify import (DenseMixedState, DenseState, GraphSpec, HypergraphSpec,
                            PauliString, StabilizerProduct, apply_operator,
                            boltzmann_density, build_pure_state, dense_expectation,
-                           dense_matrix, fidelity, flip_probability,
+                           fidelity, flip_probability,
                            generalized_product, hadamard_transform, path_graph,
                            setting_expectation, stabilizer_check, stabilizer_product,
                            thermal_density)
@@ -71,8 +71,6 @@ class TestApplyOperator:
         rho = thermal_density(not_an_operator, 1.0)
         with pytest.raises(TypeError, match="GraphSpec"):
             apply_operator(not_an_operator, psi.amplitudes)
-        with pytest.raises(TypeError, match="GraphSpec"):
-            dense_matrix(not_an_operator)
         for state in (psi, rho):
             with pytest.raises(TypeError, match="GraphSpec"):
                 dense_expectation(state, not_an_operator)
@@ -82,18 +80,9 @@ class TestApplyOperator:
         rho = DenseMixedState(np.eye(4) / 4, 2)
         with pytest.raises(TypeError, match="unsupported operator type str"):
             apply_operator("XZ", np.ones(4) / 2)
-        with pytest.raises(TypeError, match="unsupported operator type str"):
-            dense_matrix("XZ")
         for state in (psi, rho):
             with pytest.raises(TypeError, match="unsupported operator type str"):
                 dense_expectation(state, "XZ")
-
-    def test_dense_matrix_agrees_with_kron(self):
-        word = PauliString.from_letters("XYZ", sign=-1)
-        assert np.allclose(dense_matrix(word), pauli_matrix(word))
-        sp = StabilizerProduct(3, sign=-1, x_mask=0b010, linear=0b001,
-                               quadratic=frozenset({(1, 3)}))
-        assert np.allclose(dense_matrix(sp), stabilizer_product_matrix(sp))
 
 
 class TestThermalDensity:

@@ -420,6 +420,25 @@ class TestFastReductions:
 
     @given(hypergraphs_with_selector())
     @settings(max_examples=300, deadline=None)
+    def test_both_spec_types_give_the_same_products(self, case):
+        h, bits = case
+        graph, hypergraph = GraphSpec(h.n, h.e2), HypergraphSpec(h.n, e2=h.e2)
+        assert generalized_product(graph, bits) == generalized_product(hypergraph, bits)
+        assert stabilizer_product(graph, bits) == stabilizer_product(hypergraph, bits)
+
+    @given(hypergraphs_with_selector())
+    @settings(max_examples=300, deadline=None)
+    def test_stabilizer_product_is_the_collapsed_normal_form(self, case):
+        h, bits = case
+        word = try_to_pauli(generalized_product(h, bits))
+        if word is None:
+            with pytest.raises(ValueError, match="CZ tails cancel"):
+                stabilizer_product(h, bits)
+        else:
+            assert stabilizer_product(h, bits) == word
+
+    @given(hypergraphs_with_selector())
+    @settings(max_examples=300, deadline=None)
     def test_array_reduction_matches_pure_python_pass(self, case):
         h, bits = case
         expected = conjugated_x_reference(h.n, bits, h.e2, h.e3)

@@ -10,6 +10,7 @@ from thermalverify import (DenseMixedState, GraphSpec, PauliString, ProtocolConf
                            path_graph, ring_graph, run_protocol, sample_error_pattern,
                            sample_size, setting_expectation, stabilizer_product,
                            thermal_density)
+from thermalverify.sampler import MAX_SAMPLES
 
 BETA_HALF = math.log(2) / 2
 
@@ -211,6 +212,26 @@ class TestRunProtocol:
         setting = stabilizer_product(g, "110")
         report = run_protocol(g, setting, 0.5, ProtocolConfig(0.1, 0.1, 10, 0))
         assert report.bound_report is None
+
+
+class TestSampleBudgetLimit:
+    def test_int64_budget_runs(self):
+        config = ProtocolConfig(epsilon=0.1, delta=0.1, n_samples=MAX_SAMPLES)
+        report = run_protocol(path_graph(4), stabilizer_product(path_graph(4), "1100"),
+                              3.0, config)
+        assert report.n_samples == MAX_SAMPLES == 2**63 - 1
+
+    def test_explicit_budget_beyond_int64_rejected(self):
+        for n_samples in (2**63, 10**20):
+            with pytest.raises(ValueError, match=r"exceeds the limit 2\^63 - 1"):
+                ProtocolConfig(epsilon=0.1, delta=0.1, n_samples=n_samples)
+
+    def test_derived_budget_beyond_int64_rejected(self):
+        assert sample_size(1e-12, 1e-2) > MAX_SAMPLES
+        with pytest.raises(ValueError, match=r"exceeds the limit 2\^63 - 1"):
+            ProtocolConfig(epsilon=1e-12, delta=1e-2)
+        with pytest.raises(ValueError, match="overflows a float"):
+            ProtocolConfig(epsilon=1e-170, delta=1e-2)
 
 
 class TestReportSerialization:

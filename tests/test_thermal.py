@@ -226,6 +226,13 @@ class TestSampleSize:
             with pytest.raises(ValueError):
                 sample_size(eps, delta)
 
+    def test_budget_past_the_float_range_is_a_named_error(self):
+        # 2/eps^2 overflows to inf at eps = 1e-160 and eps^2 underflows to
+        # 0 at eps = 1e-170
+        for eps in (1e-160, 1e-170):
+            with pytest.raises(ValueError, match="overflows a float"):
+                sample_size(eps, 1e-2)
+
 
 class TestInvertTemperature:
     def test_perfect_observation_is_zero_temperature(self):
@@ -269,6 +276,16 @@ class TestInvertTemperature:
             invert_temperature(5, 0.5)  # odd n in expectation mode
         with pytest.raises(ValueError):
             invert_temperature(4, fidelity(4, 0.0) / 2, from_fidelity=True)
+
+    def test_sites_checked_before_the_perfect_observation(self):
+        for n in (-5, 0, 1, 3):
+            for observed in (1.0, 0.5):
+                with pytest.raises(ValueError, match="requires even n >= 2, got"):
+                    invert_temperature(n, observed)
+        for n in (-5, 0):
+            with pytest.raises(ValueError, match="need n >= 1"):
+                invert_temperature(n, 1.0, from_fidelity=True)
+        assert invert_temperature(3, 1.0, from_fidelity=True) == math.inf
 
 
 class TestThermalParams:

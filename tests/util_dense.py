@@ -224,11 +224,9 @@ def ascending_generalized_product(h, setting):
 
 def gibbs_reference(h, beta: float) -> np.ndarray:
     """Reference for oracle.boltzmann_density: exp(-beta H)/Z for
-    H = -sum_i dense_matrix(generator(h, i)), the projector onto the ground
-    space of H at beta = inf."""
-    from thermalverify import dense_matrix
-
-    ham = -sum(dense_matrix(generator(h, i)) for i in range(1, h.n + 1))
+    H = -sum_i stabilizer_product_matrix(generator(h, i)), the projector
+    onto the ground space of H at beta = inf."""
+    ham = -sum(stabilizer_product_matrix(generator(h, i)) for i in range(1, h.n + 1))
     evals, evecs = np.linalg.eigh(ham)
     if math.isinf(beta):
         weights = (evals <= evals[0] + 1e-9).astype(float)
