@@ -26,10 +26,10 @@ from . import __version__
 from .graphs import GraphSpec, load_hypergraph, ring_graph
 from .identities import check_alternating, check_even, check_odd
 from .oracle import MAX_DENSITY_N, dense_expectation, thermal_density
-from .pauli import leading_half_setting, parse_setting, stabilizer_product
+from .pauli import alternating_setting, parse_setting, stabilizer_product
 from .sampler import ProtocolConfig, run_protocol
 from .supremacy import build_family, certify, optimal_setting
-from .thermal import (ThermalParams, _check_beta, beta_from_temperature,
+from .thermal import (ThermalParams, _check_beta, _check_epsilon, beta_from_temperature,
                       deviation_leading_order, error_bounds, fidelity, flip_probability,
                       half_weight_expectation, invert_temperature, setting_expectation,
                       union_bound)
@@ -131,15 +131,15 @@ def _int_list(text: str) -> list[int]:
 def cmd_expectation(args) -> int:
     spec = load_hypergraph(args.graph)
     beta = _resolve_beta(args)
+    _check_epsilon(args.epsilon)
     n = spec.n
     if args.setting is not None:
-        bits = parse_setting(args.setting, n)
-        wt = sum(bits)
+        wt = sum(parse_setting(args.setting, n))
     elif args.wt is not None:
         wt = args.wt
+    elif n % 2:
+        raise ValueError("default half-weight mode requires even n; pass --wt or --setting")
     else:
-        if n % 2:
-            raise ValueError("default half-weight mode requires even n; pass --wt or --setting")
         wt = n // 2
     expectation = setting_expectation(n, wt, beta)
     fid = fidelity(n, beta)
@@ -168,10 +168,7 @@ def cmd_verify(args) -> int:
     spec = load_hypergraph(args.graph)
     beta = _resolve_beta(args)
     n = spec.n
-    if args.setting is not None:
-        bits = parse_setting(args.setting, n)
-    else:
-        bits = leading_half_setting(n)
+    bits = alternating_setting(n) if args.setting is None else parse_setting(args.setting, n)
     setting = stabilizer_product(spec, bits)
     expectation = setting_expectation(n, setting.xy_support, beta)
     fid = fidelity(n, beta)
@@ -195,9 +192,9 @@ def cmd_verify(args) -> int:
         rows.append(["trial", trial, args.seed + trial, report.f_est, report.n_samples,
                      report.plus_count, report.minus_count, expectation, fid, fine,
                      within_eps, within_bound, None, None, None])
+    rate_bound = hits_bound / args.trials if fine is not None else None
     rows.append(["summary", None, None, None, None, None, None, expectation, fid, None,
-                 None, None, hits_epsilon / args.trials, hits_bound / args.trials,
-                 1.0 - args.delta])
+                 None, None, hits_epsilon / args.trials, rate_bound, 1.0 - args.delta])
     _emit_csv(args, "verify-v1", header, rows)
     return 0
 
@@ -268,6 +265,8 @@ def cmd_identities(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if not args.tolerance >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {args.tolerance}")
     if not 2 <= args.nmax <= MAX_DENSITY_N:
         raise ValueError(
             f"oracle check supports nmax in [2, {MAX_DENSITY_N}], got {args.nmax}: each n "
@@ -373,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="Monte-Carlo protocol trials, CSV per trial")
     p.add_argument("--graph", required=True, help="JSON graph/hypergraph file")
-    p.add_argument("--setting", default=None, help="selector bits (default 1..10..0 at half weight)")
+    p.add_argument("--setting", default=None, help="selector bits (default 0101...01)")
     _add_thermal_arguments(p)
     p.add_argument("--epsilon", type=float, required=True, help="accuracy target")
     p.add_argument("--delta", type=float, required=True, help="failure probability")

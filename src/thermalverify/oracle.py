@@ -1,6 +1,6 @@
 """Dense brute-force ground truth at small qubit counts.
 
-Pure states are built by applying the CZ/CCZ sign pattern to the uniform
+Pure states are real: the CZ/CCZ sign pattern applied to the uniform
 superposition; thermal states are assembled two independent ways (explicit
 phase-flip mixture, and the Gibbs exponential of the generator Hamiltonian)
 so the equivalence between the two pictures is something this package
@@ -10,12 +10,11 @@ shares no code with the symbolic generators in pauli that it cross-checks.
 
 Every supported operator (PauliString, StabilizerProduct) acts on a basis
 state as Op|z> = c[z] |z ^ x_mask>; one coefficient map c serves operator
-application and mixed-state expectations. Operators apply
-to statevectors as that index-permutation + sign map, never as dense
-matrices, which keeps checks feasible up to n = 24 (MAX_STATEVECTOR_N, also
-the cap of the X-basis functions in supremacy). Dense matrices appear only
-in the Hamiltonian route (n <= 10) and density operators (n <= 12; note
-n = 12 allocates ~0.5 GB).
+application and mixed-state expectations. Operators apply to statevectors
+as that index-permutation + sign map, never as dense matrices, which keeps
+checks feasible up to n = 24 (MAX_STATEVECTOR_N, also the cap of the X-basis
+functions in supremacy). Dense matrices appear only in the Hamiltonian route
+(n <= 10) and density operators (n <= 12; note n = 12 allocates ~0.5 GB).
 
 Computational-basis index convention: bit i-1 of the index is the state of
 site i (site 1 is the least significant bit).
@@ -38,8 +37,8 @@ def _indices(n: int) -> np.ndarray:
     return np.arange(1 << n, dtype=np.uint32)
 
 
-def _parity(values: np.ndarray, mask: int) -> np.ndarray:
-    return (np.bitwise_count(values & np.uint32(mask)) & 1).astype(np.int8)
+def _signs(values: np.ndarray, mask: int) -> np.ndarray:
+    return 1.0 - 2.0 * (np.bitwise_count(values & np.uint32(mask)) & 1)
 
 
 def _operator_sites(op) -> int:
@@ -55,7 +54,7 @@ def _coefficients(op, idx: np.ndarray) -> np.ndarray:
     (sign * (-1)^f(z) with its phase polynomial f)."""
     if isinstance(op, PauliString):
         prefactor = op.sign * (1j) ** ((op.x_mask & op.z_mask).bit_count())
-        return prefactor * np.where(_parity(idx, op.z_mask) == 1, -1.0, 1.0)
+        return prefactor * _signs(idx, op.z_mask)
     acc = np.bitwise_count(idx & np.uint32(op.linear)).astype(np.uint32)
     for (a, b) in op.quadratic:
         acc += (idx >> np.uint32(a - 1)) & (idx >> np.uint32(b - 1)) & np.uint32(1)
@@ -63,10 +62,10 @@ def _coefficients(op, idx: np.ndarray) -> np.ndarray:
 
 
 class DenseState:
-    """A normalized statevector on n qubits."""
+    """A normalized statevector on n qubits; real input stays real."""
 
     def __init__(self, amplitudes, n: int):
-        amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+        amplitudes = np.asarray(amplitudes, dtype=complex if np.iscomplexobj(amplitudes) else float)
         if amplitudes.shape != (1 << n,):
             raise ValueError(f"expected 2^{n} amplitudes, got shape {amplitudes.shape}")
         norm = np.linalg.norm(amplitudes)
@@ -103,20 +102,16 @@ class DenseMixedState:
 
 
 def build_pure_state(spec) -> DenseState:
-    """Statevector of the (hyper)graph state: uniform superposition with a
-    sign flip wherever an edge's (or hyperedge's) bits are all 1."""
+    """Real statevector of the (hyper)graph state: uniform superposition
+    with a sign flip wherever an edge's (or hyperedge's) bits are all 1."""
     h = spec.as_hypergraph()
     if h.n > MAX_STATEVECTOR_N:
         raise ValueError(f"statevector limited to n <= {MAX_STATEVECTOR_N}, got {h.n}")
     idx = _indices(h.n)
-    amps = np.full(1 << h.n, 2.0 ** (-h.n / 2.0), dtype=np.complex128)
-    for (i, j) in h.e2_rows.tolist():
-        both = (idx >> np.uint32(i - 1)) & (idx >> np.uint32(j - 1)) & np.uint32(1)
-        amps[both == 1] *= -1.0
-    for (i, j, k) in h.e3_rows.tolist():
-        trip = ((idx >> np.uint32(i - 1)) & (idx >> np.uint32(j - 1))
-                & (idx >> np.uint32(k - 1)) & np.uint32(1))
-        amps[trip == 1] *= -1.0
+    amps = np.full(1 << h.n, 2.0 ** (-h.n / 2.0))
+    for row in h.e2_rows.tolist() + h.e3_rows.tolist():
+        mask = np.uint32(sum(1 << (v - 1) for v in row))
+        np.negative(amps, out=amps, where=(idx & mask) == mask)
     return DenseState(amps, h.n)
 
 
@@ -149,8 +144,7 @@ def thermal_density(spec, beta: float) -> DenseMixedState:
     for mask in range(dim):
         m = int(np.bitwise_count(np.uint32(mask)))
         weights[mask] = p**m * (1.0 - p) ** (h.n - m)
-        signs = np.where(_parity(idx, mask) == 1, -1.0, 1.0)
-        flipped[mask] = signs * psi
+        flipped[mask] = _signs(idx, mask) * psi
     v = np.sqrt(weights)[:, None] * flipped
     rho = v.T @ v.conj()  # sum over masks of w * |flipped><flipped|
     return DenseMixedState(rho, h.n)
@@ -168,7 +162,7 @@ def boltzmann_density(spec, beta: float) -> DenseMixedState:
     if h.n > MAX_HAMILTONIAN_N:
         raise ValueError(f"Hamiltonian route limited to n <= {MAX_HAMILTONIAN_N}, got {h.n}")
     beta = _check_beta(beta)
-    signs = np.sign(build_pure_state(h).amplitudes.real)
+    signs = np.sign(build_pure_state(h).amplitudes)
     idx = _indices(h.n)
     ham = np.zeros((1 << h.n, 1 << h.n))
     for i in range(h.n):
@@ -211,18 +205,17 @@ def stabilizer_check(state: DenseState, op) -> bool:
 
 
 def hadamard_transform(amplitudes: np.ndarray) -> np.ndarray:
-    """Normalized Walsh-Hadamard transform (X-basis change) of a statevector."""
+    """Normalized Walsh-Hadamard transform (X-basis change) of a 1-D
+    statevector: butterflies in place on one copy, real input stays real."""
+    if amplitudes.ndim != 1:
+        raise ValueError(f"expected a 1-D statevector, got shape {amplitudes.shape}")
     size = amplitudes.shape[0]
     if size & (size - 1):
         raise ValueError(f"length must be a power of two, got {size}")
-    out = amplitudes.astype(np.complex128, copy=True)
-    span = 1
-    while span < size:
-        out = out.reshape(-1, 2 * span)
-        left = out[:, :span].copy()
-        right = out[:, span:].copy()
-        out[:, :span] = left + right
-        out[:, span:] = left - right
-        out = out.reshape(-1)
-        span *= 2
-    return out / math.sqrt(size)
+    out = np.array(amplitudes, dtype=complex if np.iscomplexobj(amplitudes) else float)
+    for k in range(size.bit_length() - 1):
+        left, right = out.reshape(-1, 2, 1 << k).swapaxes(0, 1)  # views of out
+        left += right  # x + y
+        right *= -2.0
+        right += left  # x + y - 2y = x - y
+    return np.divide(out, math.sqrt(size), out=out)

@@ -28,6 +28,11 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError(f"need 0 <= epsilon < 1, got {epsilon}")
+
+
 def beta_from_temperature(temperature: float) -> float:
     """Map a temperature (k_B = 1) to beta; T = 0 maps to the inf sentinel."""
     temperature = float(temperature)
@@ -177,8 +182,7 @@ def error_bounds(n: int, beta: float, epsilon: float, wt: int | None = None) -> 
     if n < 4 or n % 2:
         raise ValueError(f"bounds require even n >= 4, got {n}")
     beta = _check_beta(beta)
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"need 0 <= epsilon < 1, got {epsilon}")
+    _check_epsilon(epsilon)
     if wt is None:
         wt = n // 2
     if not 0 <= wt <= n:

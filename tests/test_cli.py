@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from thermalverify import build_family, fidelity
-from thermalverify.cli import build_parser, main
+from thermalverify import build_family, fidelity, ring_graph
+from thermalverify.cli import _dumps, build_parser, main
 from thermalverify.oracle import MAX_DENSITY_N
 
 PATH4 = {"n": 4, "e2": [[1, 2], [2, 3], [3, 4]]}
@@ -92,6 +92,16 @@ class TestExpectation:
         bad.write_text('{"n": 3, "e2": [[1, 7]]}')
         assert main(["expectation", "--graph", str(bad), "--beta", "1"]) == 2
 
+    @pytest.mark.parametrize("epsilon", ["5", "nan", "-0.1"])
+    def test_epsilon_checked_for_every_n(self, tmp_path, capsys, epsilon):
+        odd = tmp_path / "g3.json"
+        odd.write_text('{"n": 3, "e2": [[1, 2], [2, 3]]}')
+        assert main(["expectation", "--graph", str(odd), "--beta", "1", "--wt", "2",
+                     "--epsilon", epsilon]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"need 0 <= epsilon < 1, got {float(epsilon)}" in captured.err
+
     def test_default_mode_needs_even_n(self, tmp_path):
         odd = tmp_path / "g3.json"
         odd.write_text('{"n": 3, "e2": [[1, 2], [2, 3]]}')
@@ -134,6 +144,34 @@ class TestVerify:
             "choose a selector whose CZ tails cancel (e.g. 0101...01 on the "
             "restricted family)\n")
         assert main(args + ["--setting", "0101010101"]) == 0
+
+    @staticmethod
+    def _csv(tmp_path, doc, setting=None):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        args = ["verify", "--graph", str(path), "--beta", "1", "--epsilon", "0.1",
+                "--delta", "0.1", "--samples", "2000", "--seed", "2", "--trials", "3",
+                "--output", str(out)]
+        assert main(args + (["--setting", setting] if setting else [])) == 0
+        return out.read_text()
+
+    def test_default_selector_reduces_on_the_family(self, tmp_path):
+        doc = build_family(10).spec.to_dict()
+        assert self._csv(tmp_path, doc) == self._csv(tmp_path, doc, "0101010101")
+
+    def test_default_selector_on_a_ring_matches_leading_half(self, tmp_path):
+        # on a graph the CSV depends on the selector only through its weight
+        doc = ring_graph(10).as_hypergraph().to_dict()
+        assert self._csv(tmp_path, doc) == self._csv(tmp_path, doc, "1111100000")
+
+    def test_odd_ring_summary_has_no_fine_bound_rate(self, tmp_path):
+        text = self._csv(tmp_path, ring_graph(5).as_hypergraph().to_dict(), "11000")
+        rows = list(csv.DictReader(text.splitlines()))
+        assert [r["row"] for r in rows] == ["trial"] * 3 + ["summary"]
+        assert all(r["fine_bound"] == r["within_fine_bound"] == "" for r in rows)
+        assert rows[-1]["pass_rate_fine_bound"] == ""
+        assert rows[-1]["pass_rate_epsilon"] != ""
 
 
 class TestCurves:
@@ -201,6 +239,13 @@ class TestOracleCheckCommand:
         assert main(["oracle-check", "--nmax", "4"]) == 0
         result = read_json(capsys)["result"]
         assert result["ok"] and result["max_abs_error"] <= 1e-9
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "-inf"])
+    def test_tolerance_must_be_nonnegative(self, capsys, tolerance):
+        assert main(["oracle-check", "--nmax", "2", f"--tolerance={tolerance}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"tolerance must be >= 0, got {float(tolerance)}" in captured.err
 
     def test_nmax_validated(self):
         assert main(["oracle-check", "--nmax", "17"]) == 2
@@ -358,10 +403,11 @@ class TestStrictJson:
         assert doc["result"]["betas"] == ["infinity", 1.0]
         assert doc["manifest"]["parameters"]["betas"] == ["infinity", 1.0]
 
-    def test_negative_infinity_keeps_its_sign(self, capsys):
-        assert main(["oracle-check", "--nmax", "2", "--tolerance=-inf"]) == 3
-        doc = strict_json(capsys.readouterr().out)
-        assert doc["result"]["tolerance"] == "-infinity"
+    def test_negative_infinity_keeps_its_sign(self):
+        # no CLI input reaches the output as -inf any more (a negative
+        # --tolerance exits 2), so the encoder is checked directly
+        doc = strict_json(_dumps({"low": -math.inf, "nested": [{"high": math.inf}]}))
+        assert doc == {"low": "-infinity", "nested": [{"high": "infinity"}]}
 
     def test_csv_sidecar_is_strict(self, tmp_path):
         out = tmp_path / "sweep.csv"

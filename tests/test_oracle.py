@@ -43,6 +43,12 @@ class TestBuildPureState:
         with pytest.raises(ValueError):
             build_pure_state(GraphSpec(25))
 
+    def test_amplitudes_are_real(self):
+        h = HypergraphSpec(5, e2={(1, 3), (2, 5)}, e3={(1, 2, 4), (3, 4, 5)})
+        psi = build_pure_state(h)
+        assert psi.amplitudes.dtype == np.float64
+        assert np.array_equal(psi.amplitudes, hypergraph_state_vector(h).real)
+
 
 class TestApplyOperator:
     def test_matches_kron_for_pauli_strings(self):
@@ -226,6 +232,11 @@ class TestStabilizerCheck:
 
 
 class TestStateValidation:
+    def test_dtype_follows_the_input(self):
+        assert DenseState([0.6, 0.8], 1).amplitudes.dtype == np.float64
+        assert DenseState([1, 0], 1).amplitudes.dtype == np.float64
+        assert DenseState([0.6, 0.8j], 1).amplitudes.dtype == np.complex128
+
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             DenseState(np.ones(4), 2)
@@ -265,6 +276,23 @@ class TestHadamardTransform:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             hadamard_transform(np.ones(6))
+
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            hadamard_transform(np.ones((4, 3)))
+
+    def test_real_input_stays_real_and_unchanged(self):
+        hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+        rng = np.random.default_rng(5)
+        full = hadamard
+        for n in range(1, 6):
+            vec = rng.normal(size=1 << n)
+            before = vec.copy()
+            out = hadamard_transform(vec)
+            assert out.dtype == np.float64
+            assert np.max(np.abs(out - full @ vec)) <= 1e-12
+            assert np.array_equal(vec, before)
+            full = np.kron(full, hadamard)
 
 
 def test_closed_form_matches_oracle_spot_checks():

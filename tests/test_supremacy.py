@@ -325,7 +325,22 @@ class TestIqpSample:
 
 
 class TestStatevectorCap:
-    """Both X-basis functions cost one statevector, so they share its cap."""
+    """Both X-basis functions work on one statevector, so they share its cap."""
+
+    def test_peak_memory_at_twenty_sites(self):
+        # one real statevector, transformed, squared and mixed in place: the
+        # tracemalloc peak stays within 3.5 float64 statevectors (28 MiB)
+        inst = build_family(20, e2={(1, 4), (2, 6)})
+        limit = 3.5 * 8 * 2**20
+        for run in (lambda: exact_outcome_distribution(inst, 1.0),
+                    lambda: iqp_sample(inst, 1.0, shots=1000, seed=0)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit
 
     def test_fourteen_sites_run(self):
         inst = build_family(14)
