@@ -129,6 +129,10 @@ def certify(f_est: float, n: int, allow_small_n: bool = False) -> CertificationD
     as ACCEPT_MARGIN, so only f_est == 1.0 (no -1 shot at all) accepts. One
     -1 shot in the default budget N gives f_est = 1 - 2/N and rejects. At
     both points the float comparison agrees with exact rational arithmetic.
+
+    Below n = 400000, 1 - 2/n < 0.999995, so no estimate reaches the
+    threshold: with allow_small_n=True, f_est = 1.0 at n = 12 has margin
+    0.833 and is rejected.
     """
     if not -1.0 <= f_est <= 1.0:
         raise ValueError(f"f_est must lie in [-1, 1], got {f_est}")

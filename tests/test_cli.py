@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import time
 
 import pytest
@@ -21,6 +22,17 @@ def graph_file(tmp_path):
 
 def read_json(capsys):
     return json.loads(capsys.readouterr().out)
+
+
+def masked_run(argv, capsys):
+    """Exit code, stdout and stderr of one `main(argv)` call, timestamps masked."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    mask = lambda text: re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
+    return code, mask(captured.out), mask(captured.err)
 
 
 def strict_json(text):
@@ -55,6 +67,45 @@ class TestParser:
                   "--beta", "1"])
         assert err.value.code == 2
         assert "not allowed with argument --setting" in capsys.readouterr().err
+
+
+class TestCachedParser:
+    """`main` parses with one parser per process; no parse may change it."""
+
+    CERTIFY = ["certify-iqp", "--n", "200", "--beta", "3", "--samples", "500", "--seed", "2",
+               "--allow-small-n"]
+    SEQUENCE = [
+        CERTIFY,
+        ["certify-iqp", "--n", "200", "--beta", "3", "--f-est", "1"],  # argparse conflict
+        ["certify-iqp", "--n", "12", "--f-est", "1"],  # ValueError: n below full scale
+        ["curves", "--points", "3"],
+        CERTIFY,
+    ]
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_main_calls_match_fresh_parses(self, capsys):
+        fresh = []
+        for argv in self.SEQUENCE:
+            build_parser.cache_clear()
+            fresh.append(masked_run(argv, capsys))
+        parser = build_parser()
+        shared = [masked_run(argv, capsys) for argv in self.SEQUENCE]
+        assert build_parser() is parser
+        assert [code for code, _, _ in shared] == [0, 2, 2, 0, 0]
+        assert shared == fresh
+
+    @pytest.mark.parametrize("argv, dest, default", [
+        (["curves"], "sizes", [50, 100]),
+        (["oracle-check"], "betas", [0.2, 0.5, 1.0, 2.0]),
+    ])
+    def test_list_defaults_are_fresh_on_every_parse(self, argv, dest, default):
+        first = build_parser().parse_args(argv)
+        getattr(first, dest).append(7)
+        second = build_parser().parse_args(argv)
+        assert getattr(second, dest) == default
+        assert getattr(second, dest) is not getattr(first, dest)
 
 
 class TestExpectation:
@@ -289,6 +340,19 @@ class TestCertifyCommand:
         result = read_json(capsys)["result"]
         assert result["report"]["n_samples"] == 10_596_634_733_097
         assert result["decision"]["verdict"] == "reject"
+
+    @pytest.mark.parametrize("bad, message", [(["--epsilon=-5"], "need 0 < epsilon <= 1"),
+                                              (["--delta", "nan"], "need 0 < delta < 1")])
+    @pytest.mark.parametrize("mode", ["--f-est", "--report"])
+    def test_estimate_modes_validate_epsilon_and_delta(self, tmp_path, capsys, mode, bad,
+                                                        message):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"f_est": 1.0}))
+        value = "1" if mode == "--f-est" else str(report)
+        assert main(["certify-iqp", "--n", "400000", mode, value] + bad) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
 
     def test_small_n_without_flag_is_validation_error(self):
         assert main(["certify-iqp", "--n", "12", "--f-est", "1"]) == 2
