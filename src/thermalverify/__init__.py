@@ -8,6 +8,11 @@ reduces the one selected product of stabilizer generators to a normal form
 in a single pass over the edge arrays. The supremacy module builds the
 restricted hypergraph family whose single measurement setting certifies
 diagonal-circuit sampling.
+
+__all__ is the runtime surface that the CLI, the acceptance tests and the
+README quick start reach, pinned by tests/test_api.py. References that only
+tests compare against (the per-shot error-pattern model, the Pauli product)
+live in tests/util_dense.py.
 """
 
 __version__ = "0.1.0"
@@ -26,11 +31,9 @@ from .thermal import (BoundReport, ThermalParams, beta_from_temperature,
 from .oracle import (DenseMixedState, DenseState, apply_operator, boltzmann_density,
                      build_pure_state, dense_expectation, hadamard_transform,
                      stabilizer_check, thermal_density)
-from .sampler import (ProtocolConfig, VerificationReport, check_error_bound,
-                      measure_outcome, run_protocol, sample_error_pattern)
+from .sampler import ProtocolConfig, VerificationReport, check_error_bound, run_protocol
 from .supremacy import (CertificationDecision, FamilyInstance, build_family, certify,
-                        exact_outcome_distribution, family_triples, iqp_sample,
-                        optimal_setting)
+                        exact_outcome_distribution, iqp_sample, optimal_setting)
 
 __all__ = [
     "__version__",
@@ -46,8 +49,7 @@ __all__ = [
     "DenseMixedState", "DenseState", "apply_operator", "boltzmann_density",
     "build_pure_state", "dense_expectation", "hadamard_transform",
     "stabilizer_check", "thermal_density",
-    "ProtocolConfig", "VerificationReport", "check_error_bound", "measure_outcome",
-    "run_protocol", "sample_error_pattern",
+    "ProtocolConfig", "VerificationReport", "check_error_bound", "run_protocol",
     "CertificationDecision", "FamilyInstance", "build_family", "certify",
-    "exact_outcome_distribution", "family_triples", "iqp_sample", "optimal_setting",
+    "exact_outcome_distribution", "iqp_sample", "optimal_setting",
 ]

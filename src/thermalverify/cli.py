@@ -279,6 +279,8 @@ def cmd_oracle_check(args) -> int:
             f"checks all 2^n selectors against the dense thermal state, which is "
             f"limited to n <= {MAX_DENSITY_N} (oracle.MAX_DENSITY_N)"
         )
+    if not args.betas:
+        raise ValueError("need at least one beta")
     worst = 0.0
     checked = 0
     for n in range(2, args.nmax + 1):
@@ -319,7 +321,13 @@ def _estimate_from_report(path: str) -> float:
             node = node[key]
     if not isinstance(node, dict) or "f_est" not in node:
         raise ValueError(f"no f_est field found in report {path}")
-    return float(node["f_est"])
+    f_est = node["f_est"]
+    if type(f_est) not in (int, float):  # bool is not a JSON number
+        raise ValueError(f"f_est in report {path} is not a JSON number: {json.dumps(f_est)}")
+    try:
+        return float(f_est)
+    except OverflowError:
+        raise ValueError(f"f_est in report {path} does not fit a float") from None
 
 
 def cmd_certify_iqp(args) -> int:
@@ -451,7 +459,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

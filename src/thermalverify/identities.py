@@ -16,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .thermal import _check_weight
+
 
 def signed_pattern_count(n: int, wt: int, m: int) -> int:
     """Exact integer bracket coefficient for weight-m error patterns."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0 <= wt <= n:
-        raise ValueError(f"need 0 <= wt <= n, got wt={wt}, n={n}")
+    _check_weight(n, wt)
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     # j runs over odd overlap sizes 2j+1; limits keep both binomials in
@@ -45,18 +44,15 @@ class IdentityReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_dict(self) -> dict:
-        return {
-            "k_max": self.k_max,
-            "ok": self.ok,
-            "failures": [list(f) for f in self.failures],
-        }
+
+def _check_k_max(k_max: int) -> None:
+    if k_max < 1:
+        raise ValueError(f"need k_max >= 1, got {k_max}")
 
 
 def check_odd(k_max: int) -> IdentityReport:
     """Half-support bracket vanishes at every odd error weight."""
-    if k_max < 1:
-        raise ValueError(f"need k_max >= 1, got {k_max}")
+    _check_k_max(k_max)
     failures = []
     for k in range(1, k_max + 1):
         for m in range(1, 2 * k + 1, 2):
@@ -67,8 +63,7 @@ def check_odd(k_max: int) -> IdentityReport:
 
 def check_even(k_max: int) -> IdentityReport:
     """Half-support bracket equals (-1)^(m/2) C(k, m/2) at even weights."""
-    if k_max < 1:
-        raise ValueError(f"need k_max >= 1, got {k_max}")
+    _check_k_max(k_max)
     failures = []
     for k in range(1, k_max + 1):
         for m in range(0, 2 * k + 1, 2):
@@ -80,8 +75,7 @@ def check_even(k_max: int) -> IdentityReport:
 
 def check_alternating(k_max: int) -> IdentityReport:
     """Alternating convolution: sum_j (-1)^j C(k,j) C(k,2m-j) = (-1)^m C(k,m)."""
-    if k_max < 1:
-        raise ValueError(f"need k_max >= 1, got {k_max}")
+    _check_k_max(k_max)
     failures = []
     for k in range(1, k_max + 1):
         for m in range(0, k + 1):

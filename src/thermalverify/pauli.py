@@ -34,7 +34,6 @@ import numpy as np
 
 from .graphs import GraphSpec
 
-_LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 # hex digit x + 2z of a site -> its letter (see PauliString.letters)
 _HEX_LETTERS = str.maketrans("0123", "IXZY")
 _NO_TRIPLES = np.empty((0, 3), dtype=np.int64)
@@ -141,31 +140,6 @@ class PauliString:
         _check_mask(self.x_mask, self.n, "x_mask")
         _check_mask(self.z_mask, self.n, "z_mask")
 
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n)
-
-    @classmethod
-    def from_letters(cls, letters: str, sign: int = 1) -> "PauliString":
-        """Build from a letter string like "XZIY" (site 1 first)."""
-        x = z = 0
-        for pos, c in enumerate(letters):
-            if c == "X":
-                x |= 1 << pos
-            elif c == "Z":
-                z |= 1 << pos
-            elif c == "Y":
-                x |= 1 << pos
-                z |= 1 << pos
-            elif c != "I":
-                raise ValueError(f"unknown letter {c!r} at site {pos + 1}")
-        return cls(len(letters), sign, x, z)
-
-    def letter(self, i: int) -> str:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"site {i} outside 1..{self.n}")
-        return _LETTERS[((self.x_mask >> (i - 1)) & 1, (self.z_mask >> (i - 1)) & 1)]
-
     def letters(self) -> str:
         # Read each mask's binary digits as hex digits, so that site i owns
         # hex digit i-1 of the sum x + 2z; one format call then yields every
@@ -180,32 +154,6 @@ class PauliString:
     def xy_support(self) -> int:
         """Number of sites carrying X or Y."""
         return self.x_mask.bit_count()
-
-    def xy_sites(self) -> tuple[int, ...]:
-        digits = format(self.x_mask, f"0{self.n}b")[::-1]
-        return tuple(i for i, d in enumerate(digits, start=1) if d == "1")
-
-    def _phase(self) -> int:
-        # exponent p in the internal form i^p X^x Z^z
-        p = (self.x_mask & self.z_mask).bit_count()
-        if self.sign < 0:
-            p += 2
-        return p % 4
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        if not isinstance(other, PauliString):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n} sites")
-        # (X^xa Z^za)(X^xb Z^zb) = (-1)^{za.xb} X^(xa^xb) Z^(za^zb)
-        phase = self._phase() + other._phase()
-        phase += 2 * (self.z_mask & other.x_mask).bit_count()
-        x = self.x_mask ^ other.x_mask
-        z = self.z_mask ^ other.z_mask
-        sign_phase = (phase - (x & z).bit_count()) % 4
-        if sign_phase % 2:
-            raise ValueError("product is not Hermitian (stray factor of i)")
-        return PauliString(self.n, 1 if sign_phase == 0 else -1, x, z)
 
 
 @dataclass(frozen=True)
@@ -231,10 +179,6 @@ class StabilizerProduct:
         _check_mask(self.linear, self.n, "linear")
         object.__setattr__(self, "quadratic",
                            frozenset(_site_pair(p, self.n) for p in self.quadratic))
-
-    @classmethod
-    def identity(cls, n: int) -> "StabilizerProduct":
-        return cls(n)
 
     @property
     def xy_support(self) -> int:

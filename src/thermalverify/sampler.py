@@ -6,12 +6,12 @@ only through the parity of its overlap with the word's X/Y sites. Shots are
 therefore independent +-1 draws that read -1 with probability
 q = (1 - tanh(beta)^wt)/2, and a run of N shots is one Binomial(N, q) draw
 from a generator seeded with the run's seed: the cost does not depend on N
-or n, and the same seed gives the same report. sample_error_pattern and
-measure_outcome spell out the per-shot model explicitly, as a reference.
+or n, and the same seed gives the same report. The per-shot model that
+the draw stands for (an error pattern per shot, read through the word's X/Y
+sites) is kept in tests/util_dense.py as the reference it is tested against.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,31 +83,6 @@ class VerificationReport:
         bounds = self.bound_report
         return {**vars(self), "beta_used": self.beta_used.to_dict(),
                 "bound_report": None if bounds is None else dict(vars(bounds))}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def sample_error_pattern(n: int, p_flip: float, rng: np.random.Generator) -> int:
-    """One n-bit error pattern, each bit set independently with p_flip.
-
-    Bit i-1 of the returned integer is the error on site i.
-    """
-    if not 0.0 <= p_flip <= 0.5:
-        raise ValueError(f"need 0 <= p_flip <= 1/2, got {p_flip}")
-    bits = rng.random(n) < p_flip
-    mask = 0
-    for pos in np.flatnonzero(bits):
-        mask |= 1 << int(pos)
-    return mask
-
-
-def measure_outcome(pattern: int, setting: PauliString) -> int:
-    """Outcome of measuring `setting` after the errors in `pattern`:
-    (-1)^(overlap of the pattern with the setting's X/Y sites)."""
-    if pattern < 0 or pattern >> setting.n:
-        raise ValueError(f"pattern {bin(pattern)} does not fit {setting.n} sites")
-    return -1 if (pattern & setting.x_mask).bit_count() & 1 else 1
 
 
 def run_protocol(target, setting: PauliString, beta, config: ProtocolConfig) -> VerificationReport:

@@ -87,12 +87,6 @@ def _family_rows(n: int) -> np.ndarray:
     return block.reshape(-1, 3)[: max(n - 2, 0)]
 
 
-def family_triples(n: int) -> frozenset:
-    """The four triangle progressions, each stopped at its last triple
-    inside 1..n, as sorted tuples. The progressions are disjoint."""
-    return frozenset(map(tuple, _family_rows(n).tolist()))
-
-
 def build_family(n: int, e2=frozenset()) -> FamilyInstance:
     """Instance of the restricted family on n (even) vertices."""
     if n < 4 or n % 2:

@@ -28,6 +28,13 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _check_weight(n: int, wt: int) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if not 0 <= wt <= n:
+        raise ValueError(f"need 0 <= wt <= n, got wt={wt}, n={n}")
+
+
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"need 0 <= epsilon < 1, got {epsilon}")
@@ -51,10 +58,6 @@ class ThermalParams:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", _check_beta(self.beta))
-
-    @classmethod
-    def from_temperature(cls, temperature: float) -> "ThermalParams":
-        return cls(beta_from_temperature(temperature))
 
     @property
     def p_flip(self) -> float:
@@ -109,10 +112,7 @@ def fidelity(n: int, beta: float) -> float:
 
 def _log_setting_expectation(n: int, wt: int, beta: float) -> float:
     """log E = -2*wt*atanh(exp(-2*beta)); -inf at beta = 0 when wt > 0."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0 <= wt <= n:
-        raise ValueError(f"need 0 <= wt <= n, got wt={wt}, n={n}")
+    _check_weight(n, wt)
     beta = _check_beta(beta)
     if math.isinf(beta) or wt == 0:
         return 0.0
@@ -160,10 +160,7 @@ def union_bound(n: int, beta: float) -> float:
 def deviation_leading_order(n: int, wt: int, beta: float) -> float:
     """Small-x leading deviation |n - 2*wt| * x / (1+x)^n of the estimate
     from the fidelity; vanishes at the half-weight choice."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0 <= wt <= n:
-        raise ValueError(f"need 0 <= wt <= n, got wt={wt}, n={n}")
+    _check_weight(n, wt)
     beta = _check_beta(beta)
     coeff = abs(n - 2 * wt)
     if coeff == 0 or math.isinf(beta):
@@ -185,8 +182,7 @@ def error_bounds(n: int, beta: float, epsilon: float, wt: int | None = None) -> 
     _check_epsilon(epsilon)
     if wt is None:
         wt = n // 2
-    if not 0 <= wt <= n:
-        raise ValueError(f"need 0 <= wt <= n, got wt={wt}, n={n}")
+    _check_weight(n, wt)
     if math.isinf(beta):
         fine = epsilon
     else:

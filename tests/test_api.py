@@ -1,5 +1,68 @@
+"""The package's public surface, pinned: thermalverify.__all__ is exactly
+PUBLIC, the names that a CLI subcommand, tests/test_acceptance.py or the
+README's "Library quick start" reach. A test-only reference belongs in
+tests/util_dense.py, not here. The CI job imports this module from outside
+the checkout to check the installed package against the same set."""
+from pathlib import Path
+
 import thermalverify
-from thermalverify import GraphSpec, HypergraphSpec, StabilizerProduct, graphs, oracle, pauli
+from thermalverify import (GraphSpec, HypergraphSpec, IdentityReport, PauliString,
+                           StabilizerProduct, ThermalParams, VerificationReport, graphs,
+                           oracle, pauli, sampler, supremacy)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC = {
+    "__version__",
+    "GraphSpec", "HypergraphSpec", "load_hypergraph", "path_graph", "ring_graph",
+    "IdentityReport", "check_alternating", "check_even", "check_odd",
+    "signed_pattern_count",
+    "PauliString", "StabilizerProduct", "alternating_setting", "generalized_product",
+    "leading_half_setting", "parse_setting", "stabilizer_product", "try_to_pauli",
+    "BoundReport", "ThermalParams", "beta_from_temperature",
+    "deviation_leading_order", "error_bounds", "fidelity", "flip_probability",
+    "half_weight_expectation", "invert_temperature", "minus_probability", "sample_size",
+    "setting_expectation", "union_bound",
+    "DenseMixedState", "DenseState", "apply_operator", "boltzmann_density",
+    "build_pure_state", "dense_expectation", "hadamard_transform",
+    "stabilizer_check", "thermal_density",
+    "ProtocolConfig", "VerificationReport", "check_error_bound", "run_protocol",
+    "CertificationDecision", "FamilyInstance", "build_family", "certify",
+    "exact_outcome_distribution", "iqp_sample", "optimal_setting",
+}
+
+
+def readme_quick_start() -> str:
+    """The Python block under the README's "Library quick start" heading."""
+    section = README.read_text().split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_all_is_the_pinned_surface():
+    assert sorted(thermalverify.__all__) == sorted(PUBLIC)
+
+
+def test_test_only_names_are_gone():
+    removed = {
+        thermalverify: ("sample_error_pattern", "measure_outcome", "family_triples"),
+        sampler: ("sample_error_pattern", "measure_outcome", "json"),
+        supremacy: ("family_triples",),
+        pauli: ("_LETTERS",),
+        PauliString: ("identity", "from_letters", "letter", "xy_sites", "_phase", "__mul__"),
+        StabilizerProduct: ("identity",),
+        VerificationReport: ("to_json",),
+        IdentityReport: ("to_dict",),
+        ThermalParams: ("from_temperature",),
+    }
+    for owner, names in removed.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(compile(readme_quick_start(), str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all(float(line) > 0 for line in lines)
 
 
 def test_every_exported_name_resolves():

@@ -24,6 +24,11 @@ def read_json(capsys):
     return json.loads(capsys.readouterr().out)
 
 
+def read_csv(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def masked_run(argv, capsys):
     """Exit code, stdout and stderr of one `main(argv)` call, timestamps masked."""
     try:
@@ -167,7 +172,7 @@ class TestVerify:
                      "--epsilon", "0.05", "--delta", "0.1", "--samples", "4000",
                      "--seed", "3", "--trials", "4", "--output", str(out)])
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_csv(out)
         assert len(rows) == 5
         trials = [r for r in rows if r["row"] == "trial"]
         summary = [r for r in rows if r["row"] == "summary"]
@@ -230,7 +235,7 @@ class TestCurves:
         out = tmp_path / "curves.csv"
         assert main(["curves", "--sizes", "50", "--tmin", "0.05", "--tmax", "1.0",
                      "--points", "20", "--output", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_csv(out)
         assert list(rows[0].keys()) == ["n", "T", "p_beta", "F", "F_est_infinite", "F_ub"]
         assert len(rows) == 20
         fvals = [float(r["F"]) for r in rows]
@@ -242,7 +247,7 @@ class TestCurves:
         out = tmp_path / "cold.csv"
         assert main(["curves", "--sizes", "50", "--tmin", "0.005", "--tmax", "0.5",
                      "--points", "3", "--output", str(out)]) == 0
-        first = next(csv.DictReader(out.open()))
+        first = read_csv(out)[0]
         assert (float(first["F"]), float(first["F_est_infinite"]), float(first["F_ub"])) \
             == (1.0, 1.0, 1.0)
 
@@ -256,7 +261,7 @@ class TestSweepWt:
         beta = -math.log(1e-3) / 2
         assert main(["sweep-wt", "--n", "12", "--betas", repr(beta),
                      "--output", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_csv(out)
         assert len(rows) == 13
         marked = [r for r in rows if r["is_argmin"] == "true"]
         assert len(marked) == 1 and marked[0]["wt"] == "6"
@@ -265,7 +270,7 @@ class TestSweepWt:
         out = tmp_path / "sweep.csv"
         assert main(["sweep-wt", "--n", "42", "--betas", "1.0,2.0",
                      "--output", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_csv(out)
         assert len(rows) == 2 * 43 and rows[-1]["wt"] == "42"
         assert main(["sweep-wt", "--n", "43", "--betas", "1.0"]) == 2
         assert "even n >= 2, got 43" in capsys.readouterr().err
@@ -273,7 +278,7 @@ class TestSweepWt:
     def test_leading_term_symmetry(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep-wt", "--n", "8", "--betas", "2.0", "--output", str(out)]) == 0
-        rows = {r["wt"]: r for r in csv.DictReader(out.open())}
+        rows = {r["wt"]: r for r in read_csv(out)}
         assert rows["0"]["leading_term"] == rows["8"]["leading_term"]
 
 
@@ -300,6 +305,12 @@ class TestOracleCheckCommand:
 
     def test_nmax_validated(self):
         assert main(["oracle-check", "--nmax", "17"]) == 2
+
+    def test_empty_beta_list_is_rejected(self, capsys):
+        assert main(["oracle-check", "--nmax", "2", "--betas", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need at least one beta\n"
 
     def test_nmax_cap_is_the_dense_limit_and_says_why(self, capsys):
         for nmax in (1, MAX_DENSITY_N + 1):
@@ -354,6 +365,15 @@ class TestCertifyCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("f_est", ["null", "[1]", "true", '"1"', "9" * 400])
+    def test_report_f_est_must_be_a_json_number(self, tmp_path, capsys, f_est):
+        report = tmp_path / "report.json"
+        report.write_text('{"f_est": %s}' % f_est)
+        assert main(["certify-iqp", "--n", "400000", "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: f_est in report {report} ")
+
     def test_small_n_without_flag_is_validation_error(self):
         assert main(["certify-iqp", "--n", "12", "--f-est", "1"]) == 2
 
@@ -383,6 +403,22 @@ class TestCertifyCommand:
         if verdict == "accept":
             assert result["report"]["minus_count"] == 0
         assert elapsed < 30.0
+
+
+class TestOSErrors:
+    """A path that cannot be read or written is invalid input (exit 2), not a
+    traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["certify-iqp", "--n", "400000", "--report", "{dir}"],
+        ["verify", "--graph", "{dir}", "--beta", "1", "--epsilon", "0.1", "--delta", "0.1"],
+        ["curves", "--sizes", "8", "--points", "2", "--output", "{dir}"],
+    ])
+    def test_directory_path_is_validation_error(self, tmp_path, capsys, argv):
+        assert main([arg.replace("{dir}", str(tmp_path)) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 21] Is a directory")
 
 
 class TestEstimateTemperature:

@@ -11,8 +11,8 @@ from thermalverify import (DenseMixedState, DenseState, GraphSpec, HypergraphSpe
                            generalized_product, hadamard_transform, path_graph,
                            setting_expectation, stabilizer_check, stabilizer_product,
                            thermal_density)
-from util_dense import (exhaustive_parity_expectation, generator, gibbs_reference,
-                        graph_generator, hypergraph_state_vector, hypergraphs_with_selector,
+from util_dense import (exhaustive_parity_expectation, from_letters, generator,
+                        gibbs_reference, graph_generator, hypergraph_state_vector, hypergraphs_with_selector,
                         pauli_matrix, random_hypergraph, stabilizer_product_matrix)
 
 BETA_HALF = math.log(2) / 2
@@ -159,7 +159,7 @@ def test_gibbs_state_matches_generator_sum_reference(case, beta):
 class TestDenseExpectation:
     def test_identity_has_unit_expectation(self):
         rho = thermal_density(path_graph(3), 0.7)
-        assert dense_expectation(rho, PauliString.identity(3)) == pytest.approx(1.0, abs=1e-12)
+        assert dense_expectation(rho, PauliString(3)) == pytest.approx(1.0, abs=1e-12)
 
     def test_stabilizer_on_pure_projector(self):
         g = path_graph(4)
@@ -187,7 +187,7 @@ class TestDenseExpectation:
     def test_dimension_mismatch(self):
         rho = thermal_density(path_graph(3), 0.7)
         with pytest.raises(ValueError):
-            dense_expectation(rho, PauliString.identity(4))
+            dense_expectation(rho, PauliString(4))
 
     def test_oracle_consistency_triangle(self):
         """Mixture route, Gibbs route, and the exhaustive parity model agree
@@ -227,7 +227,7 @@ class TestStabilizerCheck:
     def test_non_stabilizer_rejected(self):
         g = GraphSpec(2, edges={(1, 2)})
         psi = build_pure_state(g)
-        x1 = PauliString.from_letters("XI")
+        x1 = from_letters("XI")
         assert not stabilizer_check(psi, x1)
 
 

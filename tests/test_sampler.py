@@ -6,11 +6,11 @@ import pytest
 
 from thermalverify import (DenseMixedState, GraphSpec, PauliString, ProtocolConfig,
                            StabilizerProduct, build_pure_state, check_error_bound,
-                           dense_expectation, flip_probability, measure_outcome,
-                           path_graph, ring_graph, run_protocol, sample_error_pattern,
-                           sample_size, setting_expectation, stabilizer_product,
-                           thermal_density)
+                           dense_expectation, flip_probability, path_graph, ring_graph,
+                           run_protocol, sample_size, setting_expectation,
+                           stabilizer_product, thermal_density)
 from thermalverify.sampler import MAX_SAMPLES
+from util_dense import from_letters, measure_outcome, sample_error_pattern
 
 BETA_HALF = math.log(2) / 2
 
@@ -56,7 +56,7 @@ class TestMeasureOutcome:
         assert measure_outcome(0b0011, setting) == 1   # errors on {1, 2}: overlap 2
 
     def test_pattern_validated(self):
-        setting = PauliString.from_letters("XX")
+        setting = from_letters("XX")
         with pytest.raises(ValueError):
             measure_outcome(0b100, setting)
 
@@ -99,8 +99,8 @@ class TestRunProtocol:
         g = path_graph(4)
         setting = stabilizer_product(g, "1100")
         config = ProtocolConfig(epsilon=0.05, delta=0.05, n_samples=20_000, seed=77)
-        first = run_protocol(g, setting, 0.8, config).to_json()
-        second = run_protocol(g, setting, 0.8, config).to_json()
+        first = run_protocol(g, setting, 0.8, config).to_dict()
+        second = run_protocol(g, setting, 0.8, config).to_dict()
         assert first == second
 
     def test_same_seed_reproducible(self):
@@ -109,13 +109,13 @@ class TestRunProtocol:
         config = ProtocolConfig(epsilon=0.05, delta=0.05, n_samples=30_000, seed=13)
         a = run_protocol(g, setting, 0.5, config)
         b = run_protocol(g, setting, 0.5, config)
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
         assert a.plus_count + a.minus_count == 30_000
 
     def test_paper_sample_budget(self):
         # ~1.06e13 shots on a 4000-site word with X on sites 1..2000
         n, wt, beta = 4000, 2000, 16.0
-        setting = PauliString.from_letters("X" * wt + "I" * (n - wt))
+        setting = from_letters("X" * wt + "I" * (n - wt))
         config = ProtocolConfig(epsilon=1e-6, delta=1e-2)
         start = time.perf_counter()
         report = run_protocol(GraphSpec(n), setting, beta, config)
@@ -199,13 +199,13 @@ class TestRunProtocol:
     def test_non_pauli_setting_rejected(self):
         g = path_graph(3)
         with pytest.raises(ValueError, match="Pauli word"):
-            run_protocol(g, StabilizerProduct.identity(3), 0.5,
+            run_protocol(g, StabilizerProduct(3), 0.5,
                          ProtocolConfig(0.1, 0.1, 10, 0))
 
     def test_size_mismatch_rejected(self):
         g = path_graph(3)
         with pytest.raises(ValueError):
-            run_protocol(g, PauliString.identity(4), 0.5, ProtocolConfig(0.1, 0.1, 10, 0))
+            run_protocol(g, PauliString(4), 0.5, ProtocolConfig(0.1, 0.1, 10, 0))
 
     def test_bound_report_only_for_even_n(self):
         g = path_graph(3)

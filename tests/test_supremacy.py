@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 from thermalverify import (CertificationDecision, FamilyInstance, HypergraphSpec,
                            ProtocolConfig, alternating_setting, build_family,
                            build_pure_state, certify, exact_outcome_distribution,
-                           family_triples, fidelity, generalized_product,
+                           fidelity, generalized_product,
                            hadamard_transform, iqp_sample, optimal_setting,
                            run_protocol, sample_size, stabilizer_check, thermal_density)
 from thermalverify.oracle import MAX_STATEVECTOR_N
-from thermalverify.supremacy import ACCEPT_MARGIN, EPSILON_FULL_SCALE, MIN_FULL_SCALE_N
+from thermalverify.supremacy import (ACCEPT_MARGIN, EPSILON_FULL_SCALE, MIN_FULL_SCALE_N,
+                                     _family_rows)
 from util_dense import (H2, ascending_generalized_product, family_members,
                         family_triples_reference, mixture_outcome_distribution,
                         total_variation)
@@ -26,6 +27,11 @@ FIG3_TRIANGLES = {
     (3, 4, 5), (7, 8, 9),
     (3, 5, 6), (7, 9, 10),
 }
+
+
+def family_rows(n: int) -> set:
+    """The rows of supremacy._family_rows(n) as a set of triples."""
+    return set(map(tuple, _family_rows(n).tolist()))
 
 
 def reference_triples(n: int) -> set:
@@ -62,10 +68,10 @@ class TestBuildFamily:
 
     def test_matches_reference_enumeration(self):
         for n in range(4, 42, 2):
-            assert set(family_triples(n)) == reference_triples(n)
+            assert set(build_family(n).spec.e3) == reference_triples(n)
 
     def test_twenty_vertex_members(self):
-        triples = set(family_triples(20))
+        triples = set(build_family(20).spec.e3)
         for expected in ((17, 18, 19), (17, 19, 20), (3, 4, 5), (7, 8, 9)):
             assert expected in triples
         assert len(triples) == len(reference_triples(20))
@@ -74,13 +80,13 @@ class TestBuildFamily:
         for n in range(4, 65):
             lengths = [sum(1 for j in range(1, n) if 4 * j + last <= n)
                        for last in (-1, 0, 1, 2)]  # largest vertex of triple j
-            triples = family_triples(n)
+            triples = family_rows(n)
             assert len(triples) == sum(lengths)
             assert all(a < b < c <= n for (a, b, c) in triples)
 
     def test_arange_block_matches_generator_reference(self):
         for n in range(1, 201):
-            assert family_triples(n) == family_triples_reference(n)
+            assert family_rows(n) == family_triples_reference(n)
             if n >= 4 and n % 2 == 0:
                 assert build_family(n).spec.e3 == family_triples_reference(n)
 

@@ -295,10 +295,10 @@ class TestThermalParams:
         assert params.temperature == pytest.approx(1 / BETA_HALF)
 
     def test_from_temperature(self):
-        assert ThermalParams.from_temperature(0.0).beta == math.inf
-        assert ThermalParams.from_temperature(2.0).beta == 0.5
+        assert ThermalParams(beta_from_temperature(0.0)).beta == math.inf
+        assert ThermalParams(beta_from_temperature(2.0)).beta == 0.5
         with pytest.raises(ValueError):
-            ThermalParams.from_temperature(-1.0)
+            ThermalParams(beta_from_temperature(-1.0))
 
     def test_serialization_uses_infinity_token(self):
         assert ThermalParams(math.inf).to_dict() == {"beta": "infinity", "p_flip": 0.0}

@@ -18,6 +18,13 @@ the X-basis distribution of a thermal state. canonical_edge_reference is
 the per-edge validation that every edge took before edge sets were
 validated as arrays.
 
+The package's runtime needs none of the following either, so they are
+kept here as the references tests compare against: from_letters and letter
+parse and read a word letter by letter (letter is the reference for
+PauliString.letters), pauli_multiply is the Pauli-group product, and
+sample_error_pattern and measure_outcome are the per-shot model that
+sampler.run_protocol's one binomial draw stands for.
+
 Index convention matches the package: bit i-1 of a basis index is site i.
 """
 from __future__ import annotations
@@ -203,10 +210,10 @@ def ascending_stabilizer_product(g, setting):
     graph-state generators one by one, in ascending vertex order."""
     from thermalverify import PauliString, parse_setting
 
-    word = PauliString.identity(g.n)
+    word = PauliString(g.n)
     for i, b in enumerate(parse_setting(setting, g.n), start=1):
         if b:
-            word = word * graph_generator(g, i)
+            word = pauli_multiply(word, graph_generator(g, i))
     return word
 
 
@@ -215,7 +222,7 @@ def ascending_generalized_product(h, setting):
     generalized generators one by one, in ascending vertex order."""
     from thermalverify import StabilizerProduct, parse_setting
 
-    word = StabilizerProduct.identity(h.n)
+    word = StabilizerProduct(h.n)
     for i, b in enumerate(parse_setting(setting, h.n), start=1):
         if b:
             word = multiply(word, generator(h, i))
@@ -271,7 +278,7 @@ def conjugated_x_reference(n: int, bits, e2, e3):
 
 
 def family_triples_reference(n: int) -> frozenset:
-    """Reference for supremacy.family_triples: the four progressions from
+    """Reference for supremacy._family_rows: the four progressions from
     generators, each stopped at its last triple inside 1..n."""
     return frozenset(chain(
         ((4 * j - 3, 4 * j - 2, 4 * j - 1) for j in range(1, (n + 1) // 4 + 1)),
@@ -377,3 +384,80 @@ def exact_setting_expectation(n: int, wt: int, beta: float) -> Fraction:
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     """Standard (halved) total variation distance."""
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+
+
+_LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+
+
+def from_letters(letters: str, sign: int = 1):
+    """PauliString from a letter string like "XZIY" (site 1 first)."""
+    from thermalverify import PauliString
+
+    x = z = 0
+    for pos, c in enumerate(letters):
+        if c == "X":
+            x |= 1 << pos
+        elif c == "Z":
+            z |= 1 << pos
+        elif c == "Y":
+            x |= 1 << pos
+            z |= 1 << pos
+        elif c != "I":
+            raise ValueError(f"unknown letter {c!r} at site {pos + 1}")
+    return PauliString(len(letters), sign, x, z)
+
+
+def letter(word, i: int) -> str:
+    """Letter of site i of a PauliString, read off its two mask bits: the
+    reference for PauliString.letters."""
+    if not 1 <= i <= word.n:
+        raise ValueError(f"site {i} outside 1..{word.n}")
+    return _LETTERS[((word.x_mask >> (i - 1)) & 1, (word.z_mask >> (i - 1)) & 1)]
+
+
+def _phase(word) -> int:
+    # exponent p in the internal form i^p X^x Z^z
+    p = (word.x_mask & word.z_mask).bit_count()
+    if word.sign < 0:
+        p += 2
+    return p % 4
+
+
+def pauli_multiply(a, b):
+    """The Pauli-group product a * b of two PauliStrings; raises ValueError
+    when it is not Hermitian."""
+    from thermalverify import PauliString
+
+    if a.n != b.n:
+        raise ValueError(f"size mismatch: {a.n} vs {b.n} sites")
+    # (X^xa Z^za)(X^xb Z^zb) = (-1)^{za.xb} X^(xa^xb) Z^(za^zb)
+    phase = _phase(a) + _phase(b)
+    phase += 2 * (a.z_mask & b.x_mask).bit_count()
+    x = a.x_mask ^ b.x_mask
+    z = a.z_mask ^ b.z_mask
+    sign_phase = (phase - (x & z).bit_count()) % 4
+    if sign_phase % 2:
+        raise ValueError("product is not Hermitian (stray factor of i)")
+    return PauliString(a.n, 1 if sign_phase == 0 else -1, x, z)
+
+
+def sample_error_pattern(n: int, p_flip: float, rng: np.random.Generator) -> int:
+    """One n-bit error pattern, each bit set independently with p_flip.
+
+    Bit i-1 of the returned integer is the error on site i.
+    """
+    if not 0.0 <= p_flip <= 0.5:
+        raise ValueError(f"need 0 <= p_flip <= 1/2, got {p_flip}")
+    bits = rng.random(n) < p_flip
+    mask = 0
+    for pos in np.flatnonzero(bits):
+        mask |= 1 << int(pos)
+    return mask
+
+
+def measure_outcome(pattern: int, setting) -> int:
+    """Outcome of measuring `setting` after the errors in `pattern`:
+    (-1)^(overlap of the pattern with the setting's X/Y sites)."""
+    if pattern < 0 or pattern >> setting.n:
+        raise ValueError(f"pattern {bin(pattern)} does not fit {setting.n} sites")
+    return -1 if (pattern & setting.x_mask).bit_count() & 1 else 1
