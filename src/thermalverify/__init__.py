@@ -3,11 +3,12 @@
 The toolkit has three layers that deliberately overlap: exact closed forms
 (thermal, identities), a Monte-Carlo protocol simulator (sampler), and dense
 brute-force oracles (oracle) that re-derive every closed form from scratch at
-small qubit counts. Between the specs (graphs) and the closed forms, pauli
-reduces the one selected product of stabilizer generators to a normal form
-in a single pass over the edge arrays. The supremacy module builds the
-restricted hypergraph family whose single measurement setting certifies
-diagonal-circuit sampling.
+small qubit counts. Between the spec (graphs.HypergraphSpec; a graph is one
+with no three-vertex edges) and the closed forms, pauli reduces the one
+selected product of stabilizer generators to a normal form in a single pass
+over the edge arrays. The supremacy module builds the restricted hypergraph
+family whose single measurement setting certifies diagonal-circuit
+sampling.
 
 __all__ is the runtime surface that the CLI, the acceptance tests and the
 README quick start reach, pinned by tests/test_api.py. References that only

@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
     spec = load_hypergraph(args.graph)
     beta = _resolve_beta(args)
     n = spec.n
-    bits = alternating_setting(n) if args.setting is None else parse_setting(args.setting, n)
+    bits = alternating_setting(n) if args.setting is None else args.setting
     setting = stabilizer_product(spec, bits)
     expectation = setting_expectation(n, setting.xy_support, beta)
     fid = fidelity(n, beta)

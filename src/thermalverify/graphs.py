@@ -2,21 +2,22 @@
 
 Vertices are 1-indexed everywhere in the public interface. Edges connect two
 distinct vertices, hyperedges three. Edge sets use set semantics: duplicates
-collapse, storage is canonical.
+collapse, storage is canonical. HypergraphSpec is the one spec type: a graph
+is the case with no hyperedges, and GraphSpec builds one from its edges.
 
 Storage is one sorted, deduplicated, read-only int64 array per edge set, of
 shape (m, 2) for edges and (m, 3) for hyperedges, each row ascending and the
-rows in lexicographic order (GraphSpec.edge_rows, HypergraphSpec.e2_rows and
-e3_rows). The constructors accept integer ndarrays and any iterable of
-edges. Integer ndarrays, and lists or tuples of edges whose every vertex is a
-plain int, are validated with whole-array operations: sort each row, require
-1 <= a < b (< c) <= n, then lexsort and deduplicate only if the rows are not
-already strictly ascending. Every other input, and any input that fails
-those checks, takes the per-edge checks in input order (an ndarray as its
-tolist() rows), so an error names the first offending edge.
+rows in lexicographic order (e2_rows and e3_rows). The constructor accepts
+integer ndarrays and any iterable of edges. Integer ndarrays, and lists or
+tuples of edges whose every vertex is a plain int, are validated with
+whole-array operations: sort each row, require 1 <= a < b (< c) <= n, then
+lexsort and deduplicate only if the rows are not already strictly
+ascending. Every other input, and any input that fails those checks, takes
+the per-edge checks in input order (an ndarray as its tolist() rows), so an
+error names the first offending edge.
 
-The public edges, e2 and e3 stay frozensets of sorted tuples: they are views
-of the arrays, built on first read. The setting reductions in pauli and the
+The public e2 and e3 stay frozensets of sorted tuples: they are views of
+the arrays, built on first read. The setting reductions in pauli and the
 statevector builder in oracle read the arrays and never build the views.
 """
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _checked_rows(rows: np.ndarray, n: int, arity: int) -> np.ndarray | None:
     return rows
 
 
-def _edge_rows(edges, n: int, arity: int) -> np.ndarray:
+def _canonical_rows(edges, n: int, arity: int) -> np.ndarray:
     """Sorted, deduplicated, read-only (m, arity) int64 rows of an edge
     collection; raises ValueError naming the first invalid edge."""
     if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
@@ -102,32 +103,31 @@ def _edge_set(rows: np.ndarray) -> frozenset:
     return frozenset(map(tuple, rows.tolist()))
 
 
-def _check_vertex_count(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"vertex count must be a positive integer, got {n!r}")
+class HypergraphSpec:
+    """A hypergraph on vertices 1..n with two-vertex edges (e2) and
+    three-vertex edges (e3); a graph is the case with no e3.
 
+    e2_rows and e3_rows are the (m, 2) and (m, 3) int64 arrays; e2 and e3
+    are their frozenset views. Immutable after construction. Two specs are
+    equal, and hash alike, when n and the edge rows agree, whatever their
+    class: a GraphSpec equals the HypergraphSpec with the same edges.
+    """
 
-class _Spec:
-    """Immutable after construction; equal and hashed by type, n and the
-    edge rows. _FIELDS names each constructor argument, the attribute that
-    holds its rows, and its arity."""
-
-    _FIELDS: tuple[tuple[str, str, int], ...] = ()
-
-    def __init__(self, n: int, **edge_sets):
-        _check_vertex_count(n)
+    def __init__(self, n: int, e2=frozenset(), e3=frozenset()):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"vertex count must be a positive integer, got {n!r}")
         object.__setattr__(self, "n", n)
-        for name, rows, arity in self._FIELDS:
-            object.__setattr__(self, rows, _edge_rows(edge_sets[name], n, arity))
+        object.__setattr__(self, "e2_rows", _canonical_rows(e2, n, 2))
+        object.__setattr__(self, "e3_rows", _canonical_rows(e3, n, 3))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _key(self) -> tuple:
-        return (self.n, *(getattr(self, rows).tobytes() for _, rows, _ in self._FIELDS))
+        return (self.n, self.e2_rows.tobytes(), self.e3_rows.tobytes())
 
     def __eq__(self, other):
-        if type(other) is not type(self):
+        if not isinstance(other, HypergraphSpec):
             return NotImplemented
         return self._key() == other._key()
 
@@ -135,42 +135,8 @@ class _Spec:
         return hash(self._key())
 
     def __repr__(self):
-        fields = "".join(f", {name}={getattr(self, rows).tolist()}"
-                         for name, rows, _ in self._FIELDS)
-        return f"{type(self).__name__}(n={self.n}{fields})"
-
-
-class GraphSpec(_Spec):
-    """An undirected simple graph on vertices 1..n (no self-loops).
-
-    edge_rows is the (m, 2) int64 edge array; edges is its frozenset view.
-    """
-
-    _FIELDS = (("edges", "edge_rows", 2),)
-
-    def __init__(self, n: int, edges=frozenset()):
-        super().__init__(n, edges=edges)
-
-    @cached_property
-    def edges(self) -> frozenset:
-        """The edges as sorted tuples, built on first read."""
-        return _edge_set(self.edge_rows)
-
-    def as_hypergraph(self) -> "HypergraphSpec":
-        return HypergraphSpec(self.n, e2=self.edge_rows)
-
-
-class HypergraphSpec(_Spec):
-    """A hypergraph with two-vertex edges (e2) and three-vertex edges (e3).
-
-    A GraphSpec embeds as the e3-empty case. e2_rows and e3_rows are the
-    (m, 2) and (m, 3) int64 arrays; e2 and e3 are their frozenset views.
-    """
-
-    _FIELDS = (("e2", "e2_rows", 2), ("e3", "e3_rows", 3))
-
-    def __init__(self, n: int, e2=frozenset(), e3=frozenset()):
-        super().__init__(n, e2=e2, e3=e3)
+        return (f"{type(self).__name__}(n={self.n}, e2={self.e2_rows.tolist()}, "
+                f"e3={self.e3_rows.tolist()})")
 
     @cached_property
     def e2(self) -> frozenset:
@@ -183,25 +149,31 @@ class HypergraphSpec(_Spec):
         return _edge_set(self.e3_rows)
 
     def as_hypergraph(self) -> "HypergraphSpec":
+        """The spec itself: every spec is a hypergraph."""
         return self
 
     def to_dict(self) -> dict:
         return {"n": self.n, "e2": self.e2_rows.tolist(), "e3": self.e3_rows.tolist()}
 
 
+class GraphSpec(HypergraphSpec):
+    """An undirected simple graph on vertices 1..n (no self-loops): the
+    HypergraphSpec with the given two-vertex edges and no e3."""
+
+    def __init__(self, n: int, edges=frozenset()):
+        super().__init__(n, e2=edges)
+
+
 def load_hypergraph(source) -> HypergraphSpec:
-    """Build a HypergraphSpec from a dict, a JSON string, or a JSON file path.
+    """Build a HypergraphSpec from a dict, or from the JSON file at a path
+    (a str or Path, always read as a file name, never as JSON text).
 
     Expected document shape: {"n": int, "e2": [[i, j], ...], "e3": [[i, j, k], ...]}
     with 1-indexed vertices; "e2"/"e3" may be omitted.
     """
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        text = Path(source).read_text()
-        doc = json.loads(text)
-    elif isinstance(source, str):
-        doc = json.loads(source)
-    else:
-        doc = source
+    doc = source
+    if isinstance(source, (str, Path)):
+        doc = json.loads(Path(source).read_text())
     if not isinstance(doc, dict):
         raise ValueError(f"graph document must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - {"n", "e2", "e3"}

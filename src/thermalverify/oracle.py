@@ -1,6 +1,7 @@
 """Dense brute-force ground truth at small qubit counts.
 
-Pure states are real: the CZ/CCZ sign pattern applied to the uniform
+Pure states are real: the CZ/CCZ sign pattern of a HypergraphSpec's edge
+arrays (CZ only, for a graph) applied to the uniform
 superposition; thermal states are assembled two independent ways (explicit
 phase-flip mixture, and the Gibbs exponential of the generator Hamiltonian)
 so the equivalence between the two pictures is something this package
@@ -102,17 +103,16 @@ class DenseMixedState:
 
 
 def build_pure_state(spec) -> DenseState:
-    """Real statevector of the (hyper)graph state: uniform superposition
+    """Real statevector of a HypergraphSpec's state: uniform superposition
     with a sign flip wherever an edge's (or hyperedge's) bits are all 1."""
-    h = spec.as_hypergraph()
-    if h.n > MAX_STATEVECTOR_N:
-        raise ValueError(f"statevector limited to n <= {MAX_STATEVECTOR_N}, got {h.n}")
-    idx = _indices(h.n)
-    amps = np.full(1 << h.n, 2.0 ** (-h.n / 2.0))
-    for row in h.e2_rows.tolist() + h.e3_rows.tolist():
+    if spec.n > MAX_STATEVECTOR_N:
+        raise ValueError(f"statevector limited to n <= {MAX_STATEVECTOR_N}, got {spec.n}")
+    idx = _indices(spec.n)
+    amps = np.full(1 << spec.n, 2.0 ** (-spec.n / 2.0))
+    for row in spec.e2_rows.tolist() + spec.e3_rows.tolist():
         mask = np.uint32(sum(1 << (v - 1) for v in row))
         np.negative(amps, out=amps, where=(idx & mask) == mask)
-    return DenseState(amps, h.n)
+    return DenseState(amps, spec.n)
 
 
 def apply_operator(op, amplitudes: np.ndarray) -> np.ndarray:
@@ -130,24 +130,23 @@ def apply_operator(op, amplitudes: np.ndarray) -> np.ndarray:
 def thermal_density(spec, beta: float) -> DenseMixedState:
     """Thermal state as the explicit phase-flip mixture: sum over all error
     masks of Pr(mask) * Z_mask |psi><psi| Z_mask."""
-    h = spec.as_hypergraph()
-    if h.n > MAX_DENSITY_N:
-        raise ValueError(f"density mixture limited to n <= {MAX_DENSITY_N}, got {h.n}")
-    psi = build_pure_state(h).amplitudes
+    if spec.n > MAX_DENSITY_N:
+        raise ValueError(f"density mixture limited to n <= {MAX_DENSITY_N}, got {spec.n}")
+    psi = build_pure_state(spec).amplitudes
     p = flip_probability(beta)
-    dim = 1 << h.n
+    dim = 1 << spec.n
     if p == 0.0:
-        return DenseMixedState(np.outer(psi, psi.conj()), h.n)
-    idx = _indices(h.n)
+        return DenseMixedState(np.outer(psi, psi.conj()), spec.n)
+    idx = _indices(spec.n)
     weights = np.empty(dim)
     flipped = np.empty((dim, dim), dtype=np.complex128)
     for mask in range(dim):
         m = int(np.bitwise_count(np.uint32(mask)))
-        weights[mask] = p**m * (1.0 - p) ** (h.n - m)
+        weights[mask] = p**m * (1.0 - p) ** (spec.n - m)
         flipped[mask] = _signs(idx, mask) * psi
     v = np.sqrt(weights)[:, None] * flipped
     rho = v.T @ v.conj()  # sum over masks of w * |flipped><flipped|
-    return DenseMixedState(rho, h.n)
+    return DenseMixedState(rho, spec.n)
 
 
 def boltzmann_density(spec, beta: float) -> DenseMixedState:
@@ -158,14 +157,13 @@ def boltzmann_density(spec, beta: float) -> DenseMixedState:
     CZ and CCZ gates: the diagonal D of the pure state's amplitude signs.
     So H = -sum_i D X_i D, whose entry at (z ^ 2^(i-1), z) is
     -D[z ^ 2^(i-1)] * D[z], and H is real."""
-    h = spec.as_hypergraph()
-    if h.n > MAX_HAMILTONIAN_N:
-        raise ValueError(f"Hamiltonian route limited to n <= {MAX_HAMILTONIAN_N}, got {h.n}")
+    if spec.n > MAX_HAMILTONIAN_N:
+        raise ValueError(f"Hamiltonian route limited to n <= {MAX_HAMILTONIAN_N}, got {spec.n}")
     beta = _check_beta(beta)
-    signs = np.sign(build_pure_state(h).amplitudes)
-    idx = _indices(h.n)
-    ham = np.zeros((1 << h.n, 1 << h.n))
-    for i in range(h.n):
+    signs = np.sign(build_pure_state(spec).amplitudes)
+    idx = _indices(spec.n)
+    ham = np.zeros((1 << spec.n, 1 << spec.n))
+    for i in range(spec.n):
         flipped = idx ^ np.uint32(1 << i)
         ham[flipped, idx] = -signs[flipped] * signs
     evals, evecs = np.linalg.eigh(ham)
@@ -175,7 +173,7 @@ def boltzmann_density(spec, beta: float) -> DenseMixedState:
     else:
         weights = np.exp(-beta * (evals - evals[0]))
     rho = (evecs * weights) @ evecs.conj().T / weights.sum()
-    return DenseMixedState(rho, h.n)
+    return DenseMixedState(rho, spec.n)
 
 
 def dense_expectation(state, op) -> float:

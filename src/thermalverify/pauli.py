@@ -17,9 +17,9 @@ Every generator is U X_i U^dagger, with U the product of the CZ and CCZ
 gates, so a selected product is U X_S U^dagger = sign * X_S * D_f.
 generalized_product is the one route to that normal form, and
 stabilizer_product, its collapse by try_to_pauli, the one route to the
-measured Pauli word. Both take a GraphSpec (no triples) or a
-HypergraphSpec and read its int64 edge arrays in place with whole-array
-numpy operations, O(n + |E2| + |E3|): each edge's share of f is gathered
+measured Pauli word. Both take a HypergraphSpec (a graph is one with no
+triples) and read its int64 edge arrays in place with whole-array numpy
+operations, O(n + |E2| + |E3|): each edge's share of f is gathered
 from the selector, the linear part is the parity of a bincount, the CZ
 pairs are the pair keys with odd counts, and the masks are packed bits
 read as one integer. The frozenset edge views are not built. Letter
@@ -32,11 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphSpec
-
 # hex digit x + 2z of a site -> its letter (see PauliString.letters)
 _HEX_LETTERS = str.maketrans("0123", "IXZY")
-_NO_TRIPLES = np.empty((0, 3), dtype=np.int64)
 
 
 def _mask_from_bits(bits: np.ndarray) -> int:
@@ -186,8 +183,8 @@ class StabilizerProduct:
 
 
 def stabilizer_product(spec, setting) -> PauliString:
-    """Product of the generators of a GraphSpec or HypergraphSpec selected
-    by the bits of `setting`, as the signed Pauli word it measures.
+    """Product of the generators of a HypergraphSpec selected by the bits
+    of `setting`, as the signed Pauli word it measures.
 
     The generalized_product collapsed by try_to_pauli: on a graph, X on the
     selected set S, Z^(|N(j) & S| mod 2) on each site j, and sign
@@ -207,19 +204,11 @@ def stabilizer_product(spec, setting) -> PauliString:
 
 
 def generalized_product(spec, setting) -> StabilizerProduct:
-    """Normal-form product of the generalized generators of a GraphSpec or
-    HypergraphSpec selected by `setting`, equal to their product in
-    ascending vertex order (they commute). The edge rows are read in place."""
-    if isinstance(spec, GraphSpec):
-        e2, e3 = spec.edge_rows, _NO_TRIPLES
-    else:
-        e2, e3 = spec.e2_rows, spec.e3_rows
-    return _conjugated_x(spec.n, parse_setting(setting, spec.n), e2, e3)
-
-
-def _conjugated_x(n: int, bits, e2: np.ndarray, e3: np.ndarray) -> StabilizerProduct:
-    """U X_S U^dagger in normal form, for U the product of CZ over the e2
-    rows and CCZ over the e3 rows and S the sites whose bit is 1.
+    """Normal-form product of the generalized generators of a HypergraphSpec
+    selected by `setting`, equal to their product in ascending vertex order
+    (they commute): U X_S U^dagger, for U the product of CZ over the e2 rows
+    and CCZ over the e3 rows and S the sites whose bit is 1. The edge rows
+    are read in place.
 
     Every generator is U X_i U^dagger, so the product over S is
     U X_S U^dagger = X_S D_f with f(z) = sum over edges e of
@@ -230,13 +219,14 @@ def _conjugated_x(n: int, bits, e2: np.ndarray, e3: np.ndarray) -> StabilizerPro
     S, becomes the sign. All edges are summed at once: a linear bit is the
     parity of its toggle count, a CZ pair survives when its count is odd.
     """
+    n = spec.n
     s = np.zeros(n + 1, dtype=bool)  # s[v] is the bit of site v
-    s[1:] = np.frombuffer(bytes(bits), dtype=np.uint8)
-    a, b = e2.T
+    s[1:] = np.frombuffer(bytes(parse_setting(setting, n)), dtype=np.uint8)
+    a, b = spec.e2_rows.T
     sa, sb = s[a], s[b]
     toggled = [a[sb], b[sa]]
     inside = np.count_nonzero(sa & sb)
-    a, b, c = e3.T
+    a, b, c = spec.e3_rows.T
     sa, sb, sc = s[a], s[b], s[c]
     toggled += [a[sb & sc], b[sa & sc], c[sa & sb]]
     inside += np.count_nonzero(sa & sb & sc)

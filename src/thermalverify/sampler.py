@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliString
-from .thermal import (BoundReport, ThermalParams, error_bounds, minus_probability,
-                      sample_size)
+from .thermal import (BoundReport, ThermalParams, _check_accuracy, error_bounds,
+                      minus_probability, sample_size)
 
 
 MAX_SAMPLES = 2**63 - 1  # the binomial draw counts shots in an int64
@@ -38,10 +38,7 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"need 0 < epsilon <= 1, got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"need 0 < delta < 1, got {self.delta}")
+        _check_accuracy(self.epsilon, self.delta)
         if self.n_samples is not None and self.n_samples < 1:
             raise ValueError(f"need n_samples >= 1, got {self.n_samples}")
         if (total := self.resolved_samples()) > MAX_SAMPLES:
@@ -85,7 +82,8 @@ class VerificationReport:
                 "bound_report": None if bounds is None else dict(vars(bounds))}
 
 
-def run_protocol(target, setting: PauliString, beta, config: ProtocolConfig) -> VerificationReport:
+def run_protocol(target, setting: PauliString, beta: float,
+                 config: ProtocolConfig) -> VerificationReport:
     """Run the estimation protocol: draw the number of -1 outcomes of
     `setting` among the sample budget, and aggregate the empirical mean with
     its error budget.
@@ -102,7 +100,7 @@ def run_protocol(target, setting: PauliString, beta, config: ProtocolConfig) -> 
     n = target.n
     if setting.n != n:
         raise ValueError(f"setting acts on {setting.n} sites but the state has {n}")
-    params = beta if isinstance(beta, ThermalParams) else ThermalParams(beta)
+    params = ThermalParams(beta)
     total = config.resolved_samples()
     q = minus_probability(n, setting.xy_support, params.beta)
     minus = int(np.random.default_rng(config.seed).binomial(total, q))

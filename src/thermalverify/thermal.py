@@ -28,9 +28,13 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _check_weight(n: int, wt: int) -> None:
+def _check_sites(n: int) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+
+
+def _check_weight(n: int, wt: int) -> None:
+    _check_sites(n)
     if not 0 <= wt <= n:
         raise ValueError(f"need 0 <= wt <= n, got wt={wt}, n={n}")
 
@@ -38,6 +42,13 @@ def _check_weight(n: int, wt: int) -> None:
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"need 0 <= epsilon < 1, got {epsilon}")
+
+
+def _check_accuracy(epsilon: float, delta: float) -> None:
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"need 0 < epsilon <= 1, got {epsilon}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"need 0 < delta < 1, got {delta}")
 
 
 def beta_from_temperature(temperature: float) -> float:
@@ -103,8 +114,7 @@ def flip_probability(beta: float) -> float:
 
 def fidelity(n: int, beta: float) -> float:
     """Overlap of the thermal state with the ideal state: (1 - p)^n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_sites(n)
     beta = _check_beta(beta)
     x = math.exp(-2.0 * beta)
     return math.exp(-n * math.log1p(x))
@@ -152,8 +162,7 @@ def half_weight_expectation(n: int, beta: float) -> float:
 
 def union_bound(n: int, beta: float) -> float:
     """All-settings union lower bound 1 - n*p; valid but loose, may go negative."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_sites(n)
     return 1.0 - n * flip_probability(beta)
 
 
@@ -199,10 +208,7 @@ def error_bounds(n: int, beta: float, epsilon: float, wt: int | None = None) -> 
 def sample_size(epsilon: float, delta: float) -> int:
     """Measurement count ceil(2/eps^2 * ln(2/delta)) for accuracy eps with
     failure probability delta (natural logarithm)."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"need 0 < epsilon <= 1, got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"need 0 < delta < 1, got {delta}")
+    _check_accuracy(epsilon, delta)
     square = epsilon * epsilon
     budget = 2.0 / square * math.log(2.0 / delta) if square else math.inf
     if math.isinf(budget):
@@ -219,9 +225,9 @@ def invert_temperature(n: int, observed: float, from_fidelity: bool = False) -> 
     from_fidelity=True to invert the fidelity instead. observed = 1 returns
     the T = 0 sentinel (math.inf).
     """
-    if from_fidelity and n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not from_fidelity and (n < 2 or n % 2):
+    if from_fidelity:
+        _check_sites(n)
+    elif n < 2 or n % 2:
         raise ValueError(f"expectation inversion requires even n >= 2, got {n}")
     observed = float(observed)
     if not 0.0 < observed <= 1.0:

@@ -2,7 +2,9 @@ import csv
 import json
 import math
 import re
+import shutil
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from thermalverify.cli import _dumps, build_parser, main
 from thermalverify.oracle import MAX_DENSITY_N
 
 PATH4 = {"n": 4, "e2": [[1, 2], [2, 3], [3, 4]]}
+RING12 = Path(__file__).resolve().parent / "golden" / "cli" / "ring12.json"
 
 
 @pytest.fixture()
@@ -158,6 +161,19 @@ class TestExpectation:
         assert captured.out == ""
         assert f"need 0 <= epsilon < 1, got {float(epsilon)}" in captured.err
 
+    def test_graph_path_starting_with_a_brace_is_read_as_a_file(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # a --graph value is always a file name, even one that looks like JSON text
+        shutil.copy(RING12, tmp_path / "ring12.json")
+        shutil.copy(RING12, tmp_path / "{ring}.json")
+        monkeypatch.chdir(tmp_path)
+        runs = {name: masked_run(["expectation", "--graph", name, "--wt", "6", "--beta", "1"],
+                                 capsys)
+                for name in ("{ring}.json", "ring12.json")}
+        code, out, err = runs["ring12.json"]
+        assert code == 0 and err == ""
+        assert runs["{ring}.json"] == (0, out.replace('"ring12.json"', '"{ring}.json"'), "")
+
     def test_default_mode_needs_even_n(self, tmp_path):
         odd = tmp_path / "g3.json"
         odd.write_text('{"n": 3, "e2": [[1, 2], [2, 3]]}')
@@ -218,11 +234,11 @@ class TestVerify:
 
     def test_default_selector_on_a_ring_matches_leading_half(self, tmp_path):
         # on a graph the CSV depends on the selector only through its weight
-        doc = ring_graph(10).as_hypergraph().to_dict()
+        doc = ring_graph(10).to_dict()
         assert self._csv(tmp_path, doc) == self._csv(tmp_path, doc, "1111100000")
 
     def test_odd_ring_summary_has_no_fine_bound_rate(self, tmp_path):
-        text = self._csv(tmp_path, ring_graph(5).as_hypergraph().to_dict(), "11000")
+        text = self._csv(tmp_path, ring_graph(5).to_dict(), "11000")
         rows = list(csv.DictReader(text.splitlines()))
         assert [r["row"] for r in rows] == ["trial"] * 3 + ["summary"]
         assert all(r["fine_bound"] == r["within_fine_bound"] == "" for r in rows)

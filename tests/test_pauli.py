@@ -450,7 +450,7 @@ class TestFastReductions:
         g = path_graph(50)
         stabilizer_product(g, leading_half_setting(50))
         assert "_adjacency" not in g.__dict__
-        assert set(g.__dict__) == {"n", "edge_rows"}
+        assert set(g.__dict__) == {"n", "e2_rows", "e3_rows"}
 
     @given(st.integers(1, 130).flatmap(lambda n: st.tuples(
         st.just(n), st.sampled_from((1, -1)),

@@ -243,7 +243,7 @@ def gibbs_reference(h, beta: float) -> np.ndarray:
 
 
 def conjugated_x_reference(n: int, bits, e2, e3):
-    """Reference for pauli._conjugated_x: U X_S U^dagger summed edge by edge
+    """Reference for pauli.generalized_product: U X_S U^dagger summed edge by edge
     in pure Python, with e2/e3 iterables of sorted vertex tuples. (a, b)
     toggles linear[a] by s_b and linear[b] by s_a; (a, b, c) toggles the
     CZ pair (a, b) if s_c, (a, c) if s_b, (b, c) if s_a, and linear[a] by
