@@ -213,8 +213,8 @@ def cmd_curves(args) -> int:
             raise ValueError(f"curve sizes must be even and >= 4, got {n}")
     if args.points < 2:
         raise ValueError(f"need at least 2 grid points, got {args.points}")
-    if not 0 < args.tmin < args.tmax:
-        raise ValueError(f"need 0 < tmin < tmax, got {args.tmin}, {args.tmax}")
+    if not 0 < args.tmin < args.tmax < math.inf:
+        raise ValueError(f"need 0 < tmin < tmax < inf, got {args.tmin}, {args.tmax}")
     header = ["n", "T", "p_beta", "F", "F_est_infinite", "F_ub"]
     rows = []
     step = (args.tmax - args.tmin) / (args.points - 1)

@@ -18,10 +18,12 @@ which at the threshold is below the hardness target 1/192.
 
 Thermal noise is an independent phase flip Z per site with probability p,
 and H^n Z_e = X_e H^n, so the thermal X-basis distribution is the ideal one
-XOR-convolved with the product flip distribution, and iqp_sample draws
-every shot from it. Both X-basis functions work in place on one real
-statevector (tracemalloc peak ~2.1 statevectors, 272 MiB at the shared
-oracle cap n <= 24, MAX_STATEVECTOR_N).
+XOR-convolved with the product flip distribution. Its shots are
+independent draws from that one distribution, so iqp_sample draws their
+counts as one multinomial, with memory O(2^n) whatever the shot count.
+Both X-basis functions work in place on one real statevector (tracemalloc
+peak ~2.1 statevectors, 272 MiB at the shared oracle cap n <= 24,
+MAX_STATEVECTOR_N).
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ import numpy as np
 from .graphs import HypergraphSpec
 from .oracle import build_pure_state, hadamard_transform
 from .pauli import PauliString, alternating_setting, stabilizer_product
+from .sampler import MAX_SAMPLES
 from .thermal import flip_probability
 
 ACCEPT_MARGIN = 0.999995
@@ -170,17 +173,33 @@ def exact_outcome_distribution(inst: FamilyInstance, beta: float) -> np.ndarray:
     return np.divide(dist, dist.sum(), out=dist)
 
 
+def _outcome_counts(totals: np.ndarray, n: int) -> Counter:
+    """The nonzero entries of a length-2^n totals vector in ascending index
+    order, keyed by outcome string (site 1 first). The keys are cut from one
+    uint8 ASCII buffer filled a column at a time, so no (entries, n) int64
+    array is made."""
+    hits = np.flatnonzero(totals)
+    chars = np.empty((hits.size, n), np.uint8)
+    for k in range(n):
+        chars[:, k] = hits >> k & 1
+    chars += ord("0")
+    text = chars.tobytes().decode("ascii")
+    return Counter({text[j * n:(j + 1) * n]: c for j, c in enumerate(totals[hits].tolist())})
+
+
 def iqp_sample(inst: FamilyInstance, beta: float, shots: int, seed: int) -> Counter:
-    """Sample X-basis outcome strings from the thermal instance: every shot
-    is one draw from exact_outcome_distribution(inst, beta), so memory is
-    O(shots + 2^n). Returns counts keyed by the outcome string (site 1
+    """Sample X-basis outcome strings from the thermal instance. The shots
+    are independent draws from exact_outcome_distribution(inst, beta), so
+    their counts are one Multinomial(shots, dist) draw: memory is O(2^n)
+    and time does not grow with shots, for any 1 <= shots <= 2^63 - 1
+    (MAX_SAMPLES). Returns counts keyed by the outcome string (site 1
     first).
     """
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise TypeError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError(f"need shots >= 1, got {shots}")
-    n = inst.n
+    if shots > MAX_SAMPLES:
+        raise ValueError(f"shots {shots} exceed the limit 2^63 - 1 = {MAX_SAMPLES}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    outcomes = rng.choice(1 << n, size=shots, p=exact_outcome_distribution(inst, beta))
-    totals = np.bincount(outcomes, minlength=1 << n)
-    return Counter({format(int(i), f"0{n}b")[::-1]: int(totals[i])
-                    for i in np.flatnonzero(totals)})
+    return _outcome_counts(rng.multinomial(shots, exact_outcome_distribution(inst, beta)), inst.n)

@@ -270,6 +270,10 @@ class TestCurves:
     def test_odd_size_rejected(self):
         assert main(["curves", "--sizes", "9"]) == 2
 
+    def test_infinite_tmax_rejected_by_name(self, capsys):
+        assert main(["curves", "--tmin", "0.5", "--tmax=inf", "--points", "3"]) == 2
+        assert capsys.readouterr().err == "error: need 0 < tmin < tmax < inf, got 0.5, inf\n"
+
 
 class TestSweepWt:
     def test_argmin_at_half_weight(self, tmp_path):

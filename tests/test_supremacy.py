@@ -15,11 +15,12 @@ from thermalverify import (CertificationDecision, FamilyInstance, HypergraphSpec
                            hadamard_transform, iqp_sample, optimal_setting,
                            run_protocol, sample_size, stabilizer_check, thermal_density)
 from thermalverify.oracle import MAX_STATEVECTOR_N
+from thermalverify.sampler import MAX_SAMPLES
 from thermalverify.supremacy import (ACCEPT_MARGIN, EPSILON_FULL_SCALE, MIN_FULL_SCALE_N,
-                                     _family_rows)
+                                     _family_rows, _outcome_counts)
 from util_dense import (H2, ascending_generalized_product, family_members,
                         family_triples_reference, mixture_outcome_distribution,
-                        total_variation)
+                        outcome_counts_reference, total_variation)
 
 FIG3_TRIANGLES = {
     (1, 2, 3), (5, 6, 7),
@@ -312,15 +313,21 @@ class TestIqpSample:
         ideal = exact_outcome_distribution(inst, math.inf)
         assert total_variation(empirical, ideal) > 10 * budget
 
-    def test_memory_does_not_grow_with_sites(self):
+    def test_memory_does_not_grow_with_shots(self):
+        # the counts are one multinomial draw: memory is O(2^n), whatever
+        # the shot count
+        inst = build_family(12)
+        iqp_sample(inst, 1.0, shots=10, seed=5)  # warm-up
         peaks = []
-        for n in (4, 12):
-            inst = build_family(n)
+        for shots in (10**6, 10**12):
             tracemalloc.start()
-            iqp_sample(inst, 1.0, shots=200_000, seed=5)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-        assert peaks[1] < 1.5 * peaks[0]
+            try:
+                counts = iqp_sample(inst, 1.0, shots=shots, seed=5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sum(counts.values()) == shots
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_validation(self):
         inst = build_family(4)
@@ -328,6 +335,43 @@ class TestIqpSample:
             iqp_sample(inst, 1.0, shots=0, seed=0)
         with pytest.raises(ValueError):
             iqp_sample(build_family(26), 1.0, shots=10, seed=0)
+
+    @pytest.mark.parametrize("shots, error, match", [
+        (1.5, TypeError, "shots must be an integer, got 1.5"),
+        (True, TypeError, "shots must be an integer, got True"),
+        (0, ValueError, "need shots >= 1, got 0"),
+        (2**63, ValueError, r"shots 9223372036854775808 exceed the limit 2\^63 - 1 = 9223372036854775807"),
+    ])
+    def test_shots_must_be_an_int64_count(self, shots, error, match):
+        with pytest.raises(error, match=match):
+            iqp_sample(build_family(4), 1.0, shots=shots, seed=0)
+
+    def test_largest_shot_count_runs(self):
+        counts = iqp_sample(build_family(4), 1.0, shots=MAX_SAMPLES, seed=0)
+        assert sum(counts.values()) == MAX_SAMPLES
+
+    def test_keys_match_reference_in_index_order(self):
+        for n, beta, seed in ((4, 1.0, 0), (6, 0.4, 1), (8, math.inf, 2)):
+            inst = build_family(n, e2={(1, n)})
+            counts = iqp_sample(inst, beta, shots=3000, seed=seed)
+            totals = np.random.default_rng(np.random.SeedSequence(seed)).multinomial(
+                3000, exact_outcome_distribution(inst, beta))
+            reference = outcome_counts_reference(totals, n)
+            assert list(counts.items()) == list(reference.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 24), data=st.data())
+def test_outcome_keys_match_per_index_formatter(n, data):
+    """The array-built keys equal the per-index format(i, "0nb")[::-1]
+    reference, entry for entry and in the same order."""
+    size = 1 << n
+    indices = data.draw(st.lists(st.integers(0, size - 1), max_size=40, unique=True))
+    totals = np.zeros(size, np.int64)
+    totals[indices] = data.draw(st.lists(st.integers(1, MAX_SAMPLES), min_size=len(indices),
+                                         max_size=len(indices)))
+    counts = _outcome_counts(totals, n)
+    assert list(counts.items()) == list(outcome_counts_reference(totals, n).items())
 
 
 class TestStatevectorCap:

@@ -23,13 +23,16 @@ kept here as the references tests compare against: from_letters and letter
 parse and read a word letter by letter (letter is the reference for
 PauliString.letters), pauli_multiply is the Pauli-group product, and
 sample_error_pattern and measure_outcome are the per-shot model that
-sampler.run_protocol's one binomial draw stands for.
+sampler.run_protocol's one binomial draw stands for. outcome_counts_reference
+formats each outcome key on its own, the reference for the array-built keys
+of supremacy.iqp_sample.
 
 Index convention matches the package: bit i-1 of a basis index is site i.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -379,6 +382,13 @@ def exact_setting_expectation(n: int, wt: int, beta: float) -> Fraction:
     for m in range(n, -1, -1):  # Horner
         total = total * x + signed_pattern_count(n, wt, m)
     return total / (1 + x) ** n
+
+
+def outcome_counts_reference(totals: np.ndarray, n: int) -> Counter:
+    """Nonzero entries of a length-2^n totals vector keyed one index at a
+    time by its n-bit string, site 1 first, in ascending index order."""
+    return Counter({format(int(i), f"0{n}b")[::-1]: int(totals[i])
+                    for i in np.flatnonzero(totals)})
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
