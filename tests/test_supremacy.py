@@ -329,6 +329,21 @@ class TestIqpSample:
             assert sum(counts.values()) == shots
         assert peaks[1] <= 1.5 * peaks[0]
 
+    def test_memory_grows_at_most_with_outcome_space(self):
+        # O(2^n): going from n = 8 to n = 12 may scale the peak by the
+        # 16-fold outcome space, never by a dense 2^n x 2^n operator
+        iqp_sample(build_family(4), 1.0, shots=10, seed=5)  # warm-up
+        peaks = []
+        for n in (8, 12):
+            inst = build_family(n)
+            tracemalloc.start()
+            try:
+                iqp_sample(inst, 1.0, shots=10**6, seed=5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * 16 * peaks[0]
+
     def test_validation(self):
         inst = build_family(4)
         with pytest.raises(ValueError):
