@@ -24,11 +24,10 @@ from .identities import (IdentityReport, check_alternating, check_even, check_od
 from .pauli import (PauliString, StabilizerProduct, alternating_setting,
                     generalized_product, leading_half_setting, parse_setting,
                     stabilizer_product, try_to_pauli)
-from .thermal import (BoundReport, ThermalParams, beta_from_temperature,
-                      deviation_leading_order, error_bounds, fidelity,
-                      flip_probability, half_weight_expectation, invert_temperature,
-                      minus_probability, sample_size, setting_expectation,
-                      union_bound)
+from .thermal import (BoundReport, beta_from_temperature, deviation_leading_order,
+                      error_bounds, fidelity, flip_probability, half_weight_expectation,
+                      invert_temperature, minus_probability, sample_size,
+                      setting_expectation, union_bound)
 from .oracle import (DenseMixedState, DenseState, apply_operator, boltzmann_density,
                      build_pure_state, dense_expectation, hadamard_transform,
                      stabilizer_check, thermal_density)
@@ -43,10 +42,9 @@ __all__ = [
     "signed_pattern_count",
     "PauliString", "StabilizerProduct", "alternating_setting", "generalized_product",
     "leading_half_setting", "parse_setting", "stabilizer_product", "try_to_pauli",
-    "BoundReport", "ThermalParams", "beta_from_temperature",
-    "deviation_leading_order", "error_bounds", "fidelity", "flip_probability",
-    "half_weight_expectation", "invert_temperature", "minus_probability", "sample_size",
-    "setting_expectation", "union_bound",
+    "BoundReport", "beta_from_temperature", "deviation_leading_order", "error_bounds",
+    "fidelity", "flip_probability", "half_weight_expectation", "invert_temperature",
+    "minus_probability", "sample_size", "setting_expectation", "union_bound",
     "DenseMixedState", "DenseState", "apply_operator", "boltzmann_density",
     "build_pure_state", "dense_expectation", "hadamard_transform",
     "stabilizer_check", "thermal_density",

@@ -33,9 +33,9 @@ from .graphs import GraphSpec, load_hypergraph, ring_graph
 from .identities import check_alternating, check_even, check_odd
 from .oracle import MAX_DENSITY_N, dense_expectation, thermal_density
 from .pauli import alternating_setting, parse_setting, stabilizer_product
-from .sampler import ProtocolConfig, run_protocol
+from .sampler import ProtocolConfig, check_error_bound, run_protocol
 from .supremacy import build_family, certify, optimal_setting
-from .thermal import (ThermalParams, _check_beta, _check_epsilon, beta_from_temperature,
+from .thermal import (_check_beta, _check_epsilon, _check_sites, beta_from_temperature,
                       deviation_leading_order, error_bounds, fidelity, flip_probability,
                       half_weight_expectation, invert_temperature, setting_expectation,
                       union_bound)
@@ -192,7 +192,7 @@ def cmd_verify(args) -> int:
         report = run_protocol(spec, setting, beta, config)
         fine = report.bound_report.fine_bound if report.bound_report else None
         within_eps = abs(report.f_est - expectation) <= args.epsilon
-        within_bound = (abs(fid - report.f_est) <= fine) if fine is not None else None
+        within_bound = check_error_bound(report, fid) if report.bound_report else None
         hits_epsilon += within_eps
         hits_bound += bool(within_bound)
         rows.append(["trial", trial, args.seed + trial, report.f_est, report.n_samples,
@@ -230,8 +230,7 @@ def cmd_curves(args) -> int:
 
 def cmd_sweep_wt(args) -> int:
     n = args.n
-    if n < 2 or n % 2:
-        raise ValueError(f"sweep requires even n >= 2, got {n}")
+    _check_sites(n, even_from=2, need="sweep requires")
     if not args.betas:
         raise ValueError("need at least one beta")
     header = ["n", "beta", "wt", "expectation", "fidelity", "deviation",
@@ -350,15 +349,14 @@ def cmd_certify_iqp(args) -> int:
 
 
 def cmd_estimate_temperature(args) -> int:
-    params = ThermalParams(invert_temperature(args.n, args.f_est,
-                                              from_fidelity=args.from_fidelity))
+    beta = invert_temperature(args.n, args.f_est, from_fidelity=args.from_fidelity)
     result = {
         "n": args.n,
         "observed": args.f_est,
         "mode": "fidelity" if args.from_fidelity else "expectation",
-        "beta": params.beta,
-        "temperature": params.temperature,
-        "p_flip": params.p_flip,
+        "beta": beta,
+        "temperature": math.inf if beta == 0.0 else 1.0 / beta,
+        "p_flip": flip_probability(beta),
     }
     _emit_json(args, result)
     return 0

@@ -6,9 +6,10 @@ only through the parity of its overlap with the word's X/Y sites. Shots are
 therefore independent +-1 draws that read -1 with probability
 q = (1 - tanh(beta)^wt)/2, and a run of N shots is one Binomial(N, q) draw
 from a generator seeded with the run's seed: the cost does not depend on N
-or n, and the same seed gives the same report. The per-shot model that
-the draw stands for (an error pattern per shot, read through the word's X/Y
-sites) is kept in tests/util_dense.py as the reference it is tested against.
+or n, and the same seed gives the same report, whose beta_used is a plain
+float (math.inf at T = 0). The per-shot model that the draw stands for (an
+error pattern per shot, read through the word's X/Y sites) is kept in
+tests/util_dense.py as the reference it is tested against.
 """
 from __future__ import annotations
 
@@ -17,19 +18,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliString
-from .thermal import (BoundReport, ThermalParams, _check_accuracy, error_bounds,
-                      minus_probability, sample_size)
+from .thermal import (BoundReport, _check_accuracy, _check_beta, _check_integer,
+                      error_bounds, flip_probability, minus_probability, sample_size)
 
 
 MAX_SAMPLES = 2**63 - 1  # the binomial draw counts shots in an int64
+
+
+def _check_draw(name: str, count: int, seed: int) -> None:
+    """One seeded draw's integer shot count in 1..MAX_SAMPLES and seed >= 0."""
+    _check_integer(name, count)
+    if count < 1:
+        raise ValueError(f"need {name} >= 1, got {count}")
+    if count > MAX_SAMPLES:
+        raise ValueError(f"{name} {count} exceeds the limit 2^63 - 1 = {MAX_SAMPLES}")
+    _check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Accuracy target, failure probability, sample budget, and seed.
 
-    n_samples = None derives the budget from (epsilon, delta). An explicit
-    or derived budget above MAX_SAMPLES is rejected.
+    n_samples = None derives the budget from (epsilon, delta). The budget
+    must be an integer in 1..MAX_SAMPLES, the seed an integer >= 0.
     """
 
     epsilon: float
@@ -39,10 +52,7 @@ class ProtocolConfig:
 
     def __post_init__(self):
         _check_accuracy(self.epsilon, self.delta)
-        if self.n_samples is not None and self.n_samples < 1:
-            raise ValueError(f"need n_samples >= 1, got {self.n_samples}")
-        if (total := self.resolved_samples()) > MAX_SAMPLES:
-            raise ValueError(f"sample budget {total} exceeds the limit 2^63 - 1 = {MAX_SAMPLES}")
+        _check_draw("n_samples", self.resolved_samples(), self.seed)
 
     def resolved_samples(self) -> int:
         if self.n_samples is not None:
@@ -54,8 +64,8 @@ class ProtocolConfig:
 class VerificationReport:
     """Record of one protocol run.
 
-    beta_used is simulation-side ground truth: it exists so tests can compare
-    against exact values, and no bound-checking code reads it.
+    beta_used, the simulated inverse temperature as a float (math.inf at
+    T = 0), is ground truth for tests; no bound-checking code reads it.
     """
 
     f_est: float
@@ -63,7 +73,7 @@ class VerificationReport:
     plus_count: int
     minus_count: int
     setting: str
-    beta_used: ThermalParams
+    beta_used: float
     bound_report: BoundReport | None
     epsilon: float
     delta: float
@@ -78,7 +88,8 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         bounds = self.bound_report
-        return {**vars(self), "beta_used": self.beta_used.to_dict(),
+        return {**vars(self),
+                "beta_used": {"beta": self.beta_used, "p_flip": flip_probability(self.beta_used)},
                 "bound_report": None if bounds is None else dict(vars(bounds))}
 
 
@@ -100,25 +111,25 @@ def run_protocol(target, setting: PauliString, beta: float,
     n = target.n
     if setting.n != n:
         raise ValueError(f"setting acts on {setting.n} sites but the state has {n}")
-    params = ThermalParams(beta)
-    total = config.resolved_samples()
-    q = minus_probability(n, setting.xy_support, params.beta)
+    beta = _check_beta(beta)
+    total = int(config.resolved_samples())  # numpy integers pass the rule; JSON needs int
+    q = minus_probability(n, setting.xy_support, beta)
     minus = int(np.random.default_rng(config.seed).binomial(total, q))
     plus = total - minus
     bounds = None
     if n % 2 == 0 and n >= 4:
-        bounds = error_bounds(n, params.beta, config.epsilon, wt=setting.xy_support)
+        bounds = error_bounds(n, beta, config.epsilon, wt=setting.xy_support)
     return VerificationReport(
         f_est=(plus - minus) / total,
         n_samples=total,
         plus_count=plus,
         minus_count=minus,
         setting=str(setting),
-        beta_used=params,
+        beta_used=beta,
         bound_report=bounds,
         epsilon=config.epsilon,
         delta=config.delta,
-        seed=config.seed,
+        seed=int(config.seed),
     )
 
 

@@ -36,8 +36,8 @@ import numpy as np
 from .graphs import HypergraphSpec
 from .oracle import build_pure_state, hadamard_transform
 from .pauli import PauliString, alternating_setting, stabilizer_product
-from .sampler import MAX_SAMPLES
-from .thermal import flip_probability
+from .sampler import _check_draw
+from .thermal import _check_sites, flip_probability
 
 ACCEPT_MARGIN = 0.999995
 EPSILON_FULL_SCALE = 1e-6
@@ -92,8 +92,7 @@ def _family_rows(n: int) -> np.ndarray:
 
 def build_family(n: int, e2=frozenset()) -> FamilyInstance:
     """Instance of the restricted family on n (even) vertices."""
-    if n < 4 or n % 2:
-        raise ValueError(f"family requires even n >= 4, got {n}")
+    _check_sites(n, even_from=4, need="family requires")
     return FamilyInstance(HypergraphSpec(n, e2=e2, e3=_family_rows(n)))
 
 
@@ -191,15 +190,10 @@ def iqp_sample(inst: FamilyInstance, beta: float, shots: int, seed: int) -> Coun
     """Sample X-basis outcome strings from the thermal instance. The shots
     are independent draws from exact_outcome_distribution(inst, beta), so
     their counts are one Multinomial(shots, dist) draw: memory is O(2^n)
-    and time does not grow with shots, for any 1 <= shots <= 2^63 - 1
-    (MAX_SAMPLES). Returns counts keyed by the outcome string (site 1
-    first).
+    and time does not grow with shots, for any integer 1 <= shots <=
+    2^63 - 1 (MAX_SAMPLES) and integer seed >= 0. Returns counts keyed by
+    the outcome string (site 1 first).
     """
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise TypeError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ValueError(f"need shots >= 1, got {shots}")
-    if shots > MAX_SAMPLES:
-        raise ValueError(f"shots {shots} exceed the limit 2^63 - 1 = {MAX_SAMPLES}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    _check_draw("shots", shots, seed)
+    rng = np.random.default_rng(seed)
     return _outcome_counts(rng.multinomial(shots, exact_outcome_distribution(inst, beta)), inst.n)

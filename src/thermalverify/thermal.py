@@ -18,6 +18,7 @@ where tanh(beta) itself rounds to 1; it holds for every n.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -28,13 +29,26 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _check_sites(n: int) -> None:
+def _check_integer(name: str, value) -> None:
+    """Reject bools and non-integers by name; numpy integers pass."""
+    try:
+        operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_sites(n: int, even_from: int = 0, need: str = "need") -> None:
+    """n is an integer >= 1; with even_from, an even integer >= even_from."""
+    _check_integer("n", n)
+    if even_from and (n < even_from or n % 2):
+        raise ValueError(f"{need} even n >= {even_from}, got {n}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
 
 
 def _check_weight(n: int, wt: int) -> None:
     _check_sites(n)
+    _check_integer("wt", wt)
     if not 0 <= wt <= n:
         raise ValueError(f"need 0 <= wt <= n, got wt={wt}, n={n}")
 
@@ -59,34 +73,6 @@ def beta_from_temperature(temperature: float) -> float:
     if temperature == 0.0:
         return math.inf
     return 1.0 / temperature
-
-
-@dataclass(frozen=True)
-class ThermalParams:
-    """Inverse temperature and its derived phase-flip probability."""
-
-    beta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", _check_beta(self.beta))
-
-    @property
-    def p_flip(self) -> float:
-        return flip_probability(self.beta)
-
-    @property
-    def temperature(self) -> float:
-        if math.isinf(self.beta):
-            return 0.0
-        if self.beta == 0.0:
-            return math.inf
-        return 1.0 / self.beta
-
-    def to_dict(self) -> dict:
-        return {
-            "beta": "infinity" if math.isinf(self.beta) else self.beta,
-            "p_flip": self.p_flip,
-        }
 
 
 @dataclass(frozen=True)
@@ -149,11 +135,8 @@ def minus_probability(n: int, wt: int, beta: float) -> float:
 
 def half_weight_expectation(n: int, beta: float) -> float:
     """Closed form of setting_expectation at wt = n/2: (1-x^2)^(n/2)/(1+x)^n."""
-    if n < 1 or n % 2:
-        raise ValueError(f"need even n >= 2, got {n}")
+    _check_sites(n, even_from=2)
     beta = _check_beta(beta)
-    if math.isinf(beta):
-        return 1.0
     x = math.exp(-2.0 * beta)
     if x == 1.0:
         return 0.0
@@ -185,18 +168,14 @@ def error_bounds(n: int, beta: float, epsilon: float, wt: int | None = None) -> 
     The leading coefficient |n - 2*wt| is reported for the supplied setting
     weight (default n/2, where it vanishes).
     """
-    if n < 4 or n % 2:
-        raise ValueError(f"bounds require even n >= 4, got {n}")
+    _check_sites(n, even_from=4, need="bounds require")
     beta = _check_beta(beta)
     _check_epsilon(epsilon)
     if wt is None:
         wt = n // 2
     _check_weight(n, wt)
-    if math.isinf(beta):
-        fine = epsilon
-    else:
-        x = math.exp(-2.0 * beta)
-        fine = math.exp(math.log(n / 2.0) - 4.0 * beta - n * math.log1p(x)) + epsilon
+    x = math.exp(-2.0 * beta)
+    fine = math.exp(math.log(n / 2.0) - 4.0 * beta - n * math.log1p(x)) + epsilon
     coarse = 2.0 / n + epsilon
     if fine > coarse + 1e-15:
         raise RuntimeError(
@@ -227,8 +206,8 @@ def invert_temperature(n: int, observed: float, from_fidelity: bool = False) -> 
     """
     if from_fidelity:
         _check_sites(n)
-    elif n < 2 or n % 2:
-        raise ValueError(f"expectation inversion requires even n >= 2, got {n}")
+    else:
+        _check_sites(n, even_from=2, need="expectation inversion requires")
     observed = float(observed)
     if not 0.0 < observed <= 1.0:
         raise ValueError(f"observed value must be in (0, 1], got {observed}")

@@ -164,9 +164,9 @@ def test_curves_match_golden_file_and_separate_bounds(tmp_path):
     code = main(["curves", "--sizes", "50,100", "--tmin", "0.01", "--tmax", "2.0",
                  "--points", "200", "--output", str(out)])
     assert code == 0
-    golden = open(GOLDEN_CURVES, "rb").read()
+    golden = GOLDEN_CURVES.read_bytes()
     assert out.read_bytes() == golden
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert all(float(r["F_ub"]) <= float(r["F"]) + 1e-12 for r in rows)
     n100 = [r for r in rows if r["n"] == "100"]
     near = min(n100, key=lambda r: abs(float(r["p_beta"]) - 0.02))

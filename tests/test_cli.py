@@ -447,6 +447,8 @@ class TestEstimateTemperature:
                      "--f-est", repr(1 / 9)]) == 0
         result = read_json(capsys)["result"]
         assert result["beta"] == pytest.approx(math.log(2) / 2, abs=1e-8)
+        assert result["temperature"] == pytest.approx(2 / math.log(2), abs=1e-7)
+        assert result["p_flip"] == pytest.approx(1 / 3, abs=1e-8)
 
     def test_perfect_estimate_gives_zero_temperature(self, capsys):
         assert main(["estimate-temperature", "--n", "4", "--f-est", "1"]) == 0
@@ -504,6 +506,19 @@ class TestBetaRule:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and self.MESSAGE in captured.err
+
+
+class TestSeedRule:
+    @pytest.mark.parametrize("argv", [
+        ["certify-iqp", "--n", "2000", "--samples", "10", "--beta", "3", "--allow-small-n"],
+        ["verify", "--beta", "1", "--epsilon", "0.1", "--delta", "0.1", "--samples", "10"],
+    ])
+    def test_negative_seed_is_named(self, graph_file, capsys, argv):
+        if argv[0] == "verify":
+            argv = argv + ["--graph", graph_file]
+        assert main(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: need seed >= 0, got -1" in captured.err
 
 
 class TestStrictJson:

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -241,7 +242,7 @@ class TestReportSerialization:
         report = run_protocol(g, stabilizer_product(g, "1100"), math.inf, config)
         assert report.to_dict() == {
             "f_est": 1.0, "n_samples": 100, "plus_count": 100, "minus_count": 0,
-            "setting": "+YYZZ", "beta_used": {"beta": "infinity", "p_flip": 0.0},
+            "setting": "+YYZZ", "beta_used": {"beta": math.inf, "p_flip": 0.0},
             "bound_report": {"fine_bound": 0.25, "coarse_bound": 0.75,
                              "union_bound": 1.0, "leading_coefficient": 0},
             "epsilon": 0.25, "delta": 0.1, "seed": 2,
@@ -268,7 +269,7 @@ class TestReportSerialization:
         doc["bound_report"]["fine_bound"] = -7.0
         assert report.to_dict() == before
         assert report.bound_report.fine_bound == before["bound_report"]["fine_bound"]
-        assert report.beta_used.beta == 1.0
+        assert report.beta_used == 1.0
 
 
 class TestCheckErrorBound:
@@ -312,3 +313,23 @@ class TestProtocolConfig:
             ProtocolConfig(epsilon=0.5, delta=1.0)
         with pytest.raises(ValueError):
             ProtocolConfig(epsilon=0.5, delta=0.5, n_samples=0)
+
+    @pytest.mark.parametrize("kwargs, error, match", [
+        ({"n_samples": 1.5}, TypeError, "n_samples must be an integer, got 1.5"),
+        ({"n_samples": True}, TypeError, "n_samples must be an integer, got True"),
+        ({"seed": -1}, ValueError, "need seed >= 0, got -1"),
+        ({"seed": 2.0}, TypeError, "seed must be an integer, got 2.0"),
+        ({"seed": False}, TypeError, "seed must be an integer, got False"),
+    ])
+    def test_budget_and_seed_are_integers(self, kwargs, error, match):
+        with pytest.raises(error, match=match):
+            ProtocolConfig(epsilon=0.1, delta=0.1, **kwargs)
+
+    def test_numpy_integer_budget_and_seed_pass(self):
+        config = ProtocolConfig(0.1, 0.1, n_samples=np.int64(10), seed=np.int32(4))
+        assert config.resolved_samples() == 10 and config.seed == 4
+        g = ring_graph(4)
+        setting = stabilizer_product(g, "1100")
+        doc = run_protocol(g, setting, 1.0, config).to_dict()
+        assert doc == run_protocol(g, setting, 1.0, ProtocolConfig(0.1, 0.1, 10, 4)).to_dict()
+        assert json.loads(json.dumps(doc)) == doc

@@ -355,11 +355,24 @@ class TestIqpSample:
         (1.5, TypeError, "shots must be an integer, got 1.5"),
         (True, TypeError, "shots must be an integer, got True"),
         (0, ValueError, "need shots >= 1, got 0"),
-        (2**63, ValueError, r"shots 9223372036854775808 exceed the limit 2\^63 - 1 = 9223372036854775807"),
+        (2**63, ValueError, r"shots 9223372036854775808 exceeds the limit 2\^63 - 1 = 9223372036854775807"),
     ])
     def test_shots_must_be_an_int64_count(self, shots, error, match):
         with pytest.raises(error, match=match):
             iqp_sample(build_family(4), 1.0, shots=shots, seed=0)
+
+    @pytest.mark.parametrize("seed, error, match", [
+        (-1, ValueError, "need seed >= 0, got -1"),
+        (1.5, TypeError, "seed must be an integer, got 1.5"),
+        (True, TypeError, "seed must be an integer, got True"),
+    ])
+    def test_seed_must_be_a_non_negative_integer(self, seed, error, match):
+        with pytest.raises(error, match=match):
+            iqp_sample(build_family(4), 1.0, shots=10, seed=seed)
+
+    def test_numpy_integer_shots_and_seed_run(self):
+        counts = iqp_sample(build_family(4), 1.0, shots=np.int64(10), seed=np.uint32(3))
+        assert counts == iqp_sample(build_family(4), 1.0, shots=10, seed=3)
 
     def test_largest_shot_count_runs(self):
         counts = iqp_sample(build_family(4), 1.0, shots=MAX_SAMPLES, seed=0)

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,11 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from thermalverify import (BoundReport, ThermalParams, beta_from_temperature,
+from thermalverify import (BoundReport, ProtocolConfig, beta_from_temperature,
                            deviation_leading_order, error_bounds, fidelity,
                            flip_probability, half_weight_expectation,
-                           invert_temperature, minus_probability, sample_size,
-                           setting_expectation, union_bound)
+                           invert_temperature, minus_probability, ring_graph,
+                           run_protocol, sample_size, setting_expectation,
+                           stabilizer_product, union_bound)
+from thermalverify.cli import _dumps
+from thermalverify.thermal import _check_beta
 from util_dense import exact_setting_expectation, exhaustive_parity_expectation
 
 BETA_HALF = math.log(2) / 2  # exp(-2*beta) = 1/2
@@ -289,20 +293,72 @@ class TestInvertTemperature:
 
 
 class TestThermalParams:
+    """The thermal parameters carried by one float beta: its flip
+    probability, its temperature with the T = 0 sentinel math.inf, and that
+    sentinel's spelling in JSON."""
+
     def test_derived_fields(self):
-        params = ThermalParams(BETA_HALF)
-        assert params.p_flip == pytest.approx(1 / 3, abs=1e-15)
-        assert params.temperature == pytest.approx(1 / BETA_HALF)
+        assert flip_probability(BETA_HALF) == pytest.approx(1 / 3, abs=1e-15)
+        assert beta_from_temperature(1 / BETA_HALF) == pytest.approx(BETA_HALF)
 
     def test_from_temperature(self):
-        assert ThermalParams(beta_from_temperature(0.0)).beta == math.inf
-        assert ThermalParams(beta_from_temperature(2.0)).beta == 0.5
-        with pytest.raises(ValueError):
-            ThermalParams(beta_from_temperature(-1.0))
+        assert _check_beta(beta_from_temperature(0.0)) == math.inf
+        assert _check_beta(beta_from_temperature(2.0)) == 0.5
+        with pytest.raises(ValueError, match="temperature must be >= 0, got -1.0"):
+            beta_from_temperature(-1.0)
+        for beta in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="inverse temperature must be >= 0"):
+                _check_beta(beta)
 
     def test_serialization_uses_infinity_token(self):
-        assert ThermalParams(math.inf).to_dict() == {"beta": "infinity", "p_flip": 0.0}
+        g = ring_graph(4)
+        report = run_protocol(g, stabilizer_product(g, "1100"), math.inf,
+                              ProtocolConfig(0.25, 0.1, 100, 2))
+        assert report.to_dict()["beta_used"] == {"beta": math.inf, "p_flip": 0.0}
+        encoded = json.loads(_dumps(report.to_dict()))["beta_used"]
+        assert encoded == {"beta": "infinity", "p_flip": 0.0}
 
     def test_beta_from_temperature_matches(self):
         assert beta_from_temperature(0.0) == math.inf
         assert beta_from_temperature(4.0) == 0.25
+
+
+class TestIntegerSites:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: fidelity(2.5, 1.0), "n must be an integer, got 2.5"),
+        (lambda: fidelity(True, 1.0), "n must be an integer, got True"),
+        (lambda: setting_expectation(4.5, 2, 1.0), "n must be an integer, got 4.5"),
+        (lambda: setting_expectation(4, 1.5, 1.0), "wt must be an integer, got 1.5"),
+        (lambda: union_bound(2.5, 1.0), "n must be an integer, got 2.5"),
+        (lambda: minus_probability(3.7, 1, 1.0), "n must be an integer, got 3.7"),
+        (lambda: minus_probability(4, False, 1.0), "wt must be an integer, got False"),
+        (lambda: deviation_leading_order(4, 2.0, 1.0), "wt must be an integer, got 2.0"),
+        (lambda: half_weight_expectation(4.0, 1.0), "n must be an integer, got 4.0"),
+        (lambda: error_bounds(6.0, 1.0, 0.1), "n must be an integer, got 6.0"),
+        (lambda: error_bounds(6, 1.0, 0.1, wt=3.0), "wt must be an integer, got 3.0"),
+        (lambda: invert_temperature(4.0, 0.5), "n must be an integer, got 4.0"),
+        (lambda: invert_temperature(True, 0.5, from_fidelity=True),
+         "n must be an integer, got True"),
+    ])
+    def test_non_integers_and_bools_rejected_by_name(self, call, match):
+        with pytest.raises(TypeError, match=match):
+            call()
+
+    def test_numpy_integers_pass(self):
+        n, wt = np.int64(6), np.int32(3)
+        assert fidelity(n, 1.0) == fidelity(6, 1.0)
+        assert setting_expectation(n, wt, 1.0) == setting_expectation(6, 3, 1.0)
+        assert half_weight_expectation(n, 1.0) == half_weight_expectation(6, 1.0)
+        assert error_bounds(n, 1.0, 0.1, wt=wt) == error_bounds(6, 1.0, 0.1)
+        assert invert_temperature(n, 0.5) == invert_temperature(6, 0.5)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: half_weight_expectation(5, 1.0), "need even n >= 2, got 5"),
+        (lambda: half_weight_expectation(0, 1.0), "need even n >= 2, got 0"),
+        (lambda: error_bounds(2, 1.0, 0.1), "bounds require even n >= 4, got 2"),
+        (lambda: error_bounds(7, 1.0, 0.1), "bounds require even n >= 4, got 7"),
+        (lambda: invert_temperature(3, 0.5), "expectation inversion requires even n >= 2, got 3"),
+    ])
+    def test_even_site_messages_kept(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
