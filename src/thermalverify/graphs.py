@@ -29,6 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .thermal import _check_integer, _check_sites
+
 
 def _canonical_edge(edge, n: int, arity: int) -> tuple[int, ...]:
     name = "edge" if arity == 2 else "hyperedge"
@@ -114,8 +116,7 @@ class HypergraphSpec:
     """
 
     def __init__(self, n: int, e2=frozenset(), e3=frozenset()):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"vertex count must be a positive integer, got {n!r}")
+        n = _check_sites(n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "e2_rows", _canonical_rows(e2, n, 2))
         object.__setattr__(self, "e3_rows", _canonical_rows(e3, n, 3))
@@ -169,7 +170,8 @@ def load_hypergraph(source) -> HypergraphSpec:
     (a str or Path, always read as a file name, never as JSON text).
 
     Expected document shape: {"n": int, "e2": [[i, j], ...], "e3": [[i, j, k], ...]}
-    with 1-indexed vertices; "e2"/"e3" may be omitted.
+    with 1-indexed vertices; "e2"/"e3" may be omitted. Every malformed
+    document, a non-integer n or a non-list edge included, is a ValueError.
     """
     doc = source
     if isinstance(source, (str, Path)):
@@ -181,16 +183,21 @@ def load_hypergraph(source) -> HypergraphSpec:
         raise ValueError(f"graph document has unknown keys {sorted(unknown)}")
     if "n" not in doc:
         raise ValueError('graph document is missing "n"')
-    return HypergraphSpec(doc["n"], e2=doc.get("e2", []), e3=doc.get("e3", []))
+    try:
+        return HypergraphSpec(doc["n"], e2=doc.get("e2", []), e3=doc.get("e3", []))
+    except TypeError as exc:  # a value of the wrong JSON type is a bad document
+        raise ValueError(f"graph document: {exc}") from None
 
 
 def path_graph(n: int) -> GraphSpec:
     """The path 1-2-...-n."""
+    n = _check_sites(n)
     return GraphSpec(n, edges=frozenset((i, i + 1) for i in range(1, n)))
 
 
 def ring_graph(n: int) -> GraphSpec:
     """The cycle 1-2-...-n-1 (requires n >= 3)."""
+    n = _check_integer("n", n)
     if n < 3:
         raise ValueError(f"ring graph needs at least 3 vertices, got {n}")
     edges = {(i, i + 1) for i in range(1, n)} | {(1, n)}

@@ -17,12 +17,18 @@ checks feasible up to n = 24 (MAX_STATEVECTOR_N, also the cap of the X-basis
 functions in supremacy). Dense matrices appear only in the Hamiltonian route
 (n <= 10) and density operators (n <= 12; note n = 12 allocates ~0.5 GB).
 
+A Kronecker power m^(x)n of a symmetric 2x2 matrix (the Hadamard transform
+here, the thermal flip mix in supremacy) acts on a statevector in
+ceil(n / _PASS_BITS) passes, each one GEMM against the 2^k x 2^k factor
+m^(x)k that ping-pongs between the vector and one spare buffer.
+
 Computational-basis index convention: bit i-1 of the index is the state of
 site i (site 1 is the least significant bit).
 """
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -32,6 +38,10 @@ from .thermal import _check_beta, flip_probability
 MAX_STATEVECTOR_N = 24
 MAX_DENSITY_N = 12
 MAX_HAMILTONIAN_N = 10
+
+# Most bits one Kronecker pass transforms: 5 (32 x 32 factors) was fastest
+# at n in {10, 16, 20, 24}, with one BLAS thread and with two.
+_PASS_BITS = 5
 
 
 def _indices(n: int) -> np.ndarray:
@@ -102,17 +112,37 @@ class DenseMixedState:
         self.n = n
 
 
+def _ones_view(block: np.ndarray, bits) -> np.ndarray:
+    """View of the entries of a length-2^m block whose index has every one
+    of the given (0-based, ascending) bits set."""
+    shape, index, top = [], [], block.size.bit_length() - 1
+    for b in reversed(bits):
+        shape += [1 << (top - b - 1), 2]
+        index += [slice(None), 1]
+        top = b
+    return block.reshape(shape + [1 << top])[tuple(index)]
+
+
 def build_pure_state(spec) -> DenseState:
     """Real statevector of a HypergraphSpec's state: uniform superposition
-    with a sign flip wherever an edge's (or hyperedge's) bits are all 1."""
-    if spec.n > MAX_STATEVECTOR_N:
-        raise ValueError(f"statevector limited to n <= {MAX_STATEVECTOR_N}, got {spec.n}")
-    idx = _indices(spec.n)
-    amps = np.full(1 << spec.n, 2.0 ** (-spec.n / 2.0))
-    for row in spec.e2_rows.tolist() + spec.e3_rows.tolist():
-        mask = np.uint32(sum(1 << (v - 1) for v in row))
-        np.negative(amps, out=amps, where=(idx & mask) == mask)
-    return DenseState(amps, spec.n)
+    with a sign flip wherever an edge's (or hyperedge's) bits are all 1.
+    Built site by site: the half with z_v = 1 is the half with z_v = 0 times
+    the signs of the edges whose largest vertex is v."""
+    n = spec.n
+    if n > MAX_STATEVECTOR_N:
+        raise ValueError(f"statevector limited to n <= {MAX_STATEVECTOR_N}, got {n}")
+    others = [[] for _ in range(n + 1)]  # 0-based lower bits, per largest vertex
+    for *rest, top in spec.e2_rows.tolist() + spec.e3_rows.tolist():
+        others[top].append([v - 1 for v in rest])
+    amps = np.empty(1 << n)
+    amps[0] = 2.0 ** (-n / 2.0)
+    for v in range(1, n + 1):
+        low, high = amps[: 1 << (v - 1)], amps[1 << (v - 1): 1 << v]
+        high[...] = low
+        for bits in others[v]:
+            flipped = _ones_view(high, bits)
+            np.negative(flipped, out=flipped)
+    return DenseState(amps, n)
 
 
 def apply_operator(op, amplitudes: np.ndarray) -> np.ndarray:
@@ -202,18 +232,46 @@ def stabilizer_check(state: DenseState, op) -> bool:
     return bool(np.max(np.abs(applied - state.amplitudes)) <= 1e-10)
 
 
+@cache
+def _hadamard_factor(k: int) -> np.ndarray:
+    """H^(x)k, read-only: entry (i, j) is (-1)^popcount(i & j) / 2^(k/2)."""
+    i = np.arange(1 << k)
+    factor = (1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)) * 2.0 ** (-k / 2.0)
+    factor.flags.writeable = False
+    return factor
+
+
+def _flip_factor(k: int, p: float) -> np.ndarray:
+    """C^(x)k for C = [[1-p, p], [p, 1-p]]: entry (i, j) is w[popcount(i ^ j)]
+    with w[d] = (1-p)^(k-d) p^d."""
+    i, d = np.arange(1 << k), np.arange(k + 1)
+    return ((1.0 - p) ** (k - d) * p**d)[np.bitwise_count(i[:, None] ^ i)]
+
+
+def _kron_power(vec: np.ndarray, spare: np.ndarray, factor) -> tuple[np.ndarray, np.ndarray]:
+    """m^(x)n applied to a length-2^n vector, m a symmetric 2x2 matrix with
+    m^(x)k = factor(k), called once per distinct k. Each pass applies m^(x)k
+    to the lowest k index bits and writes the result transposed, so they
+    become the highest; after all n bits the order is restored. Overwrites
+    vec and spare (same shape and dtype); returns (result, the other one)."""
+    n = vec.size.bit_length() - 1
+    passes = -(-n // _PASS_BITS)
+    sizes = [n // passes + (j < n % passes) for j in range(passes)]
+    factors = {k: factor(k) for k in set(sizes)}
+    for k in sizes:
+        np.matmul(factors[k], vec.reshape(-1, 1 << k).T, out=spare.reshape(1 << k, -1))
+        vec, spare = spare, vec
+    return vec, spare
+
+
 def hadamard_transform(amplitudes: np.ndarray) -> np.ndarray:
     """Normalized Walsh-Hadamard transform (X-basis change) of a 1-D
-    statevector: butterflies in place on one copy, real input stays real."""
+    statevector, as Kronecker passes over a copy: real input stays real and
+    is not modified."""
     if amplitudes.ndim != 1:
         raise ValueError(f"expected a 1-D statevector, got shape {amplitudes.shape}")
     size = amplitudes.shape[0]
     if size & (size - 1):
         raise ValueError(f"length must be a power of two, got {size}")
     out = np.array(amplitudes, dtype=complex if np.iscomplexobj(amplitudes) else float)
-    for k in range(size.bit_length() - 1):
-        left, right = out.reshape(-1, 2, 1 << k).swapaxes(0, 1)  # views of out
-        left += right  # x + y
-        right *= -2.0
-        right += left  # x + y - 2y = x - y
-    return np.divide(out, math.sqrt(size), out=out)
+    return _kron_power(out, np.empty_like(out), _hadamard_factor)[0]

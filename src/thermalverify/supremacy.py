@@ -18,23 +18,25 @@ which at the threshold is below the hardness target 1/192.
 
 Thermal noise is an independent phase flip Z per site with probability p,
 and H^n Z_e = X_e H^n, so the thermal X-basis distribution is the ideal one
-XOR-convolved with the product flip distribution. Its shots are
-independent draws from that one distribution, so iqp_sample draws their
-counts as one multinomial, with memory O(2^n) whatever the shot count.
-Both X-basis functions work in place on one real statevector (tracemalloc
-peak ~2.1 statevectors, 272 MiB at the shared oracle cap n <= 24,
-MAX_STATEVECTOR_N).
+XOR-convolved with the product flip distribution: C^(x)n |H^(x)n psi|^2
+with C = [[1-p, p], [p, 1-p]]. Its shots are independent draws from that
+one distribution, so iqp_sample draws their counts as one multinomial,
+with memory O(2^n) whatever the shot count. Both X-basis functions run the
+two Kronecker powers as oracle's GEMM passes on the pure state's real
+amplitudes and one spare buffer (tracemalloc peak 2.0 statevectors,
+256 MiB at the shared oracle cap n <= 24, MAX_STATEVECTOR_N).
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .graphs import HypergraphSpec
-from .oracle import build_pure_state, hadamard_transform
+from .oracle import _flip_factor, _hadamard_factor, _kron_power, build_pure_state
 from .pauli import PauliString, alternating_setting, stabilizer_product
 from .sampler import _check_draw
 from .thermal import _check_sites, flip_probability
@@ -157,18 +159,17 @@ def exact_outcome_distribution(inst: FamilyInstance, beta: float) -> np.ndarray:
     """Exact X-basis outcome distribution of the thermal instance, as a
     length-2^n vector indexed with site 1 in the least significant bit.
 
-    The ideal distribution |H^n psi|^2, then per site k and per pair (x, y)
-    of outcomes differing in bit k, (x, y) <- (x + p(y-x), y - p(y-x)): the
-    XOR-convolution with the product phase-flip distribution, all in place.
+    The ideal distribution |H^(x)n psi|^2, then C^(x)n with C = [[1-p, p],
+    [p, 1-p]] (skipped at p = 0): the XOR-convolution with the product
+    phase-flip distribution. Both Kronecker powers run as GEMM passes on
+    the pure state's own amplitudes and one spare buffer.
     """
     p = flip_probability(beta)
-    dist = hadamard_transform(build_pure_state(inst.spec).amplitudes)
+    amps = build_pure_state(inst.spec).amplitudes
+    dist, spare = _kron_power(amps, np.empty_like(amps), _hadamard_factor)
     np.square(dist, out=dist)
-    for k in range(inst.n):
-        x, y = dist.reshape(-1, 2, 1 << k).swapaxes(0, 1)  # views of dist
-        step = p * (y - x)
-        x += step
-        y -= step
+    if p:
+        dist, spare = _kron_power(dist, spare, partial(_flip_factor, p=p))
     return np.divide(dist, dist.sum(), out=dist)
 
 
@@ -176,14 +177,17 @@ def _outcome_counts(totals: np.ndarray, n: int) -> Counter:
     """The nonzero entries of a length-2^n totals vector in ascending index
     order, keyed by outcome string (site 1 first). The keys are cut from one
     uint8 ASCII buffer filled a column at a time, so no (entries, n) int64
-    array is made."""
+    array is made, and go into the Counter with one dict.update."""
     hits = np.flatnonzero(totals)
     chars = np.empty((hits.size, n), np.uint8)
     for k in range(n):
         chars[:, k] = hits >> k & 1
     chars += ord("0")
     text = chars.tobytes().decode("ascii")
-    return Counter({text[j * n:(j + 1) * n]: c for j, c in enumerate(totals[hits].tolist())})
+    counts = Counter()
+    dict.update(counts, zip([text[i:i + n] for i in range(0, len(text), n)],
+                            totals[hits].tolist()))
+    return counts
 
 
 def iqp_sample(inst: FamilyInstance, beta: float, shots: int, seed: int) -> Counter:

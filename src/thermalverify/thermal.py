@@ -29,21 +29,23 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _check_integer(name: str, value) -> None:
-    """Reject bools and non-integers by name; numpy integers pass."""
+def _check_integer(name: str, value) -> int:
+    """value as a plain int; bools and non-integers are rejected by name,
+    numpy integers pass."""
     try:
-        operator.index(None if isinstance(value, bool) else value)
+        return operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _check_sites(n: int, even_from: int = 0, need: str = "need") -> None:
-    """n is an integer >= 1; with even_from, an even integer >= even_from."""
-    _check_integer("n", n)
+def _check_sites(n: int, even_from: int = 0, need: str = "need") -> int:
+    """n as a plain int >= 1; with even_from, an even int >= even_from."""
+    n = _check_integer("n", n)
     if even_from and (n < even_from or n % 2):
         raise ValueError(f"{need} even n >= {even_from}, got {n}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    return n
 
 
 def _check_weight(n: int, wt: int) -> None:

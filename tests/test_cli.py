@@ -151,6 +151,13 @@ class TestExpectation:
         bad.write_text('{"n": 3, "e2": [[1, 7]]}')
         assert main(["expectation", "--graph", str(bad), "--beta", "1"]) == 2
 
+    @pytest.mark.parametrize("doc", ['{"n": 1.5}', '{"n": true}', '{"n": 3, "e2": [1, 2]}'])
+    def test_wrong_json_type_in_graph_is_validation_error(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        assert main(["expectation", "--graph", str(bad), "--beta", "1", "--wt", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: graph document: ")
+
     @pytest.mark.parametrize("epsilon", ["5", "nan", "-0.1"])
     def test_epsilon_checked_for_every_n(self, tmp_path, capsys, epsilon):
         odd = tmp_path / "g3.json"

@@ -47,6 +47,33 @@ def test_vertex_count_validated():
         GraphSpec(0)
 
 
+@pytest.mark.parametrize("build, n", [(HypergraphSpec, 3), (ring_graph, 5), (path_graph, 4)])
+def test_numpy_integer_site_count_builds_the_same_spec(build, n):
+    spec = build(np.int64(n))
+    assert spec == build(n) and type(spec.n) is int
+    assert json.loads(json.dumps(spec.to_dict()))["n"] == n
+
+
+@pytest.mark.parametrize("build", [HypergraphSpec, GraphSpec, ring_graph, path_graph])
+@pytest.mark.parametrize("n", [5.0, True, "5"])
+def test_non_integer_site_count_is_named(build, n):
+    with pytest.raises(TypeError, match=f"n must be an integer, got {n!r}"):
+        build(n)
+
+
+@pytest.mark.parametrize("build", [HypergraphSpec, path_graph])
+def test_site_count_below_one_keeps_the_shared_message(build):
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        build(0)
+
+
+@pytest.mark.parametrize("doc, match", [({"n": 1.5}, "n must be an integer, got 1.5"),
+                                        ({"n": 3, "e2": [1, 2]}, "not iterable")])
+def test_wrong_json_type_is_a_bad_document(doc, match):
+    with pytest.raises(ValueError, match=f"graph document: .*{match}"):
+        load_hypergraph(doc)
+
+
 def test_hypergraph_triples_canonical():
     h = HypergraphSpec(5, e3={(3, 1, 2), (5, 4, 3)})
     assert h.e3 == frozenset({(1, 2, 3), (3, 4, 5)})

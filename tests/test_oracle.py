@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from thermalverify import (DenseMixedState, DenseState, GraphSpec, HypergraphSpe
                            generalized_product, hadamard_transform, path_graph,
                            setting_expectation, stabilizer_check, stabilizer_product,
                            thermal_density)
+from thermalverify.oracle import _flip_factor, _hadamard_factor, _kron_power
 from util_dense import (exhaustive_parity_expectation, from_letters, generator,
                         gibbs_reference, graph_generator, hypergraph_state_vector, hypergraphs_with_selector,
-                        pauli_matrix, random_hypergraph, stabilizer_product_matrix)
+                        kron_power_reference, pauli_matrix, per_edge_pure_state, random_hypergraph,
+                        stabilizer_product_matrix)
 
 BETA_HALF = math.log(2) / 2
 
@@ -48,6 +51,14 @@ class TestBuildPureState:
         psi = build_pure_state(h)
         assert psi.amplitudes.dtype == np.float64
         assert np.array_equal(psi.amplitudes, hypergraph_state_vector(h).real)
+
+    @given(hypergraphs_with_selector(max_n=14))
+    @settings(max_examples=60, deadline=None)
+    def test_site_by_site_build_matches_per_edge_loop(self, case):
+        h, _ = case
+        amplitudes = build_pure_state(h).amplitudes
+        assert np.array_equal(amplitudes, per_edge_pure_state(h))
+        assert np.max(np.abs(amplitudes - hypergraph_state_vector(h))) <= 1e-15
 
 
 class TestApplyOperator:
@@ -255,6 +266,28 @@ class TestStateValidation:
         bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="PSD"):
             DenseMixedState(bad, 2)
+
+
+class TestKronPower:
+    @given(n=st.integers(1, 12), complex_input=st.booleans(), p=st.floats(0.0, 0.5),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_kronecker_power(self, n, complex_input, p, seed):
+        rng = np.random.default_rng(seed)
+        vec = rng.normal(size=1 << n)
+        if complex_input:
+            vec = vec + 1j * rng.normal(size=1 << n)
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+        flip = np.array([[1.0 - p, p], [p, 1.0 - p]])
+        for m, factor in ((hadamard, _hadamard_factor), (flip, partial(_flip_factor, p=p))):
+            out, _ = _kron_power(vec.copy(), np.empty_like(vec), factor)
+            assert out.dtype == vec.dtype
+            assert np.max(np.abs(out - kron_power_reference(m, n, vec))) <= 1e-12
+
+    def test_hadamard_factor_is_cached_read_only(self):
+        assert _hadamard_factor(5) is _hadamard_factor(5)
+        with pytest.raises(ValueError, match="read-only"):
+            _hadamard_factor(5)[0, 0] = 0.0
 
 
 class TestHadamardTransform:

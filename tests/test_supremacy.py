@@ -1,13 +1,19 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import thermalverify
 from thermalverify import (CertificationDecision, FamilyInstance, HypergraphSpec,
                            ProtocolConfig, alternating_setting, build_family,
                            build_pure_state, certify, exact_outcome_distribution,
@@ -94,6 +100,10 @@ class TestBuildFamily:
     def test_e2_is_passed_through(self):
         inst = build_family(10, e2={(1, 2), (9, 10)})
         assert inst.spec.e2 == frozenset({(1, 2), (9, 10)})
+
+    def test_numpy_integer_site_count_builds_the_same_instance(self):
+        inst = build_family(np.int64(10))
+        assert inst == build_family(10) and type(inst.n) is int
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
@@ -425,6 +435,27 @@ class TestStatevectorCap:
         dist = exact_outcome_distribution(inst, 0.7)
         assert dist.shape == (1 << 14,) and dist.sum() == pytest.approx(1.0, abs=1e-12)
         assert sum(iqp_sample(inst, 0.7, shots=1000, seed=0).values()) == 1000
+
+    def test_results_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the Kronecker passes are GEMMs, so the sampling path runs through
+        # BLAS: one and two OpenBLAS threads must give the same bytes and counts
+        child = (
+            "import json, sys\n"
+            "from thermalverify import build_family, exact_outcome_distribution, iqp_sample\n"
+            "inst = build_family(14, e2={(1, 4), (2, 6)})\n"
+            "exact_outcome_distribution(inst, 0.7).tofile(sys.argv[1])\n"
+            "print(json.dumps(sorted(iqp_sample(inst, 0.7, shots=10**6, seed=3).items())))\n"
+        )
+        package_root = str(Path(thermalverify.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"dist{threads}.bin"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": package_root}
+            done = subprocess.run([sys.executable, "-c", child, str(out)], env=env,
+                                  capture_output=True, text=True, timeout=300, check=True)
+            runs.append((out.read_bytes(), json.loads(done.stdout)))
+        assert len(runs[0][0]) == 8 << 14 and sum(c for _, c in runs[0][1]) == 10**6
+        assert runs[0] == runs[1]
 
     def test_above_cap_raises(self):
         inst = build_family(26)

@@ -25,7 +25,10 @@ PauliString.letters), pauli_multiply is the Pauli-group product, and
 sample_error_pattern and measure_outcome are the per-shot model that
 sampler.run_protocol's one binomial draw stands for. outcome_counts_reference
 formats each outcome key on its own, the reference for the array-built keys
-of supremacy.iqp_sample.
+of supremacy.iqp_sample. per_edge_pure_state is the one-pass-per-edge sign
+loop that oracle.build_pure_state's site-by-site build replaced, and
+kron_power_reference the explicit Kronecker power m^(x)n that
+oracle._kron_power applies in GEMM passes.
 
 Index convention matches the package: bit i-1 of a basis index is site i.
 """
@@ -95,6 +98,27 @@ def hypergraph_state_vector(h) -> np.ndarray:
                 sign = -sign
         vec[z] *= sign
     return vec
+
+
+def per_edge_pure_state(spec) -> np.ndarray:
+    """Reference for oracle.build_pure_state: the uniform real amplitude
+    2^(-n/2), negated over the whole vector once per edge and hyperedge
+    wherever its bits are all 1."""
+    idx = np.arange(1 << spec.n, dtype=np.uint32)
+    amps = np.full(1 << spec.n, 2.0 ** (-spec.n / 2.0))
+    for row in spec.e2_rows.tolist() + spec.e3_rows.tolist():
+        mask = np.uint32(sum(1 << (v - 1) for v in row))
+        np.negative(amps, out=amps, where=(idx & mask) == mask)
+    return amps
+
+
+def kron_power_reference(m: np.ndarray, n: int, vec: np.ndarray) -> np.ndarray:
+    """m^(x)n @ vec with the dense 2^n x 2^n Kronecker power of a real 2x2
+    m; a complex vec is applied part by part so the matrix stays real."""
+    full = reduce(np.kron, [m] * n)
+    if np.iscomplexobj(vec):
+        return full @ vec.real + 1j * (full @ vec.imag)
+    return full @ vec
 
 
 def mixture_outcome_distribution(h, beta: float) -> np.ndarray:
