@@ -1,5 +1,6 @@
 """In-process sweep of the X-basis path: wall time and tracemalloc peak of
-hadamard_transform, build_pure_state, exact_outcome_distribution and
+the Hadamard Kronecker kernel (oracle._kron_power with _hadamard_factor, on a
+copy of the pure state), build_pure_state, exact_outcome_distribution and
 iqp_sample (1e4 shots) on build_family(n, e2={(1, 4), (2, 6)}) at beta = 1,
 for two checkouts of the repository measured side by side.
 
@@ -11,8 +12,9 @@ first on PYTHONPATH and OPENBLAS_NUM_THREADS set; the two sides alternate
 which goes first from one n to the next. A child makes one warm-up call
 per function, times REPS further calls with tracemalloc off (the median is
 reported), then takes the tracemalloc peak of one more call. The peak is
-also given in float64 statevectors (8 * 2^n bytes); for hadamard_transform
-it excludes the input vector, which exists before the call. Prints one JSON
+also given in float64 statevectors (8 * 2^n bytes); for the Hadamard kernel
+it excludes the pure state, which exists before the call, and counts the
+copy and the spare buffer. Prints one JSON
 object.
 """
 from __future__ import annotations
@@ -33,16 +35,19 @@ BETA = 1.0
 
 
 def measure(n: int) -> dict:
-    from thermalverify import (build_family, build_pure_state, exact_outcome_distribution,
-                               hadamard_transform, iqp_sample)
+    import numpy as np
 
-    inst = build_family(n, e2={(1, 4), (2, 6)})
-    amplitudes = build_pure_state(inst.spec).amplitudes
+    from thermalverify import build_family, build_pure_state, exact_outcome_distribution, iqp_sample
+    from thermalverify.oracle import _hadamard_factor, _kron_power
+
+    spec = build_family(n, e2={(1, 4), (2, 6)})
+    amplitudes = build_pure_state(spec).amplitudes
     calls = {
-        "hadamard_transform": lambda seed: hadamard_transform(amplitudes),
-        "build_pure_state": lambda seed: build_pure_state(inst.spec),
-        "exact_outcome_distribution": lambda seed: exact_outcome_distribution(inst, BETA),
-        "iqp_sample": lambda seed: iqp_sample(inst, BETA, SHOTS, seed),
+        "kron_power_hadamard": lambda seed: _kron_power(
+            amplitudes.copy(), np.empty_like(amplitudes), _hadamard_factor),
+        "build_pure_state": lambda seed: build_pure_state(spec),
+        "exact_outcome_distribution": lambda seed: exact_outcome_distribution(spec, BETA),
+        "iqp_sample": lambda seed: iqp_sample(spec, BETA, SHOTS, seed),
     }
     reps = REPS.get(n, 3)
     results = {}

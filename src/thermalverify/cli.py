@@ -29,12 +29,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .graphs import GraphSpec, load_hypergraph, ring_graph
+from .graphs import HypergraphSpec, load_hypergraph, ring_graph
 from .identities import check_alternating, check_even, check_odd
 from .oracle import MAX_DENSITY_N, dense_expectation, thermal_density
 from .pauli import alternating_setting, parse_setting, stabilizer_product
 from .sampler import ProtocolConfig, check_error_bound, run_protocol
-from .supremacy import build_family, certify, optimal_setting
+from .supremacy import EPSILON_FULL_SCALE, L1_TARGET, build_family, certify, optimal_setting
 from .thermal import (_check_beta, _check_epsilon, _check_sites, beta_from_temperature,
                       deviation_leading_order, error_bounds, fidelity, flip_probability,
                       half_weight_expectation, invert_temperature, setting_expectation,
@@ -283,7 +283,7 @@ def cmd_oracle_check(args) -> int:
     worst = 0.0
     checked = 0
     for n in range(2, args.nmax + 1):
-        graph = ring_graph(n) if n >= 3 else GraphSpec(2, edges=frozenset({(1, 2)}))
+        graph = ring_graph(n) if n >= 3 else HypergraphSpec(2, e2={(1, 2)})
         for beta in args.betas:
             rho = thermal_density(graph, beta)
             for selector in range(1 << n):
@@ -338,12 +338,12 @@ def cmd_certify_iqp(args) -> int:
         f_est = _estimate_from_report(args.report)
     elif f_est is None:
         beta = _resolve_beta(args)
-        inst = build_family(args.n)
-        report = run_protocol(inst.spec, optimal_setting(inst), beta, config)
+        spec = build_family(args.n)
+        report = run_protocol(spec, optimal_setting(spec), beta, config)
         f_est = report.f_est
         result["report"] = report.to_dict()
     result["decision"] = certify(f_est, args.n, allow_small_n=args.allow_small_n).to_dict()
-    result["l1_target"] = 1.0 / 192.0
+    result["l1_target"] = L1_TARGET
     _emit_json(args, result)
     return 0
 
@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate the rule on a given estimate (no simulation)")
     group.add_argument("--report", default=None,
                        help="evaluate the rule on the f_est of a JSON report file")
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--epsilon", type=float, default=EPSILON_FULL_SCALE)
     p.add_argument("--delta", type=float, default=1e-2)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)

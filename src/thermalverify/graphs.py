@@ -3,7 +3,7 @@
 Vertices are 1-indexed everywhere in the public interface. Edges connect two
 distinct vertices, hyperedges three. Edge sets use set semantics: duplicates
 collapse, storage is canonical. HypergraphSpec is the one spec type: a graph
-is the case with no hyperedges, and GraphSpec builds one from its edges.
+is the case with no hyperedges, HypergraphSpec(n, e2=edges).
 
 Storage is one sorted, deduplicated, read-only int64 array per edge set, of
 shape (m, 2) for edges and (m, 3) for hyperedges, each row ascending and the
@@ -111,8 +111,7 @@ class HypergraphSpec:
 
     e2_rows and e3_rows are the (m, 2) and (m, 3) int64 arrays; e2 and e3
     are their frozenset views. Immutable after construction. Two specs are
-    equal, and hash alike, when n and the edge rows agree, whatever their
-    class: a GraphSpec equals the HypergraphSpec with the same edges.
+    equal, and hash alike, when n and the edge rows agree.
     """
 
     def __init__(self, n: int, e2=frozenset(), e3=frozenset()):
@@ -149,20 +148,8 @@ class HypergraphSpec:
         """The three-vertex edges as sorted tuples, built on first read."""
         return _edge_set(self.e3_rows)
 
-    def as_hypergraph(self) -> "HypergraphSpec":
-        """The spec itself: every spec is a hypergraph."""
-        return self
-
     def to_dict(self) -> dict:
         return {"n": self.n, "e2": self.e2_rows.tolist(), "e3": self.e3_rows.tolist()}
-
-
-class GraphSpec(HypergraphSpec):
-    """An undirected simple graph on vertices 1..n (no self-loops): the
-    HypergraphSpec with the given two-vertex edges and no e3."""
-
-    def __init__(self, n: int, edges=frozenset()):
-        super().__init__(n, e2=edges)
 
 
 def load_hypergraph(source) -> HypergraphSpec:
@@ -189,16 +176,10 @@ def load_hypergraph(source) -> HypergraphSpec:
         raise ValueError(f"graph document: {exc}") from None
 
 
-def path_graph(n: int) -> GraphSpec:
-    """The path 1-2-...-n."""
-    n = _check_sites(n)
-    return GraphSpec(n, edges=frozenset((i, i + 1) for i in range(1, n)))
-
-
-def ring_graph(n: int) -> GraphSpec:
+def ring_graph(n: int) -> HypergraphSpec:
     """The cycle 1-2-...-n-1 (requires n >= 3)."""
     n = _check_integer("n", n)
     if n < 3:
         raise ValueError(f"ring graph needs at least 3 vertices, got {n}")
     edges = {(i, i + 1) for i in range(1, n)} | {(1, n)}
-    return GraphSpec(n, edges=frozenset(edges))
+    return HypergraphSpec(n, e2=edges)

@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .thermal import _check_weight
+from .thermal import _check_integer, _check_weight
 
 
 def signed_pattern_count(n: int, wt: int, m: int) -> int:
     """Exact integer bracket coefficient for weight-m error patterns."""
     _check_weight(n, wt)
+    m = _check_integer("m", m)
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     # j runs over odd overlap sizes 2j+1; limits keep both binomials in
@@ -45,14 +46,16 @@ class IdentityReport:
         return not self.failures
 
 
-def _check_k_max(k_max: int) -> None:
+def _check_k_max(k_max: int) -> int:
+    k_max = _check_integer("k_max", k_max)
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
+    return k_max
 
 
 def check_odd(k_max: int) -> IdentityReport:
     """Half-support bracket vanishes at every odd error weight."""
-    _check_k_max(k_max)
+    k_max = _check_k_max(k_max)
     failures = []
     for k in range(1, k_max + 1):
         for m in range(1, 2 * k + 1, 2):
@@ -63,7 +66,7 @@ def check_odd(k_max: int) -> IdentityReport:
 
 def check_even(k_max: int) -> IdentityReport:
     """Half-support bracket equals (-1)^(m/2) C(k, m/2) at even weights."""
-    _check_k_max(k_max)
+    k_max = _check_k_max(k_max)
     failures = []
     for k in range(1, k_max + 1):
         for m in range(0, 2 * k + 1, 2):
@@ -75,7 +78,7 @@ def check_even(k_max: int) -> IdentityReport:
 
 def check_alternating(k_max: int) -> IdentityReport:
     """Alternating convolution: sum_j (-1)^j C(k,j) C(k,2m-j) = (-1)^m C(k,m)."""
-    _check_k_max(k_max)
+    k_max = _check_k_max(k_max)
     failures = []
     for k in range(1, k_max + 1):
         for m in range(0, k + 1):

@@ -18,9 +18,10 @@ functions in supremacy). Dense matrices appear only in the Hamiltonian route
 (n <= 10) and density operators (n <= 12; note n = 12 allocates ~0.5 GB).
 
 A Kronecker power m^(x)n of a symmetric 2x2 matrix (the Hadamard transform
-here, the thermal flip mix in supremacy) acts on a statevector in
-ceil(n / _PASS_BITS) passes, each one GEMM against the 2^k x 2^k factor
-m^(x)k that ping-pongs between the vector and one spare buffer.
+and the thermal flip mix, both applied by supremacy's X-basis functions)
+acts on a statevector in ceil(n / _PASS_BITS) passes of _kron_power, each
+one GEMM against the 2^k x 2^k factor m^(x)k that ping-pongs between the
+vector and one spare buffer.
 
 Computational-basis index convention: bit i-1 of the index is the state of
 site i (site 1 is the least significant bit).
@@ -262,16 +263,3 @@ def _kron_power(vec: np.ndarray, spare: np.ndarray, factor) -> tuple[np.ndarray,
         np.matmul(factors[k], vec.reshape(-1, 1 << k).T, out=spare.reshape(1 << k, -1))
         vec, spare = spare, vec
     return vec, spare
-
-
-def hadamard_transform(amplitudes: np.ndarray) -> np.ndarray:
-    """Normalized Walsh-Hadamard transform (X-basis change) of a 1-D
-    statevector, as Kronecker passes over a copy: real input stays real and
-    is not modified."""
-    if amplitudes.ndim != 1:
-        raise ValueError(f"expected a 1-D statevector, got shape {amplitudes.shape}")
-    size = amplitudes.shape[0]
-    if size & (size - 1):
-        raise ValueError(f"length must be a power of two, got {size}")
-    out = np.array(amplitudes, dtype=complex if np.iscomplexobj(amplitudes) else float)
-    return _kron_power(out, np.empty_like(out), _hadamard_factor)[0]

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .thermal import _check_sites
+
 # hex digit x + 2z of a site -> its letter (see PauliString.letters)
 _HEX_LETTERS = str.maketrans("0123", "IXZY")
 
@@ -103,16 +105,14 @@ def parse_setting(setting, n: int | None = None) -> tuple[int, ...]:
 
 
 def leading_half_setting(n: int) -> tuple[int, ...]:
-    """The selector 1^(n/2) 0^(n/2); requires even n."""
-    if n % 2:
-        raise ValueError(f"half-weight selector needs even n, got {n}")
+    """The selector 1^(n/2) 0^(n/2); requires even n >= 2."""
+    n = _check_sites(n, even_from=2, need="half-weight selector needs")
     return (1,) * (n // 2) + (0,) * (n // 2)
 
 
 def alternating_setting(n: int) -> tuple[int, ...]:
-    """The selector 0101...01 picking every even site; requires even n."""
-    if n % 2:
-        raise ValueError(f"alternating selector needs even n, got {n}")
+    """The selector 0101...01 picking every even site; requires even n >= 2."""
+    n = _check_sites(n, even_from=2, need="alternating selector needs")
     return (0, 1) * (n // 2)
 
 
@@ -131,8 +131,7 @@ class PauliString:
     z_mask: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one site, got n={self.n}")
+        object.__setattr__(self, "n", _check_sites(self.n))
         _check_sign(self.sign)
         _check_mask(self.x_mask, self.n, "x_mask")
         _check_mask(self.z_mask, self.n, "z_mask")
@@ -169,8 +168,7 @@ class StabilizerProduct:
     quadratic: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one site, got n={self.n}")
+        object.__setattr__(self, "n", _check_sites(self.n))
         _check_sign(self.sign)
         _check_mask(self.x_mask, self.n, "x_mask")
         _check_mask(self.linear, self.n, "linear")

@@ -4,8 +4,10 @@ certified sampling decision rule.
 The family fixes the three-vertex hyperedges to four arithmetic progressions
 of triangles (two-vertex edges stay arbitrary). Each progression stops at its
 last triple inside 1..n, which reproduces the known 10-vertex instance
-exactly. The triples are built as one numpy arange block whose rows are
-already in lexicographic order, so the spec stores them without sorting.
+exactly. build_family returns the member as a plain HypergraphSpec, and
+every function here takes one. The triples are built as one numpy arange
+block whose rows are already in lexicographic order, so the spec stores
+them without sorting.
 On this family the alternating selector 0101...01 collapses every CZ tail
 pairwise, so the product of generalized stabilizers is a plain signed Pauli
 word with X/Y on exactly half the sites, and the single-setting estimation
@@ -14,7 +16,8 @@ protocol applies unchanged.
 The decision rule accepts when f_est - 2/n >= 0.999995 and converts the
 accepted estimate into a bound on the (unhalved) l1 distance between the
 sampled and ideal output distributions: 2*sqrt(1 + 1e-6 - (f_est - 2/n)),
-which at the threshold is below the hardness target 1/192.
+which at the threshold is below the hardness target 1/192 (L1_TARGET).
+The decision constants live here; the CLI reads its defaults from them.
 
 Thermal noise is an independent phase flip Z per site with probability p,
 and H^n Z_e = X_e H^n, so the thermal X-basis distribution is the ideal one
@@ -39,24 +42,12 @@ from .graphs import HypergraphSpec
 from .oracle import _flip_factor, _hadamard_factor, _kron_power, build_pure_state
 from .pauli import PauliString, alternating_setting, stabilizer_product
 from .sampler import _check_draw
-from .thermal import _check_sites, flip_probability
+from .thermal import _check_integer, _check_sites, flip_probability
 
 ACCEPT_MARGIN = 0.999995
 EPSILON_FULL_SCALE = 1e-6
 L1_TARGET = 1.0 / 192.0
 MIN_FULL_SCALE_N = 400_000
-
-
-@dataclass(frozen=True)
-class FamilyInstance:
-    """A member of the restricted family: fixed triangle pattern plus
-    caller-chosen two-vertex edges."""
-
-    spec: HypergraphSpec
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
 
 
 @dataclass(frozen=True)
@@ -92,13 +83,14 @@ def _family_rows(n: int) -> np.ndarray:
     return block.reshape(-1, 3)[: max(n - 2, 0)]
 
 
-def build_family(n: int, e2=frozenset()) -> FamilyInstance:
-    """Instance of the restricted family on n (even) vertices."""
+def build_family(n: int, e2=frozenset()) -> HypergraphSpec:
+    """The restricted family's member on n (even) vertices: its fixed
+    triangle pattern plus the caller's two-vertex edges e2."""
     _check_sites(n, even_from=4, need="family requires")
-    return FamilyInstance(HypergraphSpec(n, e2=e2, e3=_family_rows(n)))
+    return HypergraphSpec(n, e2=e2, e3=_family_rows(n))
 
 
-def optimal_setting(inst: FamilyInstance) -> PauliString:
+def optimal_setting(spec: HypergraphSpec) -> PauliString:
     """The single measurement setting: product of the even-site generalized
     stabilizers, collapsed to a signed Pauli word.
 
@@ -107,7 +99,7 @@ def optimal_setting(inst: FamilyInstance) -> PauliString:
     conjugation), never X/Y.
     """
     try:
-        return stabilizer_product(inst.spec, alternating_setting(inst.n))
+        return stabilizer_product(spec, alternating_setting(spec.n))
     except ValueError:
         raise RuntimeError(
             "alternating-selector product did not reduce to a Pauli word; "
@@ -134,6 +126,7 @@ def certify(f_est: float, n: int, allow_small_n: bool = False) -> CertificationD
     """
     if not -1.0 <= f_est <= 1.0:
         raise ValueError(f"f_est must lie in [-1, 1], got {f_est}")
+    n = _check_integer("n", n)
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     if n < MIN_FULL_SCALE_N and not allow_small_n:
@@ -155,7 +148,7 @@ def certify(f_est: float, n: int, allow_small_n: bool = False) -> CertificationD
     )
 
 
-def exact_outcome_distribution(inst: FamilyInstance, beta: float) -> np.ndarray:
+def exact_outcome_distribution(spec: HypergraphSpec, beta: float) -> np.ndarray:
     """Exact X-basis outcome distribution of the thermal instance, as a
     length-2^n vector indexed with site 1 in the least significant bit.
 
@@ -165,7 +158,7 @@ def exact_outcome_distribution(inst: FamilyInstance, beta: float) -> np.ndarray:
     the pure state's own amplitudes and one spare buffer.
     """
     p = flip_probability(beta)
-    amps = build_pure_state(inst.spec).amplitudes
+    amps = build_pure_state(spec).amplitudes
     dist, spare = _kron_power(amps, np.empty_like(amps), _hadamard_factor)
     np.square(dist, out=dist)
     if p:
@@ -190,9 +183,9 @@ def _outcome_counts(totals: np.ndarray, n: int) -> Counter:
     return counts
 
 
-def iqp_sample(inst: FamilyInstance, beta: float, shots: int, seed: int) -> Counter:
+def iqp_sample(spec: HypergraphSpec, beta: float, shots: int, seed: int) -> Counter:
     """Sample X-basis outcome strings from the thermal instance. The shots
-    are independent draws from exact_outcome_distribution(inst, beta), so
+    are independent draws from exact_outcome_distribution(spec, beta), so
     their counts are one Multinomial(shots, dist) draw: memory is O(2^n)
     and time does not grow with shots, for any integer 1 <= shots <=
     2^63 - 1 (MAX_SAMPLES) and integer seed >= 0. Returns counts keyed by
@@ -200,4 +193,4 @@ def iqp_sample(inst: FamilyInstance, beta: float, shots: int, seed: int) -> Coun
     """
     _check_draw("shots", shots, seed)
     rng = np.random.default_rng(seed)
-    return _outcome_counts(rng.multinomial(shots, exact_outcome_distribution(inst, beta)), inst.n)
+    return _outcome_counts(rng.multinomial(shots, exact_outcome_distribution(spec, beta)), spec.n)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermalverify import (GraphSpec, ProtocolConfig, build_family, build_pure_state,
+from thermalverify import (HypergraphSpec, ProtocolConfig, build_family, build_pure_state,
                            certify, check_alternating, check_error_bound, check_even,
                            check_odd, dense_expectation, error_bounds, fidelity,
                            half_weight_expectation, invert_temperature, optimal_setting,
@@ -26,8 +26,8 @@ from thermalverify.cli import main
 GOLDEN_CURVES = Path(__file__).parent / "golden" / "curves_n50_100.csv"
 
 
-def _graph(n: int) -> GraphSpec:
-    return ring_graph(n) if n >= 3 else GraphSpec(2, edges={(1, 2)})
+def _graph(n: int) -> HypergraphSpec:
+    return ring_graph(n) if n >= 3 else HypergraphSpec(2, e2={(1, 2)})
 
 
 def test_closed_form_expectation_matches_dense_oracle():
@@ -56,8 +56,8 @@ def test_thermal_representations_agree():
     n <= 8, beta in {0.3, 1, 2}, under 60 s."""
     start = time.monotonic()
     worst = 0.0
-    targets = [_graph(n).as_hypergraph() for n in range(2, 9)]
-    targets += [build_family(n, e2={(1, 2)}).spec for n in (4, 6, 8)]
+    targets = [_graph(n) for n in range(2, 9)]
+    targets += [build_family(n, e2={(1, 2)}) for n in (4, 6, 8)]
     for spec in targets:
         for beta in (0.3, 1.0, 2.0):
             mixture = thermal_density(spec, beta)
@@ -181,18 +181,18 @@ def test_restricted_family_reduction():
     statevector at n = 10 and n = 20, under 30 s."""
     start = time.monotonic()
     inst10 = build_family(10)
-    assert set(inst10.spec.e3) == {
+    assert set(inst10.e3) == {
         (1, 2, 3), (5, 6, 7), (1, 3, 4), (5, 7, 8),
         (3, 4, 5), (7, 8, 9), (3, 5, 6), (7, 9, 10),
     }
     word10 = optimal_setting(inst10)
     assert str(word10) == "+IXIXIXIXIX"
-    assert stabilizer_check(build_pure_state(inst10.spec), word10)
+    assert stabilizer_check(build_pure_state(inst10), word10)
     inst20 = build_family(20)
     word20 = optimal_setting(inst20)
     assert word20.sign == 1 and word20.z_mask == 0
     assert word20.x_mask == sum(1 << (i - 1) for i in range(2, 21, 2))
-    assert stabilizer_check(build_pure_state(inst20.spec), word20)
+    assert stabilizer_check(build_pure_state(inst20), word20)
     elapsed = time.monotonic() - start
     assert elapsed < 30
     print(f"PASS restricted-family reduction at n = 10 and 20 in {elapsed:.1f}s")
@@ -215,7 +215,7 @@ def test_certification_arithmetic_and_small_scale_run():
     inst = build_family(20)
     setting = optimal_setting(inst)
     config = ProtocolConfig(epsilon=0.01, delta=0.05, n_samples=20_000, seed=8)
-    report = run_protocol(inst.spec, setting, math.inf, config)
+    report = run_protocol(inst, setting, math.inf, config)
     assert report.f_est == 1.0
     decision = certify(report.f_est, 20, allow_small_n=True)
     assert decision.verdict == "reject"  # 2/n = 0.1 keeps the margin unreachable

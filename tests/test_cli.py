@@ -214,7 +214,7 @@ class TestVerify:
 
     def test_selector_must_cancel_the_cz_tails(self, tmp_path, capsys):
         path = tmp_path / "family10.json"
-        path.write_text(json.dumps(build_family(10).spec.to_dict()))
+        path.write_text(json.dumps(build_family(10).to_dict()))
         args = ["verify", "--graph", str(path), "--beta", "3", "--epsilon", "0.1",
                 "--delta", "0.1", "--samples", "1000"]
         assert main(args + ["--setting", "1000000000"]) == 2
@@ -236,7 +236,7 @@ class TestVerify:
         return out.read_text()
 
     def test_default_selector_reduces_on_the_family(self, tmp_path):
-        doc = build_family(10).spec.to_dict()
+        doc = build_family(10).to_dict()
         assert self._csv(tmp_path, doc) == self._csv(tmp_path, doc, "0101010101")
 
     def test_default_selector_on_a_ring_matches_leading_half(self, tmp_path):

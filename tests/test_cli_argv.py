@@ -22,8 +22,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermalverify import build_family, path_graph, ring_graph
+from thermalverify import build_family, ring_graph
 from thermalverify.cli import main
+from util_dense import path_graph
 
 VALUES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "0.5", "1", "1e20", "1e308")
 CSV_COMMANDS = {"verify", "curves", "sweep-wt"}
@@ -34,7 +35,7 @@ CHECK_COMMANDS = {"identities", "oracle-check"}
 def inputs(tmp_path_factory) -> dict[str, list[str]]:
     """Paths of the graph files and of a report file the argv can name."""
     root = tmp_path_factory.mktemp("argv")
-    specs = {"ring4": ring_graph(4), "path3": path_graph(3), "family8": build_family(8).spec}
+    specs = {"ring4": ring_graph(4), "path3": path_graph(3), "family8": build_family(8)}
     for name, spec in specs.items():
         (root / f"{name}.json").write_text(json.dumps(spec.to_dict()))
     (root / "report.json").write_text(json.dumps({"result": {"report": {"f_est": 0.5}}}))

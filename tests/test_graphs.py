@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermalverify import GraphSpec, HypergraphSpec, load_hypergraph, path_graph, ring_graph
+from thermalverify import HypergraphSpec, load_hypergraph, ring_graph
 from util_dense import (canonical_edge_reference, generator, hypergraphs_with_selector,
-                        raw_edges, reference_edge_set)
+                        path_graph, raw_edges, reference_edge_set)
 
 
 def neighbors(spec, i):
     """Vertices joined to i by a two-vertex edge, ascending: the Z mask of
     the test-side generator of vertex i."""
-    z_mask = generator(spec.as_hypergraph(), i).linear
+    z_mask = generator(spec, i).linear
     return tuple(v for v in range(1, spec.n + 1) if z_mask >> (v - 1) & 1)
 
 
@@ -22,49 +22,48 @@ def incident_triples(h, i):
 
 
 def test_edges_stored_canonically():
-    g = GraphSpec(4, edges={(3, 1), (1, 3), (2, 4)})
+    g = HypergraphSpec(4, e2={(3, 1), (1, 3), (2, 4)})
     assert g.e2 == frozenset({(1, 3), (2, 4)})
 
 
 def test_neighbors_sorted():
-    g = GraphSpec(5, edges={(2, 5), (1, 2), (2, 3)})
+    g = HypergraphSpec(5, e2={(2, 5), (1, 2), (2, 3)})
     assert neighbors(g, 2) == (1, 3, 5)
     assert neighbors(g, 4) == ()
 
 
 def test_self_loop_rejected():
     with pytest.raises(ValueError, match=r"\(2, 2\)"):
-        GraphSpec(3, edges={(2, 2)})
+        HypergraphSpec(3, e2={(2, 2)})
 
 
 def test_out_of_range_vertex_named_in_error():
     with pytest.raises(ValueError, match=r"\(1, 9\).*outside 1\.\.8"):
-        GraphSpec(8, edges={(1, 9)})
+        HypergraphSpec(8, e2={(1, 9)})
 
 
 def test_vertex_count_validated():
     with pytest.raises(ValueError):
-        GraphSpec(0)
+        HypergraphSpec(0)
 
 
-@pytest.mark.parametrize("build, n", [(HypergraphSpec, 3), (ring_graph, 5), (path_graph, 4)])
+@pytest.mark.parametrize("build, n", [(HypergraphSpec, 3), (ring_graph, 5)])
 def test_numpy_integer_site_count_builds_the_same_spec(build, n):
     spec = build(np.int64(n))
     assert spec == build(n) and type(spec.n) is int
     assert json.loads(json.dumps(spec.to_dict()))["n"] == n
 
 
-@pytest.mark.parametrize("build", [HypergraphSpec, GraphSpec, ring_graph, path_graph])
+@pytest.mark.parametrize("build", [HypergraphSpec, ring_graph])
 @pytest.mark.parametrize("n", [5.0, True, "5"])
 def test_non_integer_site_count_is_named(build, n):
     with pytest.raises(TypeError, match=f"n must be an integer, got {n!r}"):
         build(n)
 
 
-@pytest.mark.parametrize("build", [HypergraphSpec, path_graph])
-def test_site_count_below_one_keeps_the_shared_message(build):
+def test_site_count_below_one_keeps_the_shared_message():
     with pytest.raises(ValueError, match="need n >= 1, got 0"):
-        build(0)
+        HypergraphSpec(0)
 
 
 @pytest.mark.parametrize("doc, match", [({"n": 1.5}, "n must be an integer, got 1.5"),
@@ -83,13 +82,6 @@ def test_hypergraph_triples_canonical():
 def test_hypergraph_rejects_repeated_vertices():
     with pytest.raises(ValueError, match="repeated"):
         HypergraphSpec(4, e3={(1, 2, 2)})
-
-
-def test_graph_embeds_as_hypergraph():
-    g = GraphSpec(3, edges={(1, 2)})
-    h = g.as_hypergraph()
-    assert h.e2 == g.e2 and h.e3 == frozenset() and h.n == 3
-    assert h.as_hypergraph() is h
 
 
 def test_load_from_dict_and_json_string():
@@ -133,7 +125,7 @@ def test_helpers():
 @settings(max_examples=200, deadline=None)
 def test_indexed_lookups_match_edge_scan(case):
     h, _ = case
-    g = GraphSpec(h.n, edges=h.e2)
+    g = HypergraphSpec(h.n, e2=h.e2)
     for i in range(1, h.n + 1):
         scanned = tuple(sorted({b if a == i else a for (a, b) in h.e2 if i in (a, b)}))
         assert neighbors(g, i) == scanned
@@ -158,7 +150,6 @@ def test_validation_matches_reference(case):
     n, arity, edge = case
     expected = _stored_or_message(lambda: frozenset({canonical_edge_reference(edge, n, arity)}))
     if arity == 2:
-        assert _stored_or_message(lambda: GraphSpec(n, edges=[edge]).e2) == expected
         assert _stored_or_message(lambda: HypergraphSpec(n, e2=[edge]).e2) == expected
     else:
         assert _stored_or_message(lambda: HypergraphSpec(n, e3=[edge]).e3) == expected
@@ -190,7 +181,6 @@ def test_multi_edge_validation_matches_reference_in_input_order(case):
         else edges
     expected = reference_edge_set(rows, n, arity)
     if arity == 2:
-        assert _stored_or_message(lambda: GraphSpec(n, edges=edges).e2) == expected
         assert _stored_or_message(lambda: HypergraphSpec(n, e2=edges).e2) == expected
     else:
         assert _stored_or_message(lambda: HypergraphSpec(n, e3=edges).e3) == expected
@@ -214,17 +204,16 @@ def test_rows_are_sorted_read_only_int64():
     with pytest.raises(AttributeError):
         h.n = 6
     source = np.array([[1, 2]])
-    g = GraphSpec(3, edges=source)
+    g = HypergraphSpec(3, e2=source)
     source[0, 1] = 3  # the spec holds its own copy
     assert g.e2 == frozenset({(1, 2)})
-    assert GraphSpec(3).e2_rows.shape == (0, 2)
+    assert HypergraphSpec(3).e2_rows.shape == (0, 2)
 
 
 def test_specs_of_different_types_differ():
-    assert GraphSpec(3, edges={(1, 2)}) == HypergraphSpec(3, e2={(1, 2)})
     assert HypergraphSpec(3, e2={(1, 2)}) != HypergraphSpec(3, e3={(1, 2, 3)})
     assert HypergraphSpec(3, e2={(1, 2)}) != HypergraphSpec(4, e2={(1, 2)})
-    assert repr(GraphSpec(3, edges={(2, 1)})) == "GraphSpec(n=3, e2=[[1, 2]], e3=[])"
+    assert repr(HypergraphSpec(3, e2={(2, 1)})) == "HypergraphSpec(n=3, e2=[[1, 2]], e3=[])"
 
 
 @given(hypergraphs_with_selector())
@@ -247,6 +236,5 @@ def test_ndarray_spec_equals_and_hashes_like_frozenset_spec(case, dtype):
     from_sets = HypergraphSpec(h.n, e2=frozenset(h.e2), e3=frozenset(h.e3))
     assert from_arrays == from_sets and hash(from_arrays) == hash(from_sets)
     assert from_arrays.e2 == h.e2 and from_arrays.e3 == h.e3
-    g = GraphSpec(h.n, edges=e2)
-    assert g == GraphSpec(h.n, edges=h.e2) and hash(g) == hash(GraphSpec(h.n, edges=h.e2))
-    assert g.as_hypergraph() == HypergraphSpec(h.n, e2=h.e2)
+    g = HypergraphSpec(h.n, e2=e2)
+    assert g == HypergraphSpec(h.n, e2=h.e2) and hash(g) == hash(HypergraphSpec(h.n, e2=h.e2))

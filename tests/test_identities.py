@@ -1,5 +1,6 @@
 from math import comb
 
+import numpy as np
 import pytest
 
 from thermalverify import (IdentityReport, check_alternating, check_even, check_odd,
@@ -64,6 +65,29 @@ def test_validation():
         signed_pattern_count(4, 5, 1)
     with pytest.raises(ValueError):
         signed_pattern_count(4, 2, 5)
+
+
+@pytest.mark.parametrize("check", [check_odd, check_even, check_alternating])
+@pytest.mark.parametrize("k_max, error, match", [
+    (True, TypeError, "k_max must be an integer, got True"),
+    (2.5, TypeError, "k_max must be an integer, got 2.5"),
+    (0, ValueError, "need k_max >= 1, got 0"),
+])
+def test_bad_k_max_is_named(check, k_max, error, match):
+    with pytest.raises(error, match=match):
+        check(k_max)
+
+
+@pytest.mark.parametrize("m", [1.5, True])
+def test_non_integer_error_weight_is_named(m):
+    with pytest.raises(TypeError, match=f"m must be an integer, got {m}"):
+        signed_pattern_count(4, 2, m)
+
+
+def test_numpy_integer_counts_run():
+    assert signed_pattern_count(np.int64(4), np.int64(2), np.int64(2)) == -2
+    report = check_odd(np.int64(3))
+    assert report == check_odd(3) and type(report.k_max) is int
 
 
 def test_check_odd_small():

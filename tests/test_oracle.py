@@ -5,29 +5,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermalverify import (DenseMixedState, DenseState, GraphSpec, HypergraphSpec,
+from thermalverify import (DenseMixedState, DenseState, HypergraphSpec,
                            PauliString, StabilizerProduct, apply_operator,
                            boltzmann_density, build_pure_state, dense_expectation,
-                           fidelity, flip_probability,
-                           generalized_product, hadamard_transform, path_graph,
+                           fidelity, flip_probability, generalized_product,
                            setting_expectation, stabilizer_check, stabilizer_product,
                            thermal_density)
 from thermalverify.oracle import _flip_factor, _hadamard_factor, _kron_power
 from util_dense import (exhaustive_parity_expectation, from_letters, generator,
                         gibbs_reference, graph_generator, hypergraph_state_vector, hypergraphs_with_selector,
-                        kron_power_reference, pauli_matrix, per_edge_pure_state, random_hypergraph,
-                        stabilizer_product_matrix)
+                        kron_power_reference, path_graph, pauli_matrix, per_edge_pure_state,
+                        random_hypergraph, stabilizer_product_matrix)
 
 BETA_HALF = math.log(2) / 2
 
 
 class TestBuildPureState:
     def test_single_qubit(self):
-        psi = build_pure_state(GraphSpec(1))
+        psi = build_pure_state(HypergraphSpec(1))
         assert np.allclose(psi.amplitudes, [2**-0.5, 2**-0.5])
 
     def test_single_edge_signs(self):
-        psi = build_pure_state(GraphSpec(2, edges={(1, 2)}))
+        psi = build_pure_state(HypergraphSpec(2, e2={(1, 2)}))
         assert np.allclose(psi.amplitudes, np.array([1, 1, 1, -1]) / 2)
 
     def test_single_triple_signs(self):
@@ -44,7 +43,7 @@ class TestBuildPureState:
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            build_pure_state(GraphSpec(25))
+            build_pure_state(HypergraphSpec(25))
 
     def test_amplitudes_are_real(self):
         h = HypergraphSpec(5, e2={(1, 3), (2, 5)}, e3={(1, 2, 4), (3, 4, 5)})
@@ -83,13 +82,13 @@ class TestApplyOperator:
                                atol=1e-12)
 
     def test_unsupported_operator_rejected(self):
-        not_an_operator = GraphSpec(2, edges={(1, 2)})
+        not_an_operator = HypergraphSpec(2, e2={(1, 2)})
         psi = build_pure_state(not_an_operator)
         rho = thermal_density(not_an_operator, 1.0)
-        with pytest.raises(TypeError, match="GraphSpec"):
+        with pytest.raises(TypeError, match="HypergraphSpec"):
             apply_operator(not_an_operator, psi.amplitudes)
         for state in (psi, rho):
-            with pytest.raises(TypeError, match="GraphSpec"):
+            with pytest.raises(TypeError, match="HypergraphSpec"):
                 dense_expectation(state, not_an_operator)
 
     def test_operand_without_site_count_rejected_by_type(self):
@@ -110,7 +109,7 @@ class TestThermalDensity:
         assert np.allclose(rho.matrix, np.outer(psi, psi.conj()), atol=1e-14)
 
     def test_full_dephasing_single_qubit(self):
-        rho = thermal_density(GraphSpec(1), 0.0)
+        rho = thermal_density(HypergraphSpec(1), 0.0)
         assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-14)
 
     def test_known_fidelity(self):
@@ -236,7 +235,7 @@ class TestStabilizerCheck:
             assert stabilizer_check(psi, generator(h, i))
 
     def test_non_stabilizer_rejected(self):
-        g = GraphSpec(2, edges={(1, 2)})
+        g = HypergraphSpec(2, e2={(1, 2)})
         psi = build_pure_state(g)
         x1 = from_letters("XI")
         assert not stabilizer_check(psi, x1)
@@ -288,44 +287,6 @@ class TestKronPower:
         assert _hadamard_factor(5) is _hadamard_factor(5)
         with pytest.raises(ValueError, match="read-only"):
             _hadamard_factor(5)[0, 0] = 0.0
-
-
-class TestHadamardTransform:
-    def test_matches_explicit_kron(self):
-        hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        rng = np.random.default_rng(4)
-        for n in (1, 2, 3, 4):
-            full = hadamard
-            for _ in range(n - 1):
-                full = np.kron(full, hadamard)
-            vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            assert np.allclose(hadamard_transform(vec), full @ vec, atol=1e-12)
-
-    def test_involution(self):
-        rng = np.random.default_rng(6)
-        vec = rng.normal(size=16)
-        assert np.allclose(hadamard_transform(hadamard_transform(vec)), vec, atol=1e-12)
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError):
-            hadamard_transform(np.ones(6))
-
-    def test_two_dimensional_input_rejected(self):
-        with pytest.raises(ValueError, match="1-D"):
-            hadamard_transform(np.ones((4, 3)))
-
-    def test_real_input_stays_real_and_unchanged(self):
-        hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        rng = np.random.default_rng(5)
-        full = hadamard
-        for n in range(1, 6):
-            vec = rng.normal(size=1 << n)
-            before = vec.copy()
-            out = hadamard_transform(vec)
-            assert out.dtype == np.float64
-            assert np.max(np.abs(out - full @ vec)) <= 1e-12
-            assert np.array_equal(vec, before)
-            full = np.kron(full, hadamard)
 
 
 def test_closed_form_matches_oracle_spot_checks():

@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from thermalverify import (GraphSpec, HypergraphSpec, PauliString, StabilizerProduct,
+from thermalverify import (HypergraphSpec, PauliString, StabilizerProduct,
                            alternating_setting, build_family, generalized_product,
-                           leading_half_setting, parse_setting, path_graph,
-                           stabilizer_product, try_to_pauli)
+                           leading_half_setting, parse_setting, stabilizer_product,
+                           try_to_pauli)
 from util_dense import (all_graphs, ascending_generalized_product,
                         ascending_stabilizer_product, conjugated_x_reference, from_letters,
                         generator, graph_generator, hypergraph_state_vector,
                         hypergraphs_with_selector, kron_chain, letter, multiply,
-                        pauli_matrix, pauli_multiply, random_hypergraph,
+                        path_graph, pauli_matrix, pauli_multiply, random_hypergraph,
                         stabilizer_product_matrix)
 
 
 def fig3_instance() -> HypergraphSpec:
-    return build_family(10).spec
+    return build_family(10)
 
 
 class TestPauliString:
@@ -60,6 +60,24 @@ class TestPauliString:
                 with pytest.raises(ValueError, match="Hermitian"):
                     pauli_multiply(a, b)
 
+    @pytest.mark.parametrize("cls", [PauliString, StabilizerProduct])
+    @pytest.mark.parametrize("n, error, match", [
+        (True, TypeError, "n must be an integer, got True"),
+        (2.5, TypeError, "n must be an integer, got 2.5"),
+        ("3", TypeError, "n must be an integer, got '3'"),
+        (0, ValueError, "need n >= 1, got 0"),
+    ])
+    def test_bad_site_count_is_named(self, cls, n, error, match):
+        with pytest.raises(error, match=match):
+            cls(n)
+
+    @pytest.mark.parametrize("cls", [PauliString, StabilizerProduct])
+    def test_numpy_site_count_is_stored_as_plain_int(self, cls):
+        op = cls(np.int64(3), x_mask=0b101)
+        assert op == cls(3, x_mask=0b101) and type(op.n) is int
+        if cls is PauliString:
+            assert str(op) == "+XIX"
+
     def test_anti_hermitian_product_raises(self):
         x = from_letters("X")
         z = from_letters("Z")
@@ -69,12 +87,12 @@ class TestPauliString:
 
 class TestGraphStabilizers:
     def test_single_edge(self):
-        g = GraphSpec(2, edges={(1, 2)})
+        g = HypergraphSpec(2, e2={(1, 2)})
         assert str(graph_generator(g, 1)) == "+XZ"
         assert str(graph_generator(g, 2)) == "+ZX"
 
     def test_isolated_vertex(self):
-        g = GraphSpec(3)
+        g = HypergraphSpec(3)
         assert str(graph_generator(g, 2)) == "+IXI"
 
     def test_two_neighbors(self):
@@ -82,14 +100,14 @@ class TestGraphStabilizers:
         assert str(graph_generator(g, 2)) == "+ZXZ"
 
     def test_index_out_of_range(self):
-        g = GraphSpec(2)
+        g = HypergraphSpec(2)
         with pytest.raises(ValueError):
             graph_generator(g, 0)
         with pytest.raises(ValueError):
             graph_generator(g, 3)
 
     def test_edge_graph_full_product_is_yy(self):
-        g = GraphSpec(2, edges={(1, 2)})
+        g = HypergraphSpec(2, e2={(1, 2)})
         assert str(stabilizer_product(g, "11")) == "+YY"
 
     def test_empty_selector_is_identity(self):
@@ -121,7 +139,7 @@ class TestGraphStabilizers:
             for _ in range(5):
                 pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
                 take = rng.random(len(pairs)) < 0.4
-                g = GraphSpec(n, edges=frozenset(p for p, t in zip(pairs, take) if t))
+                g = HypergraphSpec(n, e2=frozenset(p for p, t in zip(pairs, take) if t))
                 for selector in range(1 << n):
                     bits = [(selector >> b) & 1 for b in range(n)]
                     assert stabilizer_product(g, bits).xy_support == sum(bits)
@@ -133,7 +151,7 @@ class TestGraphStabilizers:
         for n in (4, 6, 8):
             pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
             take = rng.random(len(pairs)) < 0.4
-            g = GraphSpec(n, edges=frozenset(p for p, t in zip(pairs, take) if t))
+            g = HypergraphSpec(n, e2=frozenset(p for p, t in zip(pairs, take) if t))
             for _ in range(10):
                 s1 = int(rng.integers(0, 1 << n))
                 s2 = int(rng.integers(0, 1 << n))
@@ -164,7 +182,7 @@ class TestGraphStabilizers:
         for n in (2, 3, 5, 6):
             pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
             take = rng.random(len(pairs)) < 0.5
-            g = GraphSpec(n, edges=frozenset(p for p, t in zip(pairs, take) if t))
+            g = HypergraphSpec(n, e2=frozenset(p for p, t in zip(pairs, take) if t))
             psi = build_pure_state(g)
             for selector in range(1 << n):
                 bits = [(selector >> b) & 1 for b in range(n)]
@@ -287,7 +305,7 @@ class TestGeneralizedProduct:
         assert sp.x_mask == sum(1 << (i - 1) for i in (2, 4, 6, 8, 10))
 
     def test_fig4_alternating_selector_collapses(self):
-        h = build_family(20).spec
+        h = build_family(20)
         sp = generalized_product(h, alternating_setting(20))
         assert sp.quadratic == frozenset()
         assert sp.x_mask == sum(1 << (i - 1) for i in range(2, 21, 2))
@@ -394,6 +412,17 @@ class TestSelectors:
         with pytest.raises(ValueError):
             alternating_setting(7)
 
+    @pytest.mark.parametrize("build", [alternating_setting, leading_half_setting])
+    @pytest.mark.parametrize("n, error, match", [
+        (0, ValueError, "needs even n >= 2, got 0"),
+        (-2, ValueError, "needs even n >= 2, got -2"),
+        (4.0, TypeError, "n must be an integer, got 4.0"),
+        (True, TypeError, "n must be an integer, got True"),
+    ])
+    def test_canned_selectors_reject_bad_site_counts(self, build, n, error, match):
+        with pytest.raises(error, match=match):
+            build(n)
+
 
 class TestFastReductions:
     """The one-pass reductions against the ascending generator products."""
@@ -402,7 +431,7 @@ class TestFastReductions:
     @settings(max_examples=300, deadline=None)
     def test_stabilizer_product_matches_ascending_product(self, case):
         h, bits = case
-        g = GraphSpec(h.n, edges=h.e2)
+        g = HypergraphSpec(h.n, e2=h.e2)
         assert stabilizer_product(g, bits) == ascending_stabilizer_product(g, bits)
 
     @given(hypergraphs_with_selector())
@@ -417,15 +446,7 @@ class TestFastReductions:
         h, bits = case
         graph_part = HypergraphSpec(h.n, e2=h.e2)
         assert (try_to_pauli(generalized_product(graph_part, bits))
-                == stabilizer_product(GraphSpec(h.n, h.e2), bits))
-
-    @given(hypergraphs_with_selector())
-    @settings(max_examples=300, deadline=None)
-    def test_both_spec_types_give_the_same_products(self, case):
-        h, bits = case
-        graph, hypergraph = GraphSpec(h.n, h.e2), HypergraphSpec(h.n, e2=h.e2)
-        assert generalized_product(graph, bits) == generalized_product(hypergraph, bits)
-        assert stabilizer_product(graph, bits) == stabilizer_product(hypergraph, bits)
+                == stabilizer_product(graph_part, bits))
 
     @given(hypergraphs_with_selector())
     @settings(max_examples=300, deadline=None)

@@ -5,13 +5,13 @@ import time
 import numpy as np
 import pytest
 
-from thermalverify import (DenseMixedState, GraphSpec, PauliString, ProtocolConfig,
+from thermalverify import (DenseMixedState, HypergraphSpec, PauliString, ProtocolConfig,
                            StabilizerProduct, build_pure_state, check_error_bound,
-                           dense_expectation, flip_probability, path_graph, ring_graph,
+                           dense_expectation, flip_probability, ring_graph,
                            run_protocol, sample_size, setting_expectation,
                            stabilizer_product, thermal_density)
 from thermalverify.sampler import MAX_SAMPLES
-from util_dense import from_letters, measure_outcome, sample_error_pattern
+from util_dense import from_letters, measure_outcome, path_graph, sample_error_pattern
 
 BETA_HALF = math.log(2) / 2
 
@@ -65,7 +65,7 @@ class TestMeasureOutcome:
         """The parity rule reproduces <psi_e|S|psi_e> for every pattern and
         every setting (the error-conjugated state stays an eigenstate)."""
         for n in (2, 3, 4, 5):
-            g = ring_graph(n) if n >= 3 else GraphSpec(2, edges={(1, 2)})
+            g = ring_graph(n) if n >= 3 else HypergraphSpec(2, e2={(1, 2)})
             psi = build_pure_state(g).amplitudes
             idx = np.arange(1 << n)
             for selector in range(1 << n):
@@ -119,7 +119,7 @@ class TestRunProtocol:
         setting = from_letters("X" * wt + "I" * (n - wt))
         config = ProtocolConfig(epsilon=1e-6, delta=1e-2)
         start = time.perf_counter()
-        report = run_protocol(GraphSpec(n), setting, beta, config)
+        report = run_protocol(HypergraphSpec(n), setting, beta, config)
         elapsed = time.perf_counter() - start
         assert report.n_samples == 10_596_634_733_097
         # each shot reads -1 with probability (1 - (1 - 2p)^wt) / 2

@@ -14,19 +14,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermalverify
-from thermalverify import (CertificationDecision, FamilyInstance, HypergraphSpec,
-                           ProtocolConfig, alternating_setting, build_family,
-                           build_pure_state, certify, exact_outcome_distribution,
-                           fidelity, generalized_product,
-                           hadamard_transform, iqp_sample, optimal_setting,
-                           run_protocol, sample_size, stabilizer_check, thermal_density)
+from thermalverify import (CertificationDecision, HypergraphSpec, ProtocolConfig,
+                           alternating_setting, build_family, build_pure_state, certify,
+                           exact_outcome_distribution, fidelity, generalized_product,
+                           iqp_sample, optimal_setting, run_protocol, sample_size,
+                           stabilizer_check, thermal_density)
 from thermalverify.oracle import MAX_STATEVECTOR_N
 from thermalverify.sampler import MAX_SAMPLES
 from thermalverify.supremacy import (ACCEPT_MARGIN, EPSILON_FULL_SCALE, MIN_FULL_SCALE_N,
                                      _family_rows, _outcome_counts)
 from util_dense import (H2, ascending_generalized_product, family_members,
-                        family_triples_reference, mixture_outcome_distribution,
-                        outcome_counts_reference, total_variation)
+                        family_triples_reference, kron_power_reference,
+                        mixture_outcome_distribution, outcome_counts_reference,
+                        total_variation)
 
 FIG3_TRIANGLES = {
     (1, 2, 3), (5, 6, 7),
@@ -66,19 +66,19 @@ def reference_triples(n: int) -> set:
 class TestBuildFamily:
     def test_ten_vertex_instance_matches_known_triangles(self):
         inst = build_family(10)
-        assert set(inst.spec.e3) == FIG3_TRIANGLES
-        assert inst.spec.e2 == frozenset()
+        assert set(inst.e3) == FIG3_TRIANGLES
+        assert inst.e2 == frozenset()
 
     def test_four_vertex_instance_is_fully_clipped(self):
         inst = build_family(4)
-        assert set(inst.spec.e3) == {(1, 2, 3), (1, 3, 4)}
+        assert set(inst.e3) == {(1, 2, 3), (1, 3, 4)}
 
     def test_matches_reference_enumeration(self):
         for n in range(4, 42, 2):
-            assert set(build_family(n).spec.e3) == reference_triples(n)
+            assert set(build_family(n).e3) == reference_triples(n)
 
     def test_twenty_vertex_members(self):
-        triples = set(build_family(20).spec.e3)
+        triples = set(build_family(20).e3)
         for expected in ((17, 18, 19), (17, 19, 20), (3, 4, 5), (7, 8, 9)):
             assert expected in triples
         assert len(triples) == len(reference_triples(20))
@@ -95,11 +95,11 @@ class TestBuildFamily:
         for n in range(1, 201):
             assert family_rows(n) == family_triples_reference(n)
             if n >= 4 and n % 2 == 0:
-                assert build_family(n).spec.e3 == family_triples_reference(n)
+                assert build_family(n).e3 == family_triples_reference(n)
 
     def test_e2_is_passed_through(self):
         inst = build_family(10, e2={(1, 2), (9, 10)})
-        assert inst.spec.e2 == frozenset({(1, 2), (9, 10)})
+        assert inst.e2 == frozenset({(1, 2), (9, 10)})
 
     def test_numpy_integer_site_count_builds_the_same_instance(self):
         inst = build_family(np.int64(10))
@@ -117,14 +117,14 @@ class TestOptimalSetting:
 
     def test_setting_stabilizes_statevector_n10(self):
         inst = build_family(10)
-        assert stabilizer_check(build_pure_state(inst.spec), optimal_setting(inst))
+        assert stabilizer_check(build_pure_state(inst), optimal_setting(inst))
 
     def test_setting_stabilizes_statevector_n20(self):
         inst = build_family(20)
         word = optimal_setting(inst)
         assert word.x_mask == sum(1 << (i - 1) for i in range(2, 21, 2))
         assert word.z_mask == 0 and word.sign == 1
-        assert stabilizer_check(build_pure_state(inst.spec), word)
+        assert stabilizer_check(build_pure_state(inst), word)
 
     def test_e2_dresses_with_z(self):
         word = optimal_setting(build_family(10, e2={(1, 2)}))
@@ -144,23 +144,23 @@ class TestOptimalSetting:
     def test_reduction_builds_no_vertex_index(self):
         inst = build_family(40, e2={(1, 2), (5, 9)})
         optimal_setting(inst)
-        assert "_incidence" not in inst.spec.__dict__
-        assert "_adjacency" not in inst.spec.__dict__
-        assert set(inst.spec.__dict__) == {"n", "e2_rows", "e3_rows"}
+        assert "_incidence" not in inst.__dict__
+        assert "_adjacency" not in inst.__dict__
+        assert set(inst.__dict__) == {"n", "e2_rows", "e3_rows"}
 
     def test_reduction_builds_no_edge_views(self):
         inst = build_family(2000, e2=np.array([[1, 2], [7, 3]]))
         optimal_setting(inst)
-        assert not {"e2", "e3", "_incidence", "_adjacency"} & set(inst.spec.__dict__)
-        assert set(inst.spec.__dict__) == {"n", "e2_rows", "e3_rows"}
+        assert not {"e2", "e3", "_incidence", "_adjacency"} & set(inst.__dict__)
+        assert set(inst.__dict__) == {"n", "e2_rows", "e3_rows"}
 
     def test_two_thousand_sites_match_ascending_product(self):
-        spec = build_family(2000).spec
+        spec = build_family(2000)
         bits = alternating_setting(2000)
         assert generalized_product(spec, bits) == ascending_generalized_product(spec, bits)
 
     def test_outside_family_is_detected(self):
-        bad = FamilyInstance(HypergraphSpec(6, e3={(2, 4, 6)}))
+        bad = HypergraphSpec(6, e3={(2, 4, 6)})
         with pytest.raises(RuntimeError, match="restricted family"):
             optimal_setting(bad)
 
@@ -198,6 +198,15 @@ class TestCertify:
         assert doc["verdict"] == "accept" and doc["n"] == 400_000
         assert isinstance(certify(1.0, 400_000), CertificationDecision)
 
+    def test_non_integer_n_is_named(self):
+        with pytest.raises(TypeError, match="n must be an integer, got 400000.5"):
+            certify(0.5, 400000.5, allow_small_n=True)
+
+    def test_numpy_integer_n_serializes_as_plain_int(self):
+        decision = certify(1.0, np.int64(400_000))
+        assert type(decision.n) is int
+        assert json.dumps(decision.to_dict()) == json.dumps(certify(1.0, 400_000).to_dict())
+
     def test_decision_dict_keys_and_copy(self):
         decision = certify(1.0, 400_000)
         doc = decision.to_dict()
@@ -232,8 +241,8 @@ class TestCertify:
 class TestExactDistribution:
     def test_zero_temperature_matches_direct_transform(self):
         inst = build_family(4)
-        psi = build_pure_state(inst.spec).amplitudes
-        direct = np.abs(hadamard_transform(psi)) ** 2
+        psi = build_pure_state(inst).amplitudes
+        direct = np.abs(kron_power_reference(H2.real, 4, psi)) ** 2
         assert np.allclose(exact_outcome_distribution(inst, math.inf), direct, atol=1e-12)
 
     def test_normalized_and_thermal_mixing(self):
@@ -247,14 +256,14 @@ class TestExactDistribution:
                                        st.floats(0.0, 12.0)))
     @settings(max_examples=50, deadline=None)
     def test_matches_per_mask_mixture(self, inst, beta):
-        reference = mixture_outcome_distribution(inst.spec, beta)
+        reference = mixture_outcome_distribution(inst, beta)
         assert np.max(np.abs(exact_outcome_distribution(inst, beta) - reference)) <= 1e-12
 
     def test_matches_diagonal_of_rotated_thermal_density(self):
         inst = build_family(6, e2={(1, 4), (2, 6)})
         hadamard = reduce(np.kron, [H2] * 6)
         for beta in (0.0, 0.4, 2.0):
-            rho = thermal_density(inst.spec, beta).matrix
+            rho = thermal_density(inst, beta).matrix
             diagonal = np.diag(hadamard @ rho @ hadamard).real
             assert np.max(np.abs(exact_outcome_distribution(inst, beta) - diagonal)) <= 1e-12
 
@@ -476,7 +485,7 @@ def test_reduced_setting_expectation_matches_half_weight_closed_form():
         inst = build_family(n, e2=e2)
         word = optimal_setting(inst)
         for beta in (0.3, 0.8, 2.0):
-            rho = thermal_density(inst.spec, beta)
+            rho = thermal_density(inst, beta)
             assert dense_expectation(rho, word) == pytest.approx(
                 half_weight_expectation(n, beta), abs=1e-10)
 
@@ -486,7 +495,7 @@ def test_end_to_end_small_scale_pipeline():
     inst = build_family(12)
     setting = optimal_setting(inst)
     config = ProtocolConfig(epsilon=0.01, delta=0.05, n_samples=50_000, seed=31)
-    report = run_protocol(inst.spec, setting, math.inf, config)
+    report = run_protocol(inst, setting, math.inf, config)
     assert report.f_est == 1.0
     decision = certify(report.f_est, 12, allow_small_n=True)
     assert decision.verdict == "reject"  # correct: 2/n dominates at small n

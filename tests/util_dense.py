@@ -16,7 +16,8 @@ progressions with generators, the reference for the arange block in
 supremacy. mixture_outcome_distribution is the per-error-mask reference for
 the X-basis distribution of a thermal state. canonical_edge_reference is
 the per-edge validation that every edge took before edge sets were
-validated as arrays.
+validated as arrays. path_graph builds the path 1-2-...-n, a fixture only
+tests use.
 
 The package's runtime needs none of the following either, so they are
 kept here as the references tests compare against: from_letters and letter
@@ -155,12 +156,19 @@ def family_members(draw, sizes=(4, 6, 8)):
 
 def all_graphs(n: int):
     """Every simple graph on n vertices (edge subsets of the complete graph)."""
-    from thermalverify import GraphSpec
+    from thermalverify import HypergraphSpec
 
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for mask in range(1 << len(pairs)):
         edges = frozenset(p for b, p in enumerate(pairs) if (mask >> b) & 1)
-        yield GraphSpec(n, edges=edges)
+        yield HypergraphSpec(n, e2=edges)
+
+
+def path_graph(n: int):
+    """The path 1-2-...-n as a HypergraphSpec."""
+    from thermalverify import HypergraphSpec
+
+    return HypergraphSpec(n, e2=[(i, i + 1) for i in range(1, n)])
 
 
 def random_hypergraph(n: int, rng: np.random.Generator):
@@ -203,7 +211,7 @@ def graph_generator(g, i: int):
     on each neighbor (the e3-empty generator collapsed to a word)."""
     from thermalverify import try_to_pauli
 
-    return try_to_pauli(generator(g.as_hypergraph(), i))
+    return try_to_pauli(generator(g, i))
 
 
 def multiply(a, b):
