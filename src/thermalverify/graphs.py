@@ -10,11 +10,12 @@ shape (m, 2) for edges and (m, 3) for hyperedges, each row ascending and the
 rows in lexicographic order (e2_rows and e3_rows). The constructor accepts
 integer ndarrays and any iterable of edges. Integer ndarrays, and lists or
 tuples of edges whose every vertex is a plain int, are validated with
-whole-array operations: sort each row, require 1 <= a < b (< c) <= n, then
-lexsort and deduplicate only if the rows are not already strictly
-ascending. Every other input, and any input that fails those checks, takes
-the per-edge checks in input order (an ndarray as its tolist() rows), so an
-error names the first offending edge.
+whole-array operations: sort each row only if some row does not already
+ascend, require 1 <= a < b (< c) <= n, then lexsort and deduplicate only
+if the rows are not already in strictly ascending order. Every other
+input, and any input that fails those checks, takes the per-edge checks in
+input order (an ndarray as its tolist() rows), so an error names the first
+offending edge.
 
 The public e2 and e3 stay frozensets of sorted tuples: they are views of
 the arrays, built on first read. The setting reductions in pauli and the
@@ -67,9 +68,11 @@ def _checked_rows(rows: np.ndarray, n: int, arity: int) -> np.ndarray | None:
     if rows.ndim != 2 or rows.shape[1] != arity or not len(rows):
         return None
     rows = rows.astype(np.int64)  # a copy: the caller keeps theirs
-    rows.sort(axis=1)
-    if (not (rows[:, 1:] > rows[:, :-1]).all()
-            or rows[:, 0].min() < 1 or rows[:, -1].max() > n):
+    if not (rows[:, 1:] > rows[:, :-1]).all():
+        rows.sort(axis=1)
+        if not (rows[:, 1:] > rows[:, :-1]).all():
+            return None
+    if rows.min() < 1 or rows.max() > n:
         return None
     later, same = rows[1:] > rows[:-1], rows[1:] == rows[:-1]
     ascending = later[:, -1]  # row k+1 > row k, lexicographically

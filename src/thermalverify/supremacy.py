@@ -48,6 +48,7 @@ ACCEPT_MARGIN = 0.999995
 EPSILON_FULL_SCALE = 1e-6
 L1_TARGET = 1.0 / 192.0
 MIN_FULL_SCALE_N = 400_000
+_KEY_BLOCK = 1 << 16  # outcome keys built per block: 6 MiB of uint32 at n = 24
 
 
 @dataclass(frozen=True)
@@ -168,18 +169,22 @@ def exact_outcome_distribution(spec: HypergraphSpec, beta: float) -> np.ndarray:
 
 def _outcome_counts(totals: np.ndarray, n: int) -> Counter:
     """The nonzero entries of a length-2^n totals vector in ascending index
-    order, keyed by outcome string (site 1 first). The keys are cut from one
-    uint8 ASCII buffer filled a column at a time, so no (entries, n) int64
-    array is made, and go into the Counter with one dict.update."""
+    order, keyed by outcome string (site 1 first). numpy builds the keys:
+    each block of up to _KEY_BLOCK entries is a (block, n) uint32 array of
+    the code points of "0" and "1", filled a column at a time and viewed as
+    n-character strings, so the buffer stays small whatever the number of
+    entries. The keys go into the Counter with one dict.update."""
     hits = np.flatnonzero(totals)
-    chars = np.empty((hits.size, n), np.uint8)
-    for k in range(n):
-        chars[:, k] = hits >> k & 1
-    chars += ord("0")
-    text = chars.tobytes().decode("ascii")
+    keys = []
+    for block in np.split(hits, range(_KEY_BLOCK, hits.size, _KEY_BLOCK)):
+        chars = np.empty((block.size, n), np.uint32)
+        for k in range(n):  # the cast keeps bit k of each index, all that & 1 reads
+            np.right_shift(block, k, out=chars[:, k], casting="unsafe")
+        chars &= 1
+        chars += ord("0")
+        keys += chars.view(f"U{n}")[:, 0].tolist()
     counts = Counter()
-    dict.update(counts, zip([text[i:i + n] for i in range(0, len(text), n)],
-                            totals[hits].tolist()))
+    dict.update(counts, zip(keys, totals[hits].tolist()))
     return counts
 
 

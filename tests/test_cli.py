@@ -1,8 +1,10 @@
 import csv
 import json
 import math
+import os
 import re
 import shutil
+import stat
 import time
 from pathlib import Path
 
@@ -39,8 +41,11 @@ def masked_run(argv, capsys):
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
-    mask = lambda text: re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
-    return code, mask(captured.out), mask(captured.err)
+    return code, mask_timestamp(captured.out), mask_timestamp(captured.err)
+
+
+def mask_timestamp(text: str) -> str:
+    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
 
 
 def strict_json(text):
@@ -440,12 +445,76 @@ class TestOSErrors:
         ["certify-iqp", "--n", "400000", "--report", "{dir}"],
         ["verify", "--graph", "{dir}", "--beta", "1", "--epsilon", "0.1", "--delta", "0.1"],
         ["curves", "--sizes", "8", "--points", "2", "--output", "{dir}"],
+        ["verify", "--graph", str(RING12), "--beta", "1", "--epsilon", "0.1", "--delta", "0.1",
+         "--samples", "10", "--output", "{dir}"],
+        ["estimate-temperature", "--n", "10", "--f-est", "0.5", "--output", "{dir}"],
     ])
     def test_directory_path_is_validation_error(self, tmp_path, capsys, argv):
         assert main([arg.replace("{dir}", str(tmp_path)) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: [Errno 21] Is a directory")
+
+
+class TestOverwrite:
+    """An existing --output file is rewritten in place: afterwards it holds
+    exactly the bytes a run to a fresh path writes, whatever it held."""
+
+    VERIFY = ["verify", "--graph", str(RING12), "--beta", "0.8", "--epsilon", "0.1",
+              "--delta", "0.1", "--samples", "500", "--seed", "4"]
+    EXPECTATION = ["expectation", "--graph", str(RING12), "--wt", "6", "--beta", "1"]
+
+    def test_longer_csv_and_manifest_are_cut_to_the_new_bytes(self, tmp_path):
+        out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+        assert main(self.VERIFY + ["--trials", "5", "--output", str(out)]) == 0
+        old_csv = out.read_bytes()
+        sidecar = tmp_path / "out.csv.manifest.json"
+        sidecar.write_text(sidecar.read_text() + " " * 4096)
+        assert main(self.VERIFY + ["--trials", "1", "--output", str(out)]) == 0
+        assert main(self.VERIFY + ["--trials", "1", "--output", str(fresh)]) == 0
+        assert len(old_csv) > out.stat().st_size
+        assert out.read_bytes() == fresh.read_bytes()
+        assert (mask_timestamp(sidecar.read_text())
+                == mask_timestamp((tmp_path / "fresh.csv.manifest.json").read_text()))
+
+    def test_longer_json_is_cut_to_the_new_bytes(self, tmp_path):
+        out, fresh = tmp_path / "out.json", tmp_path / "fresh.json"
+        out.write_text("x" * 10_000)
+        assert main(self.EXPECTATION + ["--output", str(out)]) == 0
+        assert main(self.EXPECTATION + ["--output", str(fresh)]) == 0
+        assert mask_timestamp(out.read_text()) == mask_timestamp(fresh.read_text())
+        assert strict_json(out.read_text())["result"]["n"] == 12
+
+    def test_symlink_writes_through_and_the_target_keeps_its_mode(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("x" * 10_000)
+        target.chmod(0o640)
+        link.symlink_to(target)
+        assert main(self.EXPECTATION + ["--output", str(link)]) == 0
+        assert main(self.EXPECTATION + ["--output", str(tmp_path / "fresh.json")]) == 0
+        assert link.is_symlink()
+        assert (mask_timestamp(target.read_text())
+                == mask_timestamp((tmp_path / "fresh.json").read_text()))
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_outputs_are_opened_without_truncation(self, tmp_path, monkeypatch):
+        opened = []
+        real_open = os.open
+        def recording_open(path, flags, *rest):
+            opened.append((Path(path).name, flags))
+            return real_open(path, flags, *rest)
+        monkeypatch.setattr(os, "open", recording_open)
+        out = tmp_path / "out.csv"
+        for _ in range(2):
+            assert main(self.VERIFY + ["--output", str(out)]) == 0
+        assert [name for name, _ in opened] == ["out.csv", "out.csv.manifest.json"] * 2
+        assert not any(flags & os.O_TRUNC for _, flags in opened)
+
+    @pytest.mark.skipif(not Path(os.devnull).is_char_device(),
+                        reason="needs a character-device null file")
+    def test_null_device_is_written_without_truncation(self, capsys):
+        assert main(self.EXPECTATION + ["--output", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
 
 
 class TestEstimateTemperature:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from thermalverify import HypergraphSpec, load_hypergraph, ring_graph
 from util_dense import (canonical_edge_reference, generator, hypergraphs_with_selector,
-                        path_graph, raw_edges, reference_edge_set)
+                        integer_edge_arrays, path_graph, raw_edges, reference_edge_set)
 
 
 def neighbors(spec, i):
@@ -184,6 +184,23 @@ def test_multi_edge_validation_matches_reference_in_input_order(case):
         assert _stored_or_message(lambda: HypergraphSpec(n, e2=edges).e2) == expected
     else:
         assert _stored_or_message(lambda: HypergraphSpec(n, e3=edges).e3) == expected
+
+
+@given(integer_edge_arrays(), st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_integer_arrays_match_the_per_edge_path(case, as_lists):
+    """The whole-array checks, which sort only when some row does not
+    ascend, store the rows or raise the message of the per-edge path, for
+    an ndarray and for the same rows as a list of int lists."""
+    n, arity, rows = case
+    expected = reference_edge_set(rows.tolist(), n, arity)
+    if not isinstance(expected, str):
+        expected = sorted(map(list, expected))
+    edges = rows.tolist() if as_lists else rows
+    name = "e2" if arity == 2 else "e3"
+    stored = _stored_or_message(
+        lambda: getattr(HypergraphSpec(n, **{name: edges}), name + "_rows").tolist())
+    assert stored == expected
 
 
 def test_json_true_is_rejected_like_the_reference():

@@ -421,6 +421,25 @@ def test_outcome_keys_match_per_index_formatter(n, data):
     assert list(counts.items()) == list(outcome_counts_reference(totals, n).items())
 
 
+@pytest.mark.parametrize("n", [1, 10, 16])
+@pytest.mark.parametrize("density", ["every outcome", "every third outcome"])
+@pytest.mark.parametrize("block", ["default", 7])
+def test_outcome_counts_equal_the_reference_in_order(n, density, block, monkeypatch):
+    """The keys numpy builds as n-character strings, in one block or many,
+    give the Counter of the per-index formatter: the same keys and counts,
+    in the same order."""
+    if block != "default":
+        monkeypatch.setattr(thermalverify.supremacy, "_KEY_BLOCK", block)
+    totals = np.arange(1, (1 << n) + 1, dtype=np.int64)
+    if density == "every third outcome":
+        totals[np.arange(1 << n) % 3 != 0] = 0
+    counts = _outcome_counts(totals, n)
+    reference = outcome_counts_reference(totals, n)
+    assert counts == reference
+    assert list(counts.items()) == list(reference.items())
+    assert {type(key) for key in counts} == {str}
+
+
 class TestStatevectorCap:
     """Both X-basis functions work on one statevector, so they share its cap."""
 

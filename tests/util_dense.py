@@ -391,6 +391,22 @@ def raw_edges(draw):
     return n, arity, draw(st.sampled_from((tuple, list)))(vertices)
 
 
+@st.composite
+def integer_edge_arrays(draw):
+    """(n, arity, rows): an (m, arity) int64 or int32 array whose rows are
+    sorted or not, may repeat a vertex or another row, and, in half of the
+    draws, may hold vertices outside 1..n."""
+    arity = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(arity, 9))
+    valid = st.lists(st.integers(1, n), min_size=arity, max_size=arity, unique=True)
+    row = st.one_of(valid, valid.map(sorted))
+    if draw(st.booleans()):
+        row = st.one_of(row, st.lists(st.integers(-1, n + 2), min_size=arity, max_size=arity))
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    rows = draw(st.permutations(rows + draw(st.lists(st.sampled_from(rows), max_size=4))))
+    return n, arity, np.array(rows, dtype=draw(st.sampled_from((np.int64, np.int32))))
+
+
 def exhaustive_parity_expectation(n: int, x_mask: int, p: float) -> float:
     """Brute-force infinite-sample mean: sum over all error masks of
     Pr(mask) * (-1)^(overlap with the X/Y support)."""
