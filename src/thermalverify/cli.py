@@ -5,7 +5,9 @@ sweep subcommands write plain CSV (schema documented in the README, column
 order stable) and put the manifest in a sidecar file next to the output, or
 on stderr when writing CSV to stdout. All JSON goes through one encoder
 (_dumps): strict JSON with sorted keys, every infinite float at any depth
-written as the string "infinity". Given the same parameters and seed,
+written as the string "infinity", in the bytes json.dumps(indent=2,
+sort_keys=True, allow_nan=False) would write, from one recursive pass that
+converts, sorts and checks as it writes. Given the same parameters and seed,
 outputs are reproducible byte for byte, timestamps excluded. Every --output
 file goes through one writer (_write_text), which rewrites an existing
 file in place and never truncates it to zero first: on ext4 that pattern
@@ -15,9 +17,11 @@ other are argparse groups, so a conflict exits 2.
 
 The parser is built once per process, at the first `main` call (2-5 ms);
 list defaults are strings converted per parse, so no parse changes it and
-`main(argv)` is safe to call repeatedly in process: an in-process
-`certify-iqp --n 2000 --samples 2000` then costs 0.7-1.1 ms (median of
-250 calls, 2-core VM).
+`main(argv)` is safe to call repeatedly in process. Each argv is parsed
+once, by the named subcommand's own parser (_parse); the top-level parser
+runs only for help, an empty argv or an unknown subcommand. An in-process
+`certify-iqp --n 2000 --samples 2000` then costs 0.39-0.42 ms (median of
+250 calls, three runs, 2-core VM).
 
 Exit codes: 0 success, 2 invalid input, 3 internal check failure.
 """
@@ -64,20 +68,55 @@ def _manifest(args: argparse.Namespace) -> dict:
     }
 
 
-def _finite(value):
-    """`value` with every infinite float, at any depth, as "infinity" or "-infinity"."""
-    if isinstance(value, float) and math.isinf(value):
-        return "infinity" if value > 0 else "-infinity"
-    if isinstance(value, dict):
-        return {key: _finite(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite(item) for item in value]
-    return value
+_quote = json.encoder.encode_basestring_ascii
 
 
 def _dumps(doc) -> str:
-    """The one JSON encoder: strict JSON, keys sorted, infinities spelled out."""
-    return json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False)
+    """The one JSON encoder: the bytes of json.dumps(doc, indent=2,
+    sort_keys=True, allow_nan=False), except that every infinite float, at
+    any depth, is written as the string "infinity" or "-infinity". One
+    recursive pass writes, sorts and checks; with an indent the stdlib
+    would run its pure-Python encoder on a converted copy."""
+    return _encode(doc, "\n")
+
+
+def _encode(value, newline: str) -> str:
+    """`value` as indented JSON whose lines start with `newline`."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isinf(value):
+            return '"infinity"' if value > 0 else '"-infinity"'
+        if value != value:
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if isinstance(value, dict):
+        items = [_quote(_key(key)) + ": " + _encode(item, inner)
+                 for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    """A dict key as the stdlib spells it: str as is, a number, bool or
+    None in its JSON form."""
+    if isinstance(key, str):
+        return key
+    if key is not None and not isinstance(key, (int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return json.dumps(key, allow_nan=False)
 
 
 def _cell(value) -> str:
@@ -475,8 +514,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, parsed once: when argv[0] names a
+    subcommand, its own parser reads the rest, and leftovers get the
+    top-level "unrecognized arguments" error. The top-level parser, which
+    would classify and convert every string before handing it on, runs only
+    when argv[0] is no subcommand (help, no argument, a typo)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    (commands,) = [action.choices for action in parser._actions if action.dest == "subcommand"]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.subcommand = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except CheckFailure as exc:

@@ -15,7 +15,9 @@ ascend, require 1 <= a < b (< c) <= n, then lexsort and deduplicate only
 if the rows are not already in strictly ascending order. Every other
 input, and any input that fails those checks, takes the per-edge checks in
 input order (an ndarray as its tolist() rows), so an error names the first
-offending edge.
+offending edge. An empty edge collection, such as the default e2 or e3,
+takes none of these steps: every empty edge set is the same read-only
+(0, 2) or (0, 3) array.
 
 The public e2 and e3 stay frozensets of sorted tuples: they are views of
 the arrays, built on first read. The setting reductions in pauli and the
@@ -84,6 +86,11 @@ def _checked_rows(rows: np.ndarray, n: int, arity: int) -> np.ndarray | None:
     return rows
 
 
+_NO_ROWS = {arity: np.empty((0, arity), np.int64) for arity in (2, 3)}  # every empty edge set
+for _rows in _NO_ROWS.values():
+    _rows.flags.writeable = False
+
+
 def _canonical_rows(edges, n: int, arity: int) -> np.ndarray:
     """Sorted, deduplicated, read-only (m, arity) int64 rows of an edge
     collection; raises ValueError naming the first invalid edge."""
@@ -94,11 +101,13 @@ def _canonical_rows(edges, n: int, arity: int) -> np.ndarray:
     else:
         if not isinstance(edges, (list, tuple)):
             edges = list(edges)  # read an iterator once, in its own order
-        rows = _plain_int_rows(edges, arity)
+        rows = _plain_int_rows(edges, arity) if edges else None
         if rows is not None:
             rows = _checked_rows(rows, n, arity)
     if rows is None:
         canon = sorted({_canonical_edge(e, n, arity) for e in edges})
+        if not canon:
+            return _NO_ROWS[arity]
         rows = np.array(canon, dtype=np.int64).reshape(-1, arity)
     rows.flags.writeable = False
     return rows

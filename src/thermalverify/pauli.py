@@ -22,8 +22,12 @@ triples) and read its int64 edge arrays in place with whole-array numpy
 operations, O(n + |E2| + |E3|): each edge's share of f is gathered
 from the selector, the linear part is the parity of a bincount, the CZ
 pairs are the pair keys with odd counts, and the masks are packed bits
-read as one integer. The frozenset edge views are not built. Letter
-strings are formatted from whole masks, so printing a word is O(n) as well.
+read as one integer. The frozenset edge views are not built, and an empty
+edge table is skipped. The selector travels as one bytes object of 0/1
+values (_setting_bytes, which parse_setting also uses): a string is
+translated, a tuple or list is packed in place, and no per-site tuple is
+built on the way to the numpy view. Letter strings are formatted from whole
+masks, so printing a word is O(n) as well.
 """
 from __future__ import annotations
 
@@ -70,38 +74,54 @@ def _check_sign(sign: int) -> None:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 
-def _integral_bit(value) -> int:
-    bit = int(value)
-    if bit != value:
-        raise ValueError(f"setting bit {value!r} is not an integer")
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _integral_bit(value, setting) -> int:
+    """`value` as the bit it equals, 0 or 1, else a ValueError naming the
+    setting."""
+    try:
+        bit = int(value)
+    except (TypeError, ValueError, OverflowError):
+        bit = None
+    if bit is None or bit != value:
+        raise ValueError(f"setting bit {value!r} is not an integer, in setting {setting!r}")
+    if bit not in (0, 1):
+        raise ValueError(f"setting bits must be 0/1, got {setting!r}")
     return bit
+
+
+def _setting_bytes(setting, n: int | None = None) -> bytes:
+    """A selector as one bytes object of 0/1 values, site 1 first, checked
+    as parse_setting describes. A tuple or list is read in place."""
+    if isinstance(setting, str):
+        if setting.strip("01"):
+            raise ValueError(f"setting string must contain only 0/1, got {setting!r}")
+        bits = setting.encode().translate(_DIGIT_BITS)
+    else:
+        try:
+            values = setting if isinstance(setting, (tuple, list)) else tuple(setting)
+        except TypeError:
+            raise ValueError(f"setting must be a 0/1 string or sequence, got {setting!r}") from None
+        try:
+            bits = bytes(values)  # the usual case: integers in 0..255
+        except (TypeError, ValueError):  # 1.0 or np.True_, say, or an invalid value
+            bits = bytes([_integral_bit(value, setting) for value in values])
+        if bits.count(0) + bits.count(1) != len(bits):
+            raise ValueError(f"setting bits must be 0/1, got {setting!r}")
+    if n is not None and len(bits) != n:
+        raise ValueError(f"setting has {len(bits)} bits, expected {n}")
+    return bits
 
 
 def parse_setting(setting, n: int | None = None) -> tuple[int, ...]:
     """Normalize a selector to a tuple of 0/1 bits (site 1 first).
 
     Accepts a string like "1100" or any sequence of values equal to 0 or 1;
-    a value that is not integral (0.5, say) is rejected, not truncated.
+    a value that is not integral (0.5, say) is rejected, not truncated, and
+    every rejected selector is a ValueError that names it.
     """
-    if isinstance(setting, str):
-        if not set(setting) <= {"0", "1"}:
-            raise ValueError(f"setting string must contain only 0/1, got {setting!r}")
-        bits = tuple(map(int, setting))
-    else:
-        values = tuple(setting)
-        try:
-            raw = bytes(values)  # the usual case: integers in 0..255
-        except (TypeError, ValueError):
-            raw = b""
-        if raw.count(0) + raw.count(1) == len(values):
-            bits = tuple(raw)
-        else:
-            bits = tuple(map(_integral_bit, values))
-            if not set(bits) <= {0, 1}:
-                raise ValueError(f"setting bits must be 0/1, got {setting!r}")
-    if n is not None and len(bits) != n:
-        raise ValueError(f"setting has {len(bits)} bits, expected {n}")
-    return bits
+    return tuple(_setting_bytes(setting, n))
 
 
 def leading_half_setting(n: int) -> tuple[int, ...]:
@@ -219,23 +239,28 @@ def generalized_product(spec, setting) -> StabilizerProduct:
     """
     n = spec.n
     s = np.zeros(n + 1, dtype=bool)  # s[v] is the bit of site v
-    s[1:] = np.frombuffer(bytes(parse_setting(setting, n)), dtype=np.uint8)
-    a, b = spec.e2_rows.T
-    sa, sb = s[a], s[b]
-    toggled = [a[sb], b[sa]]
-    inside = np.count_nonzero(sa & sb)
-    a, b, c = spec.e3_rows.T
-    sa, sb, sc = s[a], s[b], s[c]
-    toggled += [a[sb & sc], b[sa & sc], c[sa & sb]]
-    inside += np.count_nonzero(sa & sb & sc)
+    s[1:] = np.frombuffer(_setting_bytes(setting, n), dtype=np.uint8)
+    toggled = [np.empty(0, np.int64)]  # one entry per linear-term toggle
+    inside = 0
+    quadratic = frozenset()
+    if len(spec.e2_rows):
+        a, b = spec.e2_rows.T
+        sa, sb = s[a], s[b]
+        toggled += [a[sb], b[sa]]
+        inside += np.count_nonzero(sa & sb)
+    if len(spec.e3_rows):
+        a, b, c = spec.e3_rows.T
+        sa, sb, sc = s[a], s[b], s[c]
+        toggled += [a[sb & sc], b[sa & sc], c[sa & sb]]
+        inside += np.count_nonzero(sa & sb & sc)
+        keys = (np.concatenate((a[sc], a[sb], b[sa])) * (n + 1)
+                + np.concatenate((b[sc], c[sb], c[sa])))
+        keys, counts = np.unique(keys, return_counts=True)
+        first, second = np.divmod(keys[counts & 1 == 1], n + 1)
+        quadratic = frozenset(zip(first.tolist(), second.tolist()))
     linear = np.bincount(np.concatenate(toggled), minlength=n + 1) & 1
-    keys = (np.concatenate((a[sc], a[sb], b[sa])) * (n + 1)
-            + np.concatenate((b[sc], c[sb], c[sa])))
-    keys, counts = np.unique(keys, return_counts=True)
-    first, second = np.divmod(keys[counts & 1 == 1], n + 1)
     return StabilizerProduct(n, -1 if inside & 1 else 1, _mask_from_bits(s[1:]),
-                             _mask_from_bits(linear[1:]),
-                             frozenset(zip(first.tolist(), second.tolist())))
+                             _mask_from_bits(linear[1:]), quadratic)
 
 
 def try_to_pauli(s: StabilizerProduct) -> PauliString | None:

@@ -8,11 +8,14 @@ import stat
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermalverify import build_family, fidelity, ring_graph
 from thermalverify.cli import _dumps, build_parser, main
 from thermalverify.oracle import MAX_DENSITY_N
+from util_dense import dumps_reference
 
 PATH4 = {"n": 4, "e2": [[1, 2], [2, 3], [3, 4]]}
 RING12 = Path(__file__).resolve().parent / "golden" / "cli" / "ring12.json"
@@ -619,6 +622,37 @@ class TestStrictJson:
         # --tolerance exits 2), so the encoder is checked directly
         doc = strict_json(_dumps({"low": -math.inf, "nested": [{"high": math.inf}]}))
         assert doc == {"low": "-infinity", "nested": [{"high": "infinity"}]}
+
+    @staticmethod
+    def outcome(encode, doc):
+        try:
+            return encode(doc)
+        except (TypeError, ValueError) as exc:
+            return type(exc)
+
+    LEAVES = (st.text() | st.integers() | st.booleans() | st.none() | st.floats(allow_nan=False)
+              | st.sampled_from((math.inf, -math.inf, -0.0, 1e-320, 5e-324)))
+
+    @given(st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4)
+                        | st.lists(inner, max_size=4).map(tuple)
+                        | st.dictionaries(st.text(), inner, max_size=4), max_leaves=30))
+    @settings(max_examples=400, deadline=None)
+    def test_encoder_writes_the_stdlib_bytes(self, doc):
+        assert _dumps(doc) == dumps_reference(doc)
+
+    @pytest.mark.parametrize("bad, error", [(math.nan, ValueError), ({1}, TypeError),
+                                            (np.int64(1), TypeError)])
+    @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [1, {"a": v}],
+                                      lambda v: {"b": (v,), "a": -math.inf}])
+    def test_encoder_rejects_what_the_stdlib_rejects(self, bad, error, wrap):
+        assert self.outcome(_dumps, wrap(bad)) is error
+        assert self.outcome(dumps_reference, wrap(bad)) is error
+
+    @pytest.mark.parametrize("doc", [{10: 1, 2: [3]}, {True: 1, False: 0}, {None: 1},
+                                     {1.5: 0, -0.0: 1}, {math.inf: 1}, {1: 0, "a": 1},
+                                     {(1,): 0}])
+    def test_non_string_keys_match_the_stdlib(self, doc):
+        assert self.outcome(_dumps, doc) == self.outcome(dumps_reference, doc)
 
     def test_csv_sidecar_is_strict(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -13,6 +13,10 @@ value rather than as an option. Whatever is drawn:
   "Out of range float values" (an input that reached the output unchecked);
 * exit 3, a failed internal check, comes only from identities or
   oracle-check.
+
+A second property checks that `main`'s one parse per argv (the named
+subcommand's parser alone) reads every such argv, and help, typos and
+leftover arguments besides, as the top-level parser does.
 """
 import contextlib
 import csv
@@ -23,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermalverify import build_family, ring_graph
-from thermalverify.cli import main
+from thermalverify.cli import _parse, build_parser, main
 from util_dense import path_graph
 
 VALUES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "0.5", "1", "1e20", "1e308")
@@ -130,3 +134,32 @@ def test_every_argv_ends_in_a_documented_exit(inputs, data):
         assert "Out of range float values" not in err
     else:
         assert argv[0] in CHECK_COMMANDS, err
+
+
+# argvs the subcommand strategy never draws: help, no subcommand, a typo, "--"
+# first, and leftovers after a subcommand
+SPECIAL = ([], ["-h"], ["--help"], ["frobnicate"], ["--", "curves"], ["-h", "verify"],
+           ["curves", "--bogus"], ["identities", "7"], ["verify", "-h"], ["curves", "--", "x"])
+EXTRAS = ("--bogus", "x", "--", "-h", "--n=1", "--help")
+
+
+def parsed(parse, argv) -> tuple:
+    """The namespace of one parse, or its exit code, with its stdout and
+    stderr. Values are compared by repr, so that nan equals nan."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            result = {key: repr(value) for key, value in vars(parse(argv)).items()}
+        except SystemExit as exc:
+            result = exc.code
+    return result, stdout.getvalue(), stderr.getvalue()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_one_parse_reads_every_argv_as_the_top_level_parser(inputs, data):
+    leftovers = st.lists(st.sampled_from(EXTRAS), max_size=2)
+    argv = data.draw(st.sampled_from(SPECIAL)
+                     | st.tuples(argvs(inputs), leftovers).map(lambda pair: pair[0] + pair[1]),
+                     label="argv")
+    assert parsed(_parse, argv) == parsed(build_parser().parse_args, argv)

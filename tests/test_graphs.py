@@ -227,6 +227,17 @@ def test_rows_are_sorted_read_only_int64():
     assert HypergraphSpec(3).e2_rows.shape == (0, 2)
 
 
+@pytest.mark.parametrize("empty", [frozenset, list, tuple, lambda: iter(()),
+                                   lambda: np.empty((0, 3), np.int64), lambda: np.empty(0, np.int32)])
+def test_every_empty_edge_set_is_one_shared_read_only_array(empty):
+    h, bare = HypergraphSpec(4, e2=empty(), e3=empty()), HypergraphSpec(3)
+    assert h.e2_rows is bare.e2_rows and h.e3_rows is bare.e3_rows
+    assert h.e2_rows.shape == (0, 2) and h.e3_rows.shape == (0, 3)
+    assert h.e2_rows.dtype == h.e3_rows.dtype == np.int64
+    assert not h.e2_rows.flags.writeable and not h.e3_rows.flags.writeable
+    assert h == HypergraphSpec(4) and h.e2 == h.e3 == frozenset()
+
+
 def test_specs_of_different_types_differ():
     assert HypergraphSpec(3, e2={(1, 2)}) != HypergraphSpec(3, e3={(1, 2, 3)})
     assert HypergraphSpec(3, e2={(1, 2)}) != HypergraphSpec(4, e2={(1, 2)})

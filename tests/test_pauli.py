@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,12 +8,13 @@ from thermalverify import (HypergraphSpec, PauliString, StabilizerProduct,
                            alternating_setting, build_family, generalized_product,
                            leading_half_setting, parse_setting, stabilizer_product,
                            try_to_pauli)
+from thermalverify.pauli import _setting_bytes
 from util_dense import (all_graphs, ascending_generalized_product,
                         ascending_stabilizer_product, conjugated_x_reference, from_letters,
                         generator, graph_generator, hypergraph_state_vector,
                         hypergraphs_with_selector, kron_chain, letter, multiply,
-                        path_graph, pauli_matrix, pauli_multiply, random_hypergraph,
-                        stabilizer_product_matrix)
+                        parse_setting_reference, path_graph, pauli_matrix, pauli_multiply,
+                        random_hypergraph, stabilizer_product_matrix)
 
 
 def fig3_instance() -> HypergraphSpec:
@@ -403,6 +406,43 @@ class TestSelectors:
             parse_setting((1.0, 2.0))
         with pytest.raises(ValueError, match="must be 0/1"):
             parse_setting((0, 256))
+
+    @pytest.mark.parametrize("bad", [[0, None], [0, [1]], [0, "x"], [0, 2], [0, 1.5],
+                                     (1, float("nan")), (0, float("inf")), 5, None])
+    def test_every_rejected_selector_is_a_value_error_naming_it(self, bad):
+        g = path_graph(2)
+        for reduce in (parse_setting, lambda s: generalized_product(g, s),
+                       lambda s: stabilizer_product(g, s)):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                reduce(bad)
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_bytes_match_the_tuple_path(self, data):
+        bits = st.integers(-1, 2)
+        kind = data.draw(st.sampled_from(("str", "tuple", "list", "ndarray")), label="kind")
+        if kind == "str":
+            setting = data.draw(st.text("01x", max_size=6) | st.text(max_size=3), label="setting")
+        elif kind == "ndarray":
+            dtype = data.draw(st.sampled_from((np.int64, np.uint8, np.float64, bool)), label="dtype")
+            items = st.integers(0 if dtype is np.uint8 else -1, 2)
+            setting = np.array(data.draw(st.lists(items, max_size=6), label="items"), dtype=dtype)
+        else:
+            value = st.one_of(bits, bits.map(bool), bits.map(float), st.sampled_from((0.5, 1e300)),
+                              bits.map(np.int64), st.integers(0, 2).map(np.uint8),
+                              bits.map(np.bool_),
+                              st.sampled_from((None, "1", "x", [1], float("nan"), float("inf"))))
+            values = data.draw(st.lists(value, max_size=6), label="values")
+            setting = (tuple if kind == "tuple" else list)(values)
+        n = data.draw(st.sampled_from((None, len(setting), len(setting) + 1)), label="n")
+        try:
+            expected = parse_setting_reference(setting, n)
+        except (TypeError, ValueError, OverflowError):
+            with pytest.raises(ValueError):
+                _setting_bytes(setting, n)
+        else:
+            assert _setting_bytes(setting, n) == bytes(expected)
+            assert parse_setting(setting, n) == expected
 
     def test_canned_selectors(self):
         assert leading_half_setting(4) == (1, 1, 0, 0)

@@ -1,10 +1,12 @@
 import json
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from thermalverify import (BoundReport, ProtocolConfig, beta_from_temperature,
                            deviation_leading_order, error_bounds, fidelity,
@@ -14,7 +16,8 @@ from thermalverify import (BoundReport, ProtocolConfig, beta_from_temperature,
                            stabilizer_product, union_bound)
 from thermalverify.cli import _dumps
 from thermalverify.thermal import _check_beta
-from util_dense import exact_setting_expectation, exhaustive_parity_expectation
+from util_dense import (exact_setting_expectation, exhaustive_parity_expectation,
+                        tanh_power_reference)
 
 BETA_HALF = math.log(2) / 2  # exp(-2*beta) = 1/2
 
@@ -139,6 +142,32 @@ class TestHalfWeightExpectation:
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
             half_weight_expectation(5, 1.0)
+
+
+class TestRelativePrecision:
+    """The three closed forms built on log tanh(beta), against 80-digit
+    decimal arithmetic, on both sides of the switch at beta = 1/8."""
+
+    @given(st.one_of(st.floats(1e-300, 40.0), st.floats(-300.0, 1.6).map(lambda e: 10.0 ** e)),
+           st.integers(1, 100))
+    @settings(max_examples=400, deadline=None)
+    def test_within_a_few_ulps_per_unit_of_log_mean(self, beta, wt):
+        n = 2 * wt
+        exact = tanh_power_reference(beta, wt)
+        mean, half = setting_expectation(n, wt, beta), half_weight_expectation(n, beta)
+        if exact < Decimal("1e-300"):  # beyond the normal floats: must underflow
+            assert mean <= 1e-300 and half <= 1e-300
+            return
+        # exp(log E) carries the rounding of log E, about |log E| ulps
+        bound = Decimal(4 * sys.float_info.epsilon * (1.0 + abs(float(exact.ln()))))
+        for got, want in ((mean, exact), (half, exact),
+                          (minus_probability(n, wt, beta), (1 - exact) / 2)):
+            assert abs(Decimal(got) - want) <= bound * want, (got, want)
+
+    @pytest.mark.parametrize("beta", [1e-10, 1e-15, 1e-17, 5e-324])
+    def test_tiny_beta_keeps_tanh(self, beta):
+        for got in (setting_expectation(2, 1, beta), half_weight_expectation(2, beta)):
+            assert abs(got - math.tanh(beta)) <= 1e-14 * math.tanh(beta)
 
 
 class TestBounds:

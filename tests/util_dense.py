@@ -26,7 +26,11 @@ PauliString.letters), pauli_multiply is the Pauli-group product, and
 sample_error_pattern and measure_outcome are the per-shot model that
 sampler.run_protocol's one binomial draw stands for. outcome_counts_reference
 formats each outcome key on its own, the reference for the array-built keys
-of supremacy.iqp_sample. per_edge_pure_state is the one-pass-per-edge sign
+of supremacy.iqp_sample. parse_setting_reference is the tuple path selectors
+took before pauli passed them on as bytes, dumps_reference the two-pass JSON
+encoding (infinities converted in a copy, then json.dumps) that cli._dumps
+replaced, and tanh_power_reference evaluates tanh(beta)^wt in 80-digit
+decimal arithmetic, the reference for the closed forms in thermal. per_edge_pure_state is the one-pass-per-edge sign
 loop that oracle.build_pure_state's site-by-site build replaced, and
 kron_power_reference the explicit Kronecker power m^(x)n that
 oracle._kron_power applies in GEMM passes.
@@ -35,8 +39,10 @@ Index convention matches the package: bit i-1 of a basis index is site i.
 """
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -243,10 +249,10 @@ def multiply(a, b):
 def ascending_stabilizer_product(g, setting):
     """Reference for pauli.stabilizer_product: multiply the selected
     graph-state generators one by one, in ascending vertex order."""
-    from thermalverify import PauliString, parse_setting
+    from thermalverify import PauliString
 
     word = PauliString(g.n)
-    for i, b in enumerate(parse_setting(setting, g.n), start=1):
+    for i, b in enumerate(parse_setting_reference(setting, g.n), start=1):
         if b:
             word = pauli_multiply(word, graph_generator(g, i))
     return word
@@ -255,10 +261,10 @@ def ascending_stabilizer_product(g, setting):
 def ascending_generalized_product(h, setting):
     """Reference for pauli.generalized_product: multiply the selected
     generalized generators one by one, in ascending vertex order."""
-    from thermalverify import StabilizerProduct, parse_setting
+    from thermalverify import StabilizerProduct
 
     word = StabilizerProduct(h.n)
-    for i, b in enumerate(parse_setting(setting, h.n), start=1):
+    for i, b in enumerate(parse_setting_reference(setting, h.n), start=1):
         if b:
             word = multiply(word, generator(h, i))
     return word
@@ -519,3 +525,72 @@ def measure_outcome(pattern: int, setting) -> int:
     if pattern < 0 or pattern >> setting.n:
         raise ValueError(f"pattern {bin(pattern)} does not fit {setting.n} sites")
     return -1 if (pattern & setting.x_mask).bit_count() & 1 else 1
+
+
+def _integral_bit_reference(value) -> int:
+    bit = int(value)
+    if bit != value:
+        raise ValueError(f"setting bit {value!r} is not an integer")
+    return bit
+
+
+def parse_setting_reference(setting, n: int | None = None) -> tuple[int, ...]:
+    """Reference for pauli._setting_bytes: the selector as a tuple of 0/1
+    bits, converted value by value. Some invalid selectors raise TypeError
+    here, or a ValueError from int(), where the package names the setting."""
+    if isinstance(setting, str):
+        if not set(setting) <= {"0", "1"}:
+            raise ValueError(f"setting string must contain only 0/1, got {setting!r}")
+        bits = tuple(map(int, setting))
+    else:
+        values = tuple(setting)
+        try:
+            raw = bytes(values)
+        except (TypeError, ValueError):
+            raw = b""
+        if raw.count(0) + raw.count(1) == len(values):
+            bits = tuple(raw)
+        else:
+            bits = tuple(map(_integral_bit_reference, values))
+            if not set(bits) <= {0, 1}:
+                raise ValueError(f"setting bits must be 0/1, got {setting!r}")
+    if n is not None and len(bits) != n:
+        raise ValueError(f"setting has {len(bits)} bits, expected {n}")
+    return bits
+
+
+def _finite(value):
+    """`value` with every infinite float, at any depth, as "infinity" or "-infinity"."""
+    if isinstance(value, float) and math.isinf(value):
+        return "infinity" if value > 0 else "-infinity"
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
+def dumps_reference(doc) -> str:
+    """Reference for cli._dumps: convert the infinities in a copy, then let
+    the stdlib encode it."""
+    return json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False)
+
+
+def tanh_power_reference(beta: float, wt: int) -> Decimal:
+    """tanh(beta)^wt to 80 significant digits for finite beta > 0: sinh/cosh
+    by their Taylor series below beta = 1, (1 - e^(-2 beta))/(1 + e^(-2 beta))
+    above."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        b = Decimal(beta)
+        if b >= 1:
+            t = (-2 * b).exp()
+            return ((1 - t) / (1 + t)) ** wt
+        sinh = term_s = b
+        cosh = term_c = Decimal(1)
+        for k in range(1, 40):  # the last term is below b^80 / 80!
+            term_s = term_s * b * b / ((2 * k) * (2 * k + 1))
+            term_c = term_c * b * b / ((2 * k - 1) * (2 * k))
+            sinh += term_s
+            cosh += term_c
+        return (sinh / cosh) ** wt
