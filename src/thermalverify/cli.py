@@ -74,9 +74,10 @@ _quote = json.encoder.encode_basestring_ascii
 def _dumps(doc) -> str:
     """The one JSON encoder: the bytes of json.dumps(doc, indent=2,
     sort_keys=True, allow_nan=False), except that every infinite float, at
-    any depth, is written as the string "infinity" or "-infinity". One
-    recursive pass writes, sorts and checks; with an indent the stdlib
-    would run its pure-Python encoder on a converted copy."""
+    any depth, is written as the string "infinity" or "-infinity", and a
+    key that is not a str is a TypeError. One recursive pass writes, sorts
+    and checks; with an indent the stdlib would run its pure-Python encoder
+    on a converted copy."""
     return _encode(doc, "\n")
 
 
@@ -103,20 +104,10 @@ def _encode(value, newline: str) -> str:
         items = [_encode(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
     if isinstance(value, dict):
-        items = [_quote(_key(key)) + ": " + _encode(item, inner)
+        items = [_quote(key) + ": " + _encode(item, inner)
                  for key, item in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _key(key) -> str:
-    """A dict key as the stdlib spells it: str as is, a number, bool or
-    None in its JSON form."""
-    if isinstance(key, str):
-        return key
-    if key is not None and not isinstance(key, (int, float)):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return json.dumps(key, allow_nan=False)
 
 
 def _cell(value) -> str:

@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 from thermalverify import (DenseMixedState, DenseState, HypergraphSpec,
                            PauliString, StabilizerProduct, apply_operator,
                            boltzmann_density, build_pure_state, dense_expectation,
-                           fidelity, flip_probability, generalized_product,
+                           fidelity, flip_probability, generalized_product, ring_graph,
                            setting_expectation, stabilizer_check, stabilizer_product,
                            thermal_density)
 from thermalverify.oracle import _flip_factor, _hadamard_factor, _kron_power
 from util_dense import (exhaustive_parity_expectation, from_letters, generator,
                         gibbs_reference, graph_generator, hypergraph_state_vector, hypergraphs_with_selector,
-                        kron_power_reference, path_graph, pauli_matrix, per_edge_pure_state,
-                        random_hypergraph, stabilizer_product_matrix)
+                        kron_power_reference, mask_loop_thermal_density, path_graph,
+                        pauli_matrix, per_edge_pure_state, random_hypergraph,
+                        stabilizer_product_matrix)
 
 BETA_HALF = math.log(2) / 2
 
@@ -124,6 +125,18 @@ class TestThermalDensity:
         rho = thermal_density(path_graph(5), 0.4)
         assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-12
 
+    @given(hypergraphs_with_selector(max_n=6), st.booleans(),
+           st.one_of(st.sampled_from((0.0, 1e-3, math.inf)),
+                     st.floats(0.05, 5.0, exclude_min=True, exclude_max=True)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_mask_loop(self, case, graph_only, beta):
+        h, _ = case
+        if graph_only:
+            h = HypergraphSpec(h.n, e2=h.e2)
+        rho = thermal_density(h, beta).matrix
+        assert rho.dtype == np.float64
+        assert np.max(np.abs(rho - mask_loop_thermal_density(h, beta))) <= 1e-15
+
 
 class TestBoltzmannDensity:
     def test_matches_error_mixture(self):
@@ -133,6 +146,7 @@ class TestBoltzmannDensity:
             for beta in (0.3, 1.0, 2.0):
                 gibbs = boltzmann_density(h, beta)
                 mixture = thermal_density(h, beta)
+                assert gibbs.matrix.dtype == mixture.matrix.dtype == np.float64
                 assert np.max(np.abs(gibbs.matrix - mixture.matrix)) <= 1e-8
 
     def test_large_beta_approaches_projector(self):
@@ -240,12 +254,24 @@ class TestStabilizerCheck:
         x1 = from_letters("XI")
         assert not stabilizer_check(psi, x1)
 
+    @pytest.mark.parametrize("state", [lambda: thermal_density(ring_graph(4), 1.0),
+                                       lambda: build_pure_state(ring_graph(4)).amplitudes],
+                             ids=["DenseMixedState", "ndarray"])
+    def test_other_state_types_rejected(self, state):
+        with pytest.raises(TypeError, match="unsupported state type"):
+            stabilizer_check(state(), graph_generator(ring_graph(4), 1))
+
 
 class TestStateValidation:
-    def test_dtype_follows_the_input(self):
-        assert DenseState([0.6, 0.8], 1).amplitudes.dtype == np.float64
-        assert DenseState([1, 0], 1).amplitudes.dtype == np.float64
-        assert DenseState([0.6, 0.8j], 1).amplitudes.dtype == np.complex128
+    @pytest.mark.parametrize("make, real, integer, complex_", [
+        (lambda a: DenseState(a, 1).amplitudes, [0.6, 0.8], [1, 0], [0.6, 0.8j]),
+        (lambda a: DenseMixedState(a, 1).matrix, np.eye(2) / 2, [[1, 0], [0, 0]],
+         [[0.5, 0.5j], [-0.5j, 0.5]]),
+    ], ids=["DenseState", "DenseMixedState"])
+    def test_dtype_follows_the_input(self, make, real, integer, complex_):
+        assert make(real).dtype == np.float64
+        assert make(integer).dtype == np.float64
+        assert make(complex_).dtype == np.complex128
 
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ValueError, match="normalized"):

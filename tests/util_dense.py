@@ -33,7 +33,9 @@ replaced, and tanh_power_reference evaluates tanh(beta)^wt in 80-digit
 decimal arithmetic, the reference for the closed forms in thermal. per_edge_pure_state is the one-pass-per-edge sign
 loop that oracle.build_pure_state's site-by-site build replaced, and
 kron_power_reference the explicit Kronecker power m^(x)n that
-oracle._kron_power applies in GEMM passes.
+oracle._kron_power applies in GEMM passes. mask_loop_thermal_density is
+the per-mask loop that oracle.thermal_density's one real matrix product
+replaced.
 
 Index convention matches the package: bit i-1 of a basis index is site i.
 """
@@ -126,6 +128,26 @@ def kron_power_reference(m: np.ndarray, n: int, vec: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(vec):
         return full @ vec.real + 1j * (full @ vec.imag)
     return full @ vec
+
+
+def mask_loop_thermal_density(spec, beta: float) -> np.ndarray:
+    """Reference for oracle.thermal_density: the phase-flip mixture
+    sum over masks of Pr(mask) * Z_mask |psi><psi| Z_mask, one complex row
+    per mask in a Python loop, with psi from per_edge_pure_state."""
+    from thermalverify import flip_probability
+
+    n, dim = spec.n, 1 << spec.n
+    psi = per_edge_pure_state(spec)
+    p = flip_probability(beta)
+    idx = np.arange(dim, dtype=np.uint32)
+    weights = np.empty(dim)
+    flipped = np.empty((dim, dim), dtype=np.complex128)
+    for mask in range(dim):
+        m = int(np.bitwise_count(np.uint32(mask)))
+        weights[mask] = p**m * (1.0 - p) ** (n - m)
+        flipped[mask] = (1.0 - 2.0 * (np.bitwise_count(idx & np.uint32(mask)) & 1)) * psi
+    v = np.sqrt(weights)[:, None] * flipped
+    return v.T @ v.conj()
 
 
 def mixture_outcome_distribution(h, beta: float) -> np.ndarray:
