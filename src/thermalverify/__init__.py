@@ -15,7 +15,9 @@ diagonal-circuit sampling.
 __all__ is the runtime surface that the CLI, the acceptance tests and the
 README quick start reach, pinned by tests/test_api.py. References that only
 tests compare against (the per-shot error-pattern model, the Pauli product,
-path graphs) live in tests/util_dense.py.
+path graphs, the Gibbs-state builder boltzmann_density, the statevector
+operator map apply_operator and stabilizer_check) live in
+tests/util_dense.py.
 """
 
 __version__ = "0.1.0"
@@ -30,8 +32,7 @@ from .thermal import (BoundReport, beta_from_temperature, deviation_leading_orde
                       error_bounds, fidelity, flip_probability, half_weight_expectation,
                       invert_temperature, minus_probability, sample_size,
                       setting_expectation, union_bound)
-from .oracle import (DenseMixedState, DenseState, apply_operator, boltzmann_density,
-                     build_pure_state, dense_expectation, stabilizer_check,
+from .oracle import (DenseMixedState, DenseState, build_pure_state, dense_expectation,
                      thermal_density)
 from .sampler import ProtocolConfig, VerificationReport, check_error_bound, run_protocol
 from .supremacy import (CertificationDecision, build_family, certify,
@@ -47,8 +48,8 @@ __all__ = [
     "BoundReport", "beta_from_temperature", "deviation_leading_order", "error_bounds",
     "fidelity", "flip_probability", "half_weight_expectation", "invert_temperature",
     "minus_probability", "sample_size", "setting_expectation", "union_bound",
-    "DenseMixedState", "DenseState", "apply_operator", "boltzmann_density",
-    "build_pure_state", "dense_expectation", "stabilizer_check", "thermal_density",
+    "DenseMixedState", "DenseState", "build_pure_state", "dense_expectation",
+    "thermal_density",
     "ProtocolConfig", "VerificationReport", "check_error_bound", "run_protocol",
     "CertificationDecision", "build_family", "certify",
     "exact_outcome_distribution", "iqp_sample", "optimal_setting",

@@ -339,13 +339,13 @@ def cmd_oracle_check(args) -> int:
     checked = 0
     for n in range(2, args.nmax + 1):
         graph = ring_graph(n) if n >= 3 else HypergraphSpec(2, e2={(1, 2)})
+        words = [(stabilizer_product(graph, [(selector >> b) & 1 for b in range(n)]),
+                  selector.bit_count()) for selector in range(1 << n)]
         for beta in args.betas:
             rho = thermal_density(graph, beta)
-            for selector in range(1 << n):
-                bits = [(selector >> b) & 1 for b in range(n)]
-                word = stabilizer_product(graph, bits)
+            for word, weight in words:
                 exact = dense_expectation(rho, word)
-                closed = setting_expectation(n, sum(bits), beta)
+                closed = setting_expectation(n, weight, beta)
                 worst = max(worst, abs(exact - closed))
                 checked += 1
     result = {

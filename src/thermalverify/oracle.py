@@ -1,23 +1,22 @@
 """Dense brute-force ground truth at small qubit counts.
 
 Pure states are real: the CZ/CCZ sign pattern of a HypergraphSpec's edge
-arrays (CZ only, for a graph) applied to the uniform
-superposition; thermal states are assembled two independent ways (explicit
-phase-flip mixture, and the Gibbs exponential of the generator Hamiltonian)
-so the equivalence between the two pictures is something this package
-verifies rather than assumes. The Hamiltonian is H = -sum_i D X_i D, with D
-the diagonal sign pattern of the pure state and X_i an index flip, so it
-shares no code with the symbolic generators in pauli that it cross-checks.
+arrays (CZ only, for a graph) applied to the uniform superposition. The
+thermal state is the explicit phase-flip mixture, one real GEMM over a
+2^n x 2^n matrix of weighted sign-flipped states: at n = 12 it takes about
+1 s and a 256 MiB tracemalloc peak on a 2-core VM. It is a weighted Gram
+matrix with unit trace by construction, so it is returned without the
+DenseMixedState constructor's checks. The second, independent route to the
+same state, the Gibbs exponential of the generator Hamiltonian (n <= 10),
+and the statevector operator map and stabilizer check are references only
+tests compare against; they live in tests/util_dense.py.
 
 Every supported operator (PauliString, StabilizerProduct) acts on a basis
-state as Op|z> = c[z] |z ^ x_mask>; one coefficient map c serves operator
-application and mixed-state expectations. Operators apply to statevectors
-as that index-permutation + sign map, never as dense matrices, which keeps
-checks feasible up to n = 24 (MAX_STATEVECTOR_N, also the cap of the X-basis
-functions in supremacy). Dense matrices appear only in the Hamiltonian route
-(n <= 10) and density operators (n <= 12). The phase-flip mixture is one
-real GEMM over a 2^n x 2^n matrix of weighted sign-flipped states: at
-n = 12 it takes about 2 s and a 512 MiB tracemalloc peak on a 2-core VM.
+state as Op|z> = c[z] |z ^ x_mask>; one coefficient map c serves pure- and
+mixed-state expectations. On a statevector that map is an index
+permutation and a sign, never a dense matrix, which keeps checks feasible
+up to n = 24 (MAX_STATEVECTOR_N, also the cap of the X-basis functions in
+supremacy). Dense matrices appear only in density operators (n <= 12).
 
 A Kronecker power m^(x)n of a symmetric 2x2 matrix (the Hadamard transform
 and the thermal flip mix, both applied by supremacy's X-basis functions)
@@ -30,17 +29,15 @@ site i (site 1 is the least significant bit).
 """
 from __future__ import annotations
 
-import math
 from functools import cache
 
 import numpy as np
 
 from .pauli import PauliString, StabilizerProduct
-from .thermal import _check_beta, flip_probability
+from .thermal import _built, flip_probability
 
 MAX_STATEVECTOR_N = 24
 MAX_DENSITY_N = 12
-MAX_HAMILTONIAN_N = 10
 
 # Most bits one Kronecker pass transforms: 5 (32 x 32 factors) was fastest
 # at n in {10, 16, 20, 24}, with one BLAS thread and with two.
@@ -83,7 +80,7 @@ class DenseState:
         if amplitudes.shape != (1 << n,):
             raise ValueError(f"expected 2^{n} amplitudes, got shape {amplitudes.shape}")
         norm = np.linalg.norm(amplitudes)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # written so that NaN fails too
             raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         self.amplitudes = amplitudes
         self.n = n
@@ -94,7 +91,8 @@ class DenseMixedState:
     input stays real.
 
     Positivity is eigenvalue-checked only up to dimension 1024; beyond that
-    the check is skipped at construction for cost reasons.
+    the check is skipped at construction for cost reasons. Each tolerance
+    test is written so that NaN fails it.
     """
 
     def __init__(self, matrix, n: int):
@@ -103,14 +101,14 @@ class DenseMixedState:
         if matrix.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {matrix.shape}")
         herm = np.max(np.abs(matrix - matrix.conj().T))
-        if herm > 1e-10:
+        if not herm <= 1e-10:
             raise ValueError(f"matrix is not Hermitian: max deviation {herm:.3e}")
         tr = matrix.trace()
-        if abs(tr - 1.0) > 1e-10:
+        if not abs(tr - 1.0) <= 1e-10:
             raise ValueError(f"matrix does not have unit trace: {tr}")
         if dim <= 1024:
             lowest = np.linalg.eigvalsh(matrix)[0]
-            if lowest < -1e-10:
+            if not lowest >= -1e-10:
                 raise ValueError(f"matrix is not PSD: lowest eigenvalue {lowest:.3e}")
         self.matrix = matrix
         self.n = n
@@ -149,21 +147,10 @@ def build_pure_state(spec) -> DenseState:
     return DenseState(amps, n)
 
 
-def apply_operator(op, amplitudes: np.ndarray) -> np.ndarray:
-    """Apply a PauliString or StabilizerProduct to a statevector array."""
-    n = _operator_sites(op)
-    if n > MAX_STATEVECTOR_N:
-        raise ValueError(f"statevector maps limited to n <= {MAX_STATEVECTOR_N}, got {n}")
-    if amplitudes.shape != (1 << n,):
-        raise ValueError(f"operator on {n} sites cannot act on shape {amplitudes.shape}")
-    idx = _indices(n)
-    vals = _coefficients(op, idx) * amplitudes
-    return vals[idx ^ np.uint32(op.x_mask)]
-
-
 def thermal_density(spec, beta: float) -> DenseMixedState:
     """Thermal state as the explicit phase-flip mixture: sum over all error
-    masks of Pr(mask) * Z_mask |psi><psi| Z_mask."""
+    masks of Pr(mask) * Z_mask |psi><psi| Z_mask, returned unchecked (see
+    the module docstring)."""
     if spec.n > MAX_DENSITY_N:
         raise ValueError(f"density mixture limited to n <= {MAX_DENSITY_N}, got {spec.n}")
     psi = build_pure_state(spec).amplitudes
@@ -172,62 +159,28 @@ def thermal_density(spec, beta: float) -> DenseMixedState:
     m = np.bitwise_count(idx)
     # row `mask` of v is sqrt(Pr(mask)) * Z_mask psi, so v.T @ v is the mixture
     v = _signs(idx[:, None], idx) * (np.sqrt(p**m * (1.0 - p) ** (spec.n - m))[:, None] * psi)
-    return DenseMixedState(v.T @ v, spec.n)
-
-
-def boltzmann_density(spec, beta: float) -> DenseMixedState:
-    """Thermal state as exp(-beta * H)/Z with H = -(sum of generators),
-    via eigendecomposition of the dense Hamiltonian.
-
-    The generator of vertex i is U X_i U^dagger, with U the product of the
-    CZ and CCZ gates: the diagonal D of the pure state's amplitude signs.
-    So H = -sum_i D X_i D, whose entry at (z ^ 2^(i-1), z) is
-    -D[z ^ 2^(i-1)] * D[z], and H is real."""
-    if spec.n > MAX_HAMILTONIAN_N:
-        raise ValueError(f"Hamiltonian route limited to n <= {MAX_HAMILTONIAN_N}, got {spec.n}")
-    beta = _check_beta(beta)
-    signs = np.sign(build_pure_state(spec).amplitudes)
-    idx = _indices(spec.n)
-    ham = np.zeros((1 << spec.n, 1 << spec.n))
-    for i in range(spec.n):
-        flipped = idx ^ np.uint32(1 << i)
-        ham[flipped, idx] = -signs[flipped] * signs
-    evals, evecs = np.linalg.eigh(ham)
-    if math.isinf(beta):
-        ground = evals <= evals[0] + 1e-9
-        weights = ground.astype(float)
-    else:
-        weights = np.exp(-beta * (evals - evals[0]))
-    rho = (evecs * weights) @ evecs.conj().T / weights.sum()
-    return DenseMixedState(rho, spec.n)
+    return _built(DenseMixedState, matrix=v.T @ v, n=spec.n)
 
 
 def dense_expectation(state, op) -> float:
     """Tr[rho * Op] for a DenseMixedState, or <psi|Op|psi> for a DenseState."""
     n = _operator_sites(op)
-    if isinstance(state, DenseState):
-        if n != state.n:
-            raise ValueError(f"dimension mismatch: state n={state.n}, op n={n}")
-        value = np.vdot(state.amplitudes, apply_operator(op, state.amplitudes))
-    elif isinstance(state, DenseMixedState):
-        if n != state.n:
-            raise ValueError(f"dimension mismatch: state n={state.n}, op n={n}")
-        idx = _indices(n)
-        coeff = _coefficients(op, idx)
-        value = np.sum(state.matrix[idx, idx ^ np.uint32(op.x_mask)] * coeff)
-    else:
+    if not isinstance(state, (DenseState, DenseMixedState)):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    if abs(value.imag) > 1e-10:
+    if n != state.n:
+        raise ValueError(f"dimension mismatch: state n={state.n}, op n={n}")
+    if n > MAX_STATEVECTOR_N:
+        raise ValueError(f"statevector maps limited to n <= {MAX_STATEVECTOR_N}, got {n}")
+    idx = _indices(n)
+    partner = idx ^ np.uint32(op.x_mask)
+    if isinstance(state, DenseState):
+        amps = state.amplitudes
+        value = np.vdot(amps[partner], _coefficients(op, idx) * amps)
+    else:
+        value = np.sum(state.matrix[idx, partner] * _coefficients(op, idx))
+    if not abs(value.imag) <= 1e-10:
         raise RuntimeError(f"expectation has imaginary residue {value.imag:.3e}")
     return float(value.real)
-
-
-def stabilizer_check(state: DenseState, op) -> bool:
-    """True iff Op|psi> = |psi> within 1e-10 (max norm)."""
-    if not isinstance(state, DenseState):
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-    applied = apply_operator(op, state.amplitudes)
-    return bool(np.max(np.abs(applied - state.amplitudes)) <= 1e-10)
 
 
 @cache

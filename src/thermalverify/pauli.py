@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .thermal import _check_sites
+from .thermal import _built, _check_sites
 
 # hex digit x + 2z of a site -> its letter (see PauliString.letters)
 _HEX_LETTERS = str.maketrans("0123", "IXZY")
@@ -236,6 +236,9 @@ def generalized_product(spec, setting) -> StabilizerProduct:
     s_a s_c z_b, s_a s_b z_c. The constant term, the number of edges inside
     S, becomes the sign. All edges are summed at once: a linear bit is the
     parity of its toggle count, a CZ pair survives when its count is odd.
+    The masks fit n sites and each pair (a, b) of ascending edge rows has
+    1 <= a < b <= n, so the result is stored without StabilizerProduct's
+    re-check.
     """
     n = spec.n
     s = np.zeros(n + 1, dtype=bool)  # s[v] is the bit of site v
@@ -259,8 +262,9 @@ def generalized_product(spec, setting) -> StabilizerProduct:
         first, second = np.divmod(keys[counts & 1 == 1], n + 1)
         quadratic = frozenset(zip(first.tolist(), second.tolist()))
     linear = np.bincount(np.concatenate(toggled), minlength=n + 1) & 1
-    return StabilizerProduct(n, -1 if inside & 1 else 1, _mask_from_bits(s[1:]),
-                             _mask_from_bits(linear[1:]), quadratic)
+    return _built(StabilizerProduct, n=n, sign=-1 if inside & 1 else 1,
+                  x_mask=_mask_from_bits(s[1:]), linear=_mask_from_bits(linear[1:]),
+                  quadratic=quadratic)
 
 
 def try_to_pauli(s: StabilizerProduct) -> PauliString | None:

@@ -6,8 +6,9 @@ of triangles (two-vertex edges stay arbitrary). Each progression stops at its
 last triple inside 1..n, which reproduces the known 10-vertex instance
 exactly. build_family returns the member as a plain HypergraphSpec, and
 every function here takes one. The triples are built as one numpy arange
-block whose rows are already in lexicographic order, so the spec stores
-them without sorting.
+block whose rows are ascending, in bounds, unique and in lexicographic
+order by construction, so the spec stores them, read-only, without
+checking them; only the caller's two-vertex edges are validated.
 On this family the alternating selector 0101...01 collapses every CZ tail
 pairwise, so the product of generalized stabilizers is a plain signed Pauli
 word with X/Y on exactly half the sites, and the single-setting estimation
@@ -38,11 +39,11 @@ from functools import partial
 
 import numpy as np
 
-from .graphs import HypergraphSpec
+from .graphs import HypergraphSpec, _canonical_rows
 from .oracle import _flip_factor, _hadamard_factor, _kron_power, build_pure_state
 from .pauli import PauliString, alternating_setting, stabilizer_product
 from .sampler import _check_draw
-from .thermal import _check_integer, _check_sites, flip_probability
+from .thermal import _built, _check_integer, _check_sites, flip_probability
 
 ACCEPT_MARGIN = 0.999995
 EPSILON_FULL_SCALE = 1e-6
@@ -87,8 +88,10 @@ def _family_rows(n: int) -> np.ndarray:
 def build_family(n: int, e2=frozenset()) -> HypergraphSpec:
     """The restricted family's member on n (even) vertices: its fixed
     triangle pattern plus the caller's two-vertex edges e2."""
-    _check_sites(n, even_from=4, need="family requires")
-    return HypergraphSpec(n, e2=e2, e3=_family_rows(n))
+    n = _check_sites(n, even_from=4, need="family requires")
+    e3_rows = _family_rows(n)
+    e3_rows.flags.writeable = False
+    return _built(HypergraphSpec, n=n, e2_rows=_canonical_rows(e2, n, 2), e3_rows=e3_rows)
 
 
 def optimal_setting(spec: HypergraphSpec) -> PauliString:

@@ -76,6 +76,17 @@ def _check_accuracy(epsilon: float, delta: float) -> None:
         raise ValueError(f"need 0 < delta < 1, got {delta}")
 
 
+def _built(cls, **fields):
+    """A cls instance holding fields as given, without running __init__ or
+    __post_init__: for a builder whose own construction already guarantees
+    what the public constructor would check (tests pipe each such output
+    back through that constructor)."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def beta_from_temperature(temperature: float) -> float:
     """Map a temperature (k_B = 1) to beta; T = 0 maps to the inf sentinel."""
     temperature = float(temperature)

@@ -19,9 +19,10 @@ from thermalverify import (HypergraphSpec, ProtocolConfig, build_family, build_p
                            check_odd, dense_expectation, error_bounds, fidelity,
                            half_weight_expectation, invert_temperature, optimal_setting,
                            ring_graph, run_protocol, sample_size, setting_expectation,
-                           signed_pattern_count, stabilizer_check, stabilizer_product,
-                           thermal_density, boltzmann_density, leading_half_setting)
+                           signed_pattern_count, stabilizer_product,
+                           thermal_density, leading_half_setting)
 from thermalverify.cli import main
+from util_dense import boltzmann_density, stabilizer_check
 
 GOLDEN_CURVES = Path(__file__).parent / "golden" / "curves_n50_100.csv"
 

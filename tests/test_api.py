@@ -1,7 +1,9 @@
 """The package's public surface, pinned: thermalverify.__all__ is exactly
 PUBLIC, the names that a CLI subcommand, tests/test_acceptance.py or the
-README's "Library quick start" reach. A test-only reference belongs in
-tests/util_dense.py, not here. The CI job imports this module from outside
+README's "Library quick start" reach from the package. A test-only
+reference belongs in tests/util_dense.py, not here: the acceptance gate
+imports the dense checks no command reaches (boltzmann_density,
+stabilizer_check) from there. The CI job imports this module from outside
 the checkout to check the installed package against the same set."""
 from pathlib import Path
 
@@ -22,8 +24,8 @@ PUBLIC = {
     "BoundReport", "beta_from_temperature", "deviation_leading_order", "error_bounds",
     "fidelity", "flip_probability", "half_weight_expectation", "invert_temperature",
     "minus_probability", "sample_size", "setting_expectation", "union_bound",
-    "DenseMixedState", "DenseState", "apply_operator", "boltzmann_density",
-    "build_pure_state", "dense_expectation", "stabilizer_check", "thermal_density",
+    "DenseMixedState", "DenseState", "build_pure_state", "dense_expectation",
+    "thermal_density",
     "ProtocolConfig", "VerificationReport", "check_error_bound", "run_protocol",
     "CertificationDecision", "build_family", "certify",
     "exact_outcome_distribution", "iqp_sample", "optimal_setting",
@@ -38,18 +40,20 @@ def readme_quick_start() -> str:
 
 def test_all_is_the_pinned_surface():
     assert sorted(thermalverify.__all__) == sorted(PUBLIC)
-    assert len(PUBLIC) == 47
+    assert len(PUBLIC) == 44
 
 
 def test_test_only_names_are_gone():
     removed = {
         thermalverify: ("sample_error_pattern", "measure_outcome", "family_triples",
                         "ThermalParams", "FamilyInstance", "GraphSpec", "hadamard_transform",
-                        "path_graph"),
+                        "path_graph", "apply_operator", "boltzmann_density",
+                        "stabilizer_check"),
         sampler: ("sample_error_pattern", "measure_outcome", "json"),
         supremacy: ("family_triples", "FamilyInstance", "hadamard_transform"),
         graphs: ("GraphSpec", "path_graph"),
-        oracle: ("hadamard_transform",),
+        oracle: ("hadamard_transform", "apply_operator", "boltzmann_density",
+                 "stabilizer_check", "MAX_HAMILTONIAN_N"),
         HypergraphSpec: ("as_hypergraph",),
         pauli: ("_LETTERS",),
         PauliString: ("identity", "from_letters", "letter", "xy_sites", "_phase", "__mul__"),

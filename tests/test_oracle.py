@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermalverify import (DenseMixedState, DenseState, HypergraphSpec,
-                           PauliString, StabilizerProduct, apply_operator,
-                           boltzmann_density, build_pure_state, dense_expectation,
-                           fidelity, flip_probability, generalized_product, ring_graph,
-                           setting_expectation, stabilizer_check, stabilizer_product,
-                           thermal_density)
+                           PauliString, StabilizerProduct, build_pure_state,
+                           dense_expectation, fidelity, flip_probability,
+                           generalized_product, ring_graph, setting_expectation,
+                           stabilizer_product, thermal_density)
 from thermalverify.oracle import _flip_factor, _hadamard_factor, _kron_power
-from util_dense import (exhaustive_parity_expectation, from_letters, generator,
-                        gibbs_reference, graph_generator, hypergraph_state_vector, hypergraphs_with_selector,
+from thermalverify.thermal import _built
+from util_dense import (apply_operator, boltzmann_density, exhaustive_parity_expectation,
+                        from_letters, generator, gibbs_reference, graph_generator,
+                        hypergraph_state_vector, hypergraphs_with_selector,
                         kron_power_reference, mask_loop_thermal_density, path_graph,
                         pauli_matrix, per_edge_pure_state, random_hypergraph,
-                        stabilizer_product_matrix)
+                        stabilizer_check, stabilizer_product_matrix)
 
 BETA_HALF = math.log(2) / 2
 
@@ -125,6 +126,17 @@ class TestThermalDensity:
         rho = thermal_density(path_graph(5), 0.4)
         assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-12
 
+    @given(hypergraphs_with_selector(max_n=8),
+           st.one_of(st.just(math.inf), st.floats(0.0, 8.0)))
+    @settings(max_examples=60, deadline=None)
+    def test_unchecked_mixture_passes_the_public_constructor(self, case, beta):
+        # thermal_density skips DenseMixedState's checks; at n <= 10 the
+        # constructor's Hermitian, trace and PSD eigenvalue checks all run
+        h, _ = case
+        rho = thermal_density(h, beta)
+        assert type(rho) is DenseMixedState and rho.n == h.n
+        DenseMixedState(rho.matrix, h.n)
+
     @given(hypergraphs_with_selector(max_n=6), st.booleans(),
            st.one_of(st.sampled_from((0.0, 1e-3, math.inf)),
                      st.floats(0.05, 5.0, exclude_min=True, exclude_max=True)))
@@ -213,6 +225,12 @@ class TestDenseExpectation:
         with pytest.raises(ValueError):
             dense_expectation(rho, PauliString(4))
 
+    def test_nan_imaginary_residue_rejected(self):
+        unchecked = _built(DenseMixedState, matrix=np.full((2, 2), complex(math.nan, math.nan)),
+                           n=1)
+        with pytest.raises(RuntimeError, match="imaginary residue nan"):
+            dense_expectation(unchecked, PauliString(1))
+
     def test_oracle_consistency_triangle(self):
         """Mixture route, Gibbs route, and the exhaustive parity model agree
         for every setting."""
@@ -273,15 +291,19 @@ class TestStateValidation:
         assert make(integer).dtype == np.float64
         assert make(complex_).dtype == np.complex128
 
-    def test_unnormalized_state_rejected(self):
+    @pytest.mark.parametrize("amplitudes, n", [(np.ones(4), 2), ([math.nan, 0.0], 1)],
+                             ids=["norm 2", "NaN"])
+    def test_unnormalized_state_rejected(self, amplitudes, n):
         with pytest.raises(ValueError, match="normalized"):
-            DenseState(np.ones(4), 2)
+            DenseState(amplitudes, n)
 
-    def test_non_hermitian_rejected(self):
-        bad = np.eye(4, dtype=complex) / 4
-        bad[0, 1] = 0.5
+    @pytest.mark.parametrize("n, entry", [(2, 0.5), (1, math.nan), (11, math.nan)],
+                             ids=["off-diagonal", "NaN", "NaN past the PSD cap"])
+    def test_non_hermitian_rejected(self, n, entry):
+        bad = np.eye(1 << n, dtype=complex) / (1 << n)
+        bad[0, 1] = entry
         with pytest.raises(ValueError, match="Hermitian"):
-            DenseMixedState(bad, 2)
+            DenseMixedState(bad, n)
 
     def test_wrong_trace_rejected(self):
         with pytest.raises(ValueError, match="trace"):

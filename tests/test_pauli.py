@@ -1,4 +1,5 @@
 import re
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -179,7 +180,8 @@ class TestGraphStabilizers:
             assert forward == backward
 
     def test_stabilizes_dense_graph_state(self):
-        from thermalverify import build_pure_state, stabilizer_check
+        from thermalverify import build_pure_state
+        from util_dense import stabilizer_check
 
         rng = np.random.default_rng(23)
         for n in (2, 3, 5, 6):
@@ -257,7 +259,7 @@ class TestStabilizerProduct:
     def test_all_generator_pairs_at_ten_sites(self):
         # statevector route: (a*b)|v> == a(b|v>) for every ordered pair on a
         # 10-site hypergraph with edges and triangles
-        from thermalverify import apply_operator
+        from util_dense import apply_operator
 
         h = HypergraphSpec(10, e2={(1, 6), (2, 9)}, e3=fig3_instance().e3)
         gens = [generator(h, i) for i in range(1, 11)]
@@ -314,7 +316,8 @@ class TestGeneralizedProduct:
         assert sp.x_mask == sum(1 << (i - 1) for i in range(2, 21, 2))
 
     def test_stabilizes_dense_hypergraph_state(self):
-        from thermalverify import build_pure_state, stabilizer_check
+        from thermalverify import build_pure_state
+        from util_dense import stabilizer_check
 
         rng = np.random.default_rng(7)
         for n in (3, 4, 6):
@@ -325,7 +328,8 @@ class TestGeneralizedProduct:
                 assert stabilizer_check(psi, generalized_product(h, bits))
 
     def test_stabilizes_ten_vertex_instance_exhaustively(self):
-        from thermalverify import build_pure_state, stabilizer_check
+        from thermalverify import build_pure_state
+        from util_dense import stabilizer_check
 
         h = fig3_instance()
         psi = build_pure_state(h)
@@ -353,6 +357,19 @@ class TestGeneralizedProduct:
                 lhs = multiply(generalized_product(h, bits(s1)),
                                generalized_product(h, bits(s2)))
                 assert lhs == generalized_product(h, bits(s1 ^ s2))
+
+
+    @given(st.one_of(hypergraphs_with_selector(),
+                     st.just((build_family(2000), leading_half_setting(2000)))))
+    @settings(max_examples=100, deadline=None)
+    def test_unchecked_result_passes_the_public_constructor(self, case):
+        # generalized_product skips StabilizerProduct's checks; the public
+        # constructor must accept its fields unchanged, all plain ints
+        h, bits = case
+        sp = generalized_product(h, bits)
+        assert StabilizerProduct(sp.n, sp.sign, sp.x_mask, sp.linear, sp.quadratic) == sp
+        values = [sp.n, sp.sign, sp.x_mask, sp.linear, *chain.from_iterable(sp.quadratic)]
+        assert {type(v) for v in values} == {int}
 
 
 class TestTryToPauli:

@@ -71,7 +71,7 @@ class TestMeasureOutcome:
             for selector in range(1 << n):
                 bits = [(selector >> b) & 1 for b in range(n)]
                 setting = stabilizer_product(g, bits)
-                from thermalverify import apply_operator
+                from util_dense import apply_operator
 
                 for pattern in range(1 << n):
                     signs = np.where((np.bitwise_count(idx & pattern) & 1) == 1, -1.0, 1.0)
@@ -167,7 +167,7 @@ class TestRunProtocol:
         setting = stabilizer_product(g, "1111100000")
         assert setting.sign == -1
         psi = build_pure_state(g)
-        from thermalverify import stabilizer_check
+        from util_dense import stabilizer_check
 
         assert stabilizer_check(psi, setting)
         config = ProtocolConfig(epsilon=0.1, delta=0.1, n_samples=200, seed=4)

@@ -18,7 +18,7 @@ from thermalverify import (CertificationDecision, HypergraphSpec, ProtocolConfig
                            alternating_setting, build_family, build_pure_state, certify,
                            exact_outcome_distribution, fidelity, generalized_product,
                            iqp_sample, optimal_setting, run_protocol, sample_size,
-                           stabilizer_check, thermal_density)
+                           thermal_density)
 from thermalverify.oracle import MAX_STATEVECTOR_N
 from thermalverify.sampler import MAX_SAMPLES
 from thermalverify.supremacy import (ACCEPT_MARGIN, EPSILON_FULL_SCALE, MIN_FULL_SCALE_N,
@@ -26,7 +26,7 @@ from thermalverify.supremacy import (ACCEPT_MARGIN, EPSILON_FULL_SCALE, MIN_FULL
 from util_dense import (H2, ascending_generalized_product, family_members,
                         family_triples_reference, kron_power_reference,
                         mixture_outcome_distribution, outcome_counts_reference,
-                        total_variation)
+                        stabilizer_check, total_variation)
 
 FIG3_TRIANGLES = {
     (1, 2, 3), (5, 6, 7),
@@ -108,6 +108,32 @@ class TestBuildFamily:
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
             build_family(9)
+
+    @staticmethod
+    def assert_rebuilds(inst):
+        # build_family stores its triples unchecked; the public constructor
+        # must take both edge tables back unchanged
+        assert inst.e3_rows.dtype == np.int64 and not inst.e3_rows.flags.writeable
+        assert HypergraphSpec(inst.n, e2=inst.e2_rows, e3=inst.e3_rows) == inst
+
+    @pytest.mark.parametrize("n", [4, 6, 10, 2000])
+    def test_unchecked_triples_pass_the_public_constructor(self, n):
+        self.assert_rebuilds(build_family(n))
+
+    @given(family_members(sizes=tuple(range(4, 41, 2))))
+    @settings(max_examples=60, deadline=None)
+    def test_members_with_random_e2_pass_the_public_constructor(self, inst):
+        self.assert_rebuilds(inst)
+
+    def test_peak_is_about_the_triples_themselves(self):
+        build_family(4)
+        tracemalloc.start()
+        try:
+            inst = build_family(400_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * inst.e3_rows.nbytes, (peak, inst.e3_rows.nbytes)
 
 
 class TestOptimalSetting:

@@ -8,7 +8,7 @@ multiply is the normal-form product of two StabilizerProducts; the package
 needs neither, because it reduces a whole selected product in one pass. The
 ascending generator products built from them are the references for the
 one-pass setting reductions in pauli, gibbs_reference is the reference for
-oracle.boltzmann_density, and hypergraphs_with_selector draws inputs for the
+boltzmann_density, and hypergraphs_with_selector draws inputs for the
 property tests that compare them. conjugated_x_reference is the same
 reduction as one pure-Python pass over edge tuples, the reference for the
 array reduction in pauli, and family_triples_reference builds the family's
@@ -36,6 +36,15 @@ kron_power_reference the explicit Kronecker power m^(x)n that
 oracle._kron_power applies in GEMM passes. mask_loop_thermal_density is
 the per-mask loop that oracle.thermal_density's one real matrix product
 replaced.
+
+Three dense checks live here because no CLI command reaches them:
+boltzmann_density builds the thermal state a second, independent way, as
+the Gibbs exponential of the generator Hamiltonian H = -sum_i D X_i D (D
+the diagonal sign pattern of the pure state, X_i an index flip), so it
+shares no code with the symbolic generators in pauli that it cross-checks;
+apply_operator applies a PauliString or StabilizerProduct to a statevector
+as oracle's index-permutation + sign map; stabilizer_check tests
+Op|psi> = |psi> with it.
 
 Index convention matches the package: bit i-1 of a basis index is site i.
 """
@@ -293,7 +302,7 @@ def ascending_generalized_product(h, setting):
 
 
 def gibbs_reference(h, beta: float) -> np.ndarray:
-    """Reference for oracle.boltzmann_density: exp(-beta H)/Z for
+    """Reference for boltzmann_density: exp(-beta H)/Z for
     H = -sum_i stabilizer_product_matrix(generator(h, i)), the projector
     onto the ground space of H at beta = inf."""
     ham = -sum(stabilizer_product_matrix(generator(h, i)) for i in range(1, h.n + 1))
@@ -303,6 +312,63 @@ def gibbs_reference(h, beta: float) -> np.ndarray:
     else:
         weights = np.exp(-beta * (evals - evals[0]))
     return (evecs * weights) @ evecs.conj().T / weights.sum()
+
+
+MAX_HAMILTONIAN_N = 10
+
+
+def boltzmann_density(spec, beta: float):
+    """Thermal state as exp(-beta * H)/Z with H = -(sum of generators),
+    via eigendecomposition of the dense Hamiltonian, as a DenseMixedState.
+
+    The generator of vertex i is U X_i U^dagger, with U the product of the
+    CZ and CCZ gates: the diagonal D of the pure state's amplitude signs.
+    So H = -sum_i D X_i D, whose entry at (z ^ 2^(i-1), z) is
+    -D[z ^ 2^(i-1)] * D[z], and H is real."""
+    from thermalverify import DenseMixedState, build_pure_state
+    from thermalverify.thermal import _check_beta
+
+    if spec.n > MAX_HAMILTONIAN_N:
+        raise ValueError(f"Hamiltonian route limited to n <= {MAX_HAMILTONIAN_N}, got {spec.n}")
+    beta = _check_beta(beta)
+    signs = np.sign(build_pure_state(spec).amplitudes)
+    idx = np.arange(1 << spec.n, dtype=np.uint32)
+    ham = np.zeros((1 << spec.n, 1 << spec.n))
+    for i in range(spec.n):
+        flipped = idx ^ np.uint32(1 << i)
+        ham[flipped, idx] = -signs[flipped] * signs
+    evals, evecs = np.linalg.eigh(ham)
+    if math.isinf(beta):
+        weights = (evals <= evals[0] + 1e-9).astype(float)
+    else:
+        weights = np.exp(-beta * (evals - evals[0]))
+    rho = (evecs * weights) @ evecs.conj().T / weights.sum()
+    return DenseMixedState(rho, spec.n)
+
+
+def apply_operator(op, amplitudes: np.ndarray) -> np.ndarray:
+    """Apply a PauliString or StabilizerProduct to a statevector array."""
+    from thermalverify.oracle import (MAX_STATEVECTOR_N, _coefficients, _indices,
+                                      _operator_sites)
+
+    n = _operator_sites(op)
+    if n > MAX_STATEVECTOR_N:
+        raise ValueError(f"statevector maps limited to n <= {MAX_STATEVECTOR_N}, got {n}")
+    if amplitudes.shape != (1 << n,):
+        raise ValueError(f"operator on {n} sites cannot act on shape {amplitudes.shape}")
+    idx = _indices(n)
+    vals = _coefficients(op, idx) * amplitudes
+    return vals[idx ^ np.uint32(op.x_mask)]
+
+
+def stabilizer_check(state, op) -> bool:
+    """True iff Op|psi> = |psi> within 1e-10 (max norm), for a DenseState."""
+    from thermalverify import DenseState
+
+    if not isinstance(state, DenseState):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    applied = apply_operator(op, state.amplitudes)
+    return bool(np.max(np.abs(applied - state.amplitudes)) <= 1e-10)
 
 
 def conjugated_x_reference(n: int, bits, e2, e3):
