@@ -41,7 +41,9 @@ def measure(n: int) -> dict:
     from thermalverify.oracle import _hadamard_factor, _kron_power
 
     spec = build_family(n, e2={(1, 4), (2, 6)})
-    amplitudes = build_pure_state(spec).amplitudes
+    amplitudes = build_pure_state(spec)
+    # checkouts older than the amplitude-vector return wrap it in DenseState
+    amplitudes = getattr(amplitudes, "amplitudes", amplitudes)
     calls = {
         "kron_power_hadamard": lambda seed: _kron_power(
             amplitudes.copy(), np.empty_like(amplitudes), _hadamard_factor),

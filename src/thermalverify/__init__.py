@@ -13,11 +13,12 @@ the restricted hypergraph family whose single measurement setting certifies
 diagonal-circuit sampling.
 
 __all__ is the runtime surface that the CLI, the acceptance tests and the
-README quick start reach, pinned by tests/test_api.py. References that only
+README quick start reach, pinned by tests/test_api.py. A pure state is its
+float64 amplitude vector (oracle.build_pure_state). References that only
 tests compare against (the per-shot error-pattern model, the Pauli product,
-path graphs, the Gibbs-state builder boltzmann_density, the statevector
-operator map apply_operator and stabilizer_check) live in
-tests/util_dense.py.
+path graphs, the Gibbs-state builder boltzmann_density, the StabilizerProduct
+coefficient map, the statevector operator map apply_operator, the
+statevector expectation and stabilizer_check) live in tests/util_dense.py.
 """
 
 __version__ = "0.1.0"
@@ -32,8 +33,7 @@ from .thermal import (BoundReport, beta_from_temperature, deviation_leading_orde
                       error_bounds, fidelity, flip_probability, half_weight_expectation,
                       invert_temperature, minus_probability, sample_size,
                       setting_expectation, union_bound)
-from .oracle import (DenseMixedState, DenseState, build_pure_state, dense_expectation,
-                     thermal_density)
+from .oracle import DenseMixedState, build_pure_state, dense_expectation, thermal_density
 from .sampler import ProtocolConfig, VerificationReport, check_error_bound, run_protocol
 from .supremacy import (CertificationDecision, build_family, certify,
                         exact_outcome_distribution, iqp_sample, optimal_setting)
@@ -48,7 +48,7 @@ __all__ = [
     "BoundReport", "beta_from_temperature", "deviation_leading_order", "error_bounds",
     "fidelity", "flip_probability", "half_weight_expectation", "invert_temperature",
     "minus_probability", "sample_size", "setting_expectation", "union_bound",
-    "DenseMixedState", "DenseState", "build_pure_state", "dense_expectation",
+    "DenseMixedState", "build_pure_state", "dense_expectation",
     "thermal_density",
     "ProtocolConfig", "VerificationReport", "check_error_bound", "run_protocol",
     "CertificationDecision", "build_family", "certify",

@@ -1,22 +1,20 @@
 """Dense brute-force ground truth at small qubit counts.
 
-Pure states are real: the CZ/CCZ sign pattern of a HypergraphSpec's edge
-arrays (CZ only, for a graph) applied to the uniform superposition. The
-thermal state is the explicit phase-flip mixture, one real GEMM over a
-2^n x 2^n matrix of weighted sign-flipped states: at n = 12 it takes about
-1 s and a 256 MiB tracemalloc peak on a 2-core VM. It is a weighted Gram
-matrix with unit trace by construction, so it is returned without the
-DenseMixedState constructor's checks. The second, independent route to the
-same state, the Gibbs exponential of the generator Hamiltonian (n <= 10),
-and the statevector operator map and stabilizer check are references only
-tests compare against; they live in tests/util_dense.py.
-
-Every supported operator (PauliString, StabilizerProduct) acts on a basis
-state as Op|z> = c[z] |z ^ x_mask>; one coefficient map c serves pure- and
-mixed-state expectations. On a statevector that map is an index
-permutation and a sign, never a dense matrix, which keeps checks feasible
-up to n = 24 (MAX_STATEVECTOR_N, also the cap of the X-basis functions in
-supremacy). Dense matrices appear only in density operators (n <= 12).
+A pure state is its float64 amplitude vector: the CZ/CCZ sign pattern of a
+HypergraphSpec's edge arrays (CZ only, for a graph) applied to the uniform
+superposition, returned as built, up to n = 24 (MAX_STATEVECTOR_N, also the
+cap of the X-basis functions in supremacy). The thermal state is the
+explicit phase-flip mixture, one real GEMM over a 2^n x 2^n matrix of
+weighted sign-flipped states: at n = 12 it takes about 1 s and a 256 MiB
+tracemalloc peak on a 2-core VM. It is a weighted Gram matrix with unit
+trace by construction, so it is returned without the DenseMixedState
+constructor's checks. dense_expectation reads Tr[rho P] for a PauliString
+P off the density matrix, the one dense expectation oracle-check and the
+acceptance gate take. The second, independent route to the same state
+(the Gibbs exponential of the generator Hamiltonian, n <= 10), the
+StabilizerProduct coefficient map, the statevector operator map and the
+stabilizer check are references only tests compare against; they live in
+tests/util_dense.py.
 
 A Kronecker power m^(x)n of a symmetric 2x2 matrix (the Hadamard transform
 and the thermal flip mix, both applied by supremacy's X-basis functions)
@@ -33,11 +31,16 @@ from functools import cache
 
 import numpy as np
 
-from .pauli import PauliString, StabilizerProduct
+from .pauli import PauliString
 from .thermal import _built, flip_probability
 
 MAX_STATEVECTOR_N = 24
 MAX_DENSITY_N = 12
+
+# Side of the square tiles DenseMixedState's Hermitian check compares with
+# their mirror tiles: 64 was fastest at n = 12, real and complex, among
+# sides 16 to 256, and each temporary is one tile whatever the dimension.
+_HERMITIAN_TILE = 64
 
 # Most bits one Kronecker pass transforms: 5 (32 x 32 factors) was fastest
 # at n in {10, 16, 20, 24}, with one BLAS thread and with two.
@@ -52,44 +55,12 @@ def _signs(values: np.ndarray, mask: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(values & np.uint32(mask)) & 1)
 
 
-def _operator_sites(op) -> int:
-    """Site count of a supported operator; anything else is a TypeError."""
-    if not isinstance(op, (PauliString, StabilizerProduct)):
-        raise TypeError(f"unsupported operator type {type(op).__name__}")
-    return op.n
-
-
-def _coefficients(op, idx: np.ndarray) -> np.ndarray:
-    """c over the basis indices idx with Op|z> = c[z] |z ^ x_mask>, for a
-    PauliString (sign * i^|X&Z| * (-1)^(z.Z)) or a StabilizerProduct
-    (sign * (-1)^f(z) with its phase polynomial f)."""
-    if isinstance(op, PauliString):
-        prefactor = op.sign * (1j) ** ((op.x_mask & op.z_mask).bit_count())
-        return prefactor * _signs(idx, op.z_mask)
-    acc = np.bitwise_count(idx & np.uint32(op.linear)).astype(np.uint32)
-    for (a, b) in op.quadratic:
-        acc += (idx >> np.uint32(a - 1)) & (idx >> np.uint32(b - 1)) & np.uint32(1)
-    return op.sign * np.where(acc & 1, -1.0, 1.0)
-
-
-class DenseState:
-    """A normalized statevector on n qubits; real input stays real."""
-
-    def __init__(self, amplitudes, n: int):
-        amplitudes = np.asarray(amplitudes, dtype=complex if np.iscomplexobj(amplitudes) else float)
-        if amplitudes.shape != (1 << n,):
-            raise ValueError(f"expected 2^{n} amplitudes, got shape {amplitudes.shape}")
-        norm = np.linalg.norm(amplitudes)
-        if not abs(norm - 1.0) <= 1e-12:  # written so that NaN fails too
-            raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-        self.amplitudes = amplitudes
-        self.n = n
-
-
 class DenseMixedState:
     """A density operator on n qubits (Hermitian, unit trace, PSD); real
     input stays real.
 
+    Hermiticity is compared one tile of the upper triangle at a time with
+    its mirror tile, so the check's temporaries do not grow with 4^n.
     Positivity is eigenvalue-checked only up to dimension 1024; beyond that
     the check is skipped at construction for cost reasons. Each tolerance
     test is written so that NaN fails it.
@@ -100,7 +71,9 @@ class DenseMixedState:
         dim = 1 << n
         if matrix.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {matrix.shape}")
-        herm = np.max(np.abs(matrix - matrix.conj().T))
+        t = _HERMITIAN_TILE
+        herm = np.max([np.max(np.abs(matrix[i:i + t, j:j + t] - matrix[j:j + t, i:i + t].T.conj()))
+                       for i in range(0, dim, t) for j in range(i, dim, t)])  # keeps a NaN
         if not herm <= 1e-10:
             raise ValueError(f"matrix is not Hermitian: max deviation {herm:.3e}")
         tr = matrix.trace()
@@ -125,11 +98,12 @@ def _ones_view(block: np.ndarray, bits) -> np.ndarray:
     return block.reshape(shape + [1 << top])[tuple(index)]
 
 
-def build_pure_state(spec) -> DenseState:
-    """Real statevector of a HypergraphSpec's state: uniform superposition
-    with a sign flip wherever an edge's (or hyperedge's) bits are all 1.
-    Built site by site: the half with z_v = 1 is the half with z_v = 0 times
-    the signs of the edges whose largest vertex is v."""
+def build_pure_state(spec) -> np.ndarray:
+    """The float64 amplitude vector of a HypergraphSpec's state, unit norm
+    by construction: uniform superposition with a sign flip wherever an
+    edge's (or hyperedge's) bits are all 1. Built site by site: the half
+    with z_v = 1 is the half with z_v = 0 times the signs of the edges whose
+    largest vertex is v."""
     n = spec.n
     if n > MAX_STATEVECTOR_N:
         raise ValueError(f"statevector limited to n <= {MAX_STATEVECTOR_N}, got {n}")
@@ -144,7 +118,7 @@ def build_pure_state(spec) -> DenseState:
         for bits in others[v]:
             flipped = _ones_view(high, bits)
             np.negative(flipped, out=flipped)
-    return DenseState(amps, n)
+    return amps
 
 
 def thermal_density(spec, beta: float) -> DenseMixedState:
@@ -153,7 +127,7 @@ def thermal_density(spec, beta: float) -> DenseMixedState:
     the module docstring)."""
     if spec.n > MAX_DENSITY_N:
         raise ValueError(f"density mixture limited to n <= {MAX_DENSITY_N}, got {spec.n}")
-    psi = build_pure_state(spec).amplitudes
+    psi = build_pure_state(spec)
     p = flip_probability(beta)
     idx = _indices(spec.n)
     m = np.bitwise_count(idx)
@@ -163,21 +137,18 @@ def thermal_density(spec, beta: float) -> DenseMixedState:
 
 
 def dense_expectation(state, op) -> float:
-    """Tr[rho * Op] for a DenseMixedState, or <psi|Op|psi> for a DenseState."""
-    n = _operator_sites(op)
-    if not isinstance(state, (DenseState, DenseMixedState)):
+    """Tr[rho * P] for a DenseMixedState rho and a PauliString P. P acts on
+    a basis state as P|z> = c[z] |z ^ x_mask> with c[z] = sign *
+    i^|X&Z| * (-1)^(z.Z), so the trace is the sum of c[z] rho[z, z ^ x_mask]."""
+    if not isinstance(op, PauliString):
+        raise TypeError(f"unsupported operator type {type(op).__name__}")
+    if not isinstance(state, DenseMixedState):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    if n != state.n:
-        raise ValueError(f"dimension mismatch: state n={state.n}, op n={n}")
-    if n > MAX_STATEVECTOR_N:
-        raise ValueError(f"statevector maps limited to n <= {MAX_STATEVECTOR_N}, got {n}")
-    idx = _indices(n)
-    partner = idx ^ np.uint32(op.x_mask)
-    if isinstance(state, DenseState):
-        amps = state.amplitudes
-        value = np.vdot(amps[partner], _coefficients(op, idx) * amps)
-    else:
-        value = np.sum(state.matrix[idx, partner] * _coefficients(op, idx))
+    if op.n != state.n:
+        raise ValueError(f"dimension mismatch: state n={state.n}, op n={op.n}")
+    idx = _indices(op.n)
+    coefficients = op.sign * (1j) ** ((op.x_mask & op.z_mask).bit_count()) * _signs(idx, op.z_mask)
+    value = np.sum(state.matrix[idx, idx ^ np.uint32(op.x_mask)] * coefficients)
     if not abs(value.imag) <= 1e-10:
         raise RuntimeError(f"expectation has imaginary residue {value.imag:.3e}")
     return float(value.real)

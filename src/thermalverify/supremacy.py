@@ -41,7 +41,7 @@ import numpy as np
 
 from .graphs import HypergraphSpec, _canonical_rows
 from .oracle import _flip_factor, _hadamard_factor, _kron_power, build_pure_state
-from .pauli import PauliString, alternating_setting, stabilizer_product
+from .pauli import PauliString, stabilizer_product
 from .sampler import _check_draw
 from .thermal import _built, _check_integer, _check_sites, flip_probability
 
@@ -100,10 +100,11 @@ def optimal_setting(spec: HypergraphSpec) -> PauliString:
 
     X/Y letters land on exactly half the sites (the selector's ones); the
     two-vertex edges only dress the word with extra Z letters (CZ
-    conjugation), never X/Y.
+    conjugation), never X/Y. The selector 0101...01 goes in as a string;
+    on odd n it is one bit short, and odd n is outside the family.
     """
     try:
-        return stabilizer_product(spec, alternating_setting(spec.n))
+        return stabilizer_product(spec, "01" * (spec.n // 2))
     except ValueError:
         raise RuntimeError(
             "alternating-selector product did not reduce to a Pauli word; "
@@ -162,7 +163,7 @@ def exact_outcome_distribution(spec: HypergraphSpec, beta: float) -> np.ndarray:
     the pure state's own amplitudes and one spare buffer.
     """
     p = flip_probability(beta)
-    amps = build_pure_state(spec).amplitudes
+    amps = build_pure_state(spec)
     dist, spare = _kron_power(amps, np.empty_like(amps), _hadamard_factor)
     np.square(dist, out=dist)
     if p:

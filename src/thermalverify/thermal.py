@@ -65,8 +65,8 @@ def _check_weight(n: int, wt: int) -> None:
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"need 0 <= epsilon < 1, got {epsilon}")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"need 0 <= epsilon <= 1, got {epsilon}")
 
 
 def _check_accuracy(epsilon: float, delta: float) -> None:

@@ -174,7 +174,7 @@ class TestExpectation:
                      "--epsilon", epsilon]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"need 0 <= epsilon < 1, got {float(epsilon)}" in captured.err
+        assert f"need 0 <= epsilon <= 1, got {float(epsilon)}" in captured.err
 
     def test_graph_path_starting_with_a_brace_is_read_as_a_file(self, tmp_path, monkeypatch,
                                                                 capsys):
@@ -219,6 +219,15 @@ class TestVerify:
         assert main(args + ["--output", str(out1)]) == 0
         assert main(args + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_epsilon_one_runs_with_error_bounds(self, tmp_path):
+        # an even n computes the error bounds, which take epsilon = 1 as
+        # ProtocolConfig does
+        out = tmp_path / "trials.csv"
+        assert main(["verify", "--graph", str(RING12), "--beta", "1", "--epsilon", "1",
+                     "--delta", "0.5", "--output", str(out)]) == 0
+        trial = read_csv(out)[0]
+        assert trial["row"] == "trial" and trial["n_samples"] == "3"
 
     def test_selector_must_cancel_the_cz_tails(self, tmp_path, capsys):
         path = tmp_path / "family10.json"
@@ -386,6 +395,13 @@ class TestCertifyCommand:
         result = read_json(capsys)["result"]
         assert result["report"]["n_samples"] == 10_596_634_733_097
         assert result["decision"]["verdict"] == "reject"
+
+    def test_epsilon_one_simulates_end_to_end(self, capsys):
+        assert main(["certify-iqp", "--n", "2000", "--beta", "3", "--epsilon", "1",
+                     "--allow-small-n"]) == 0
+        report = read_json(capsys)["result"]["report"]
+        assert report["epsilon"] == 1.0 and report["n_samples"] == 11
+        assert report["bound_report"]["coarse_bound"] == pytest.approx(1.001)
 
     @pytest.mark.parametrize("bad, message", [(["--epsilon=-5"], "need 0 < epsilon <= 1"),
                                               (["--delta", "nan"], "need 0 < delta < 1")])

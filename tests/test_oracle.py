@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermalverify import (DenseMixedState, DenseState, HypergraphSpec,
-                           PauliString, StabilizerProduct, build_pure_state,
-                           dense_expectation, fidelity, flip_probability,
+from thermalverify import (DenseMixedState, HypergraphSpec, PauliString, StabilizerProduct,
+                           build_pure_state, dense_expectation, fidelity, flip_probability,
                            generalized_product, ring_graph, setting_expectation,
-                           stabilizer_product, thermal_density)
+                           stabilizer_product, thermal_density, try_to_pauli)
 from thermalverify.oracle import _flip_factor, _hadamard_factor, _kron_power
 from thermalverify.thermal import _built
-from util_dense import (apply_operator, boltzmann_density, exhaustive_parity_expectation,
-                        from_letters, generator, gibbs_reference, graph_generator,
-                        hypergraph_state_vector, hypergraphs_with_selector,
-                        kron_power_reference, mask_loop_thermal_density, path_graph,
-                        pauli_matrix, per_edge_pure_state, random_hypergraph,
-                        stabilizer_check, stabilizer_product_matrix)
+from util_dense import (apply_operator, boltzmann_density, density_expectation,
+                        exhaustive_parity_expectation, from_letters, generator,
+                        gibbs_reference, graph_generator, hypergraph_state_vector,
+                        hypergraphs_with_selector, kron_power_reference,
+                        mask_loop_thermal_density, path_graph, pauli_matrix,
+                        per_edge_pure_state, random_hypergraph, stabilizer_check,
+                        stabilizer_product_matrix, statevector_expectation)
 
 BETA_HALF = math.log(2) / 2
 
@@ -25,23 +25,23 @@ BETA_HALF = math.log(2) / 2
 class TestBuildPureState:
     def test_single_qubit(self):
         psi = build_pure_state(HypergraphSpec(1))
-        assert np.allclose(psi.amplitudes, [2**-0.5, 2**-0.5])
+        assert np.allclose(psi, [2**-0.5, 2**-0.5])
 
     def test_single_edge_signs(self):
         psi = build_pure_state(HypergraphSpec(2, e2={(1, 2)}))
-        assert np.allclose(psi.amplitudes, np.array([1, 1, 1, -1]) / 2)
+        assert np.allclose(psi, np.array([1, 1, 1, -1]) / 2)
 
     def test_single_triple_signs(self):
         psi = build_pure_state(HypergraphSpec(3, e3={(1, 2, 3)}))
         expected = np.full(8, 8**-0.5)
         expected[0b111] *= -1
-        assert np.allclose(psi.amplitudes, expected)
+        assert np.allclose(psi, expected)
 
     def test_matches_scalar_construction(self):
         rng = np.random.default_rng(2)
         for n in (2, 4, 5):
             h = random_hypergraph(n, rng)
-            assert np.allclose(build_pure_state(h).amplitudes, hypergraph_state_vector(h))
+            assert np.allclose(build_pure_state(h), hypergraph_state_vector(h))
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
@@ -50,16 +50,28 @@ class TestBuildPureState:
     def test_amplitudes_are_real(self):
         h = HypergraphSpec(5, e2={(1, 3), (2, 5)}, e3={(1, 2, 4), (3, 4, 5)})
         psi = build_pure_state(h)
-        assert psi.amplitudes.dtype == np.float64
-        assert np.array_equal(psi.amplitudes, hypergraph_state_vector(h).real)
+        assert psi.dtype == np.float64
+        assert np.array_equal(psi, hypergraph_state_vector(h).real)
 
     @given(hypergraphs_with_selector(max_n=14))
     @settings(max_examples=60, deadline=None)
     def test_site_by_site_build_matches_per_edge_loop(self, case):
         h, _ = case
-        amplitudes = build_pure_state(h).amplitudes
+        amplitudes = build_pure_state(h)
         assert np.array_equal(amplitudes, per_edge_pure_state(h))
         assert np.max(np.abs(amplitudes - hypergraph_state_vector(h))) <= 1e-15
+
+    @given(hypergraphs_with_selector(max_n=12))
+    @settings(max_examples=60, deadline=None)
+    def test_returns_the_unit_norm_amplitude_vector(self, case):
+        # build_pure_state returns what it built, unchecked: a float64
+        # vector of 2^n amplitudes whose norm is 1 by construction
+        h, _ = case
+        psi = build_pure_state(h)
+        assert type(psi) is np.ndarray and psi.dtype == np.float64
+        assert psi.shape == (1 << h.n,)
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+        assert np.array_equal(psi, hypergraph_state_vector(h))
 
 
 class TestApplyOperator:
@@ -88,13 +100,13 @@ class TestApplyOperator:
         psi = build_pure_state(not_an_operator)
         rho = thermal_density(not_an_operator, 1.0)
         with pytest.raises(TypeError, match="HypergraphSpec"):
-            apply_operator(not_an_operator, psi.amplitudes)
+            apply_operator(not_an_operator, psi)
         for state in (psi, rho):
             with pytest.raises(TypeError, match="HypergraphSpec"):
                 dense_expectation(state, not_an_operator)
 
     def test_operand_without_site_count_rejected_by_type(self):
-        psi = DenseState(np.ones(4) / 2, 2)
+        psi = np.ones(4) / 2
         rho = DenseMixedState(np.eye(4) / 4, 2)
         with pytest.raises(TypeError, match="unsupported operator type str"):
             apply_operator("XZ", np.ones(4) / 2)
@@ -107,7 +119,7 @@ class TestThermalDensity:
     def test_zero_temperature_is_projector(self):
         g = path_graph(3)
         rho = thermal_density(g, math.inf)
-        psi = build_pure_state(g).amplitudes
+        psi = build_pure_state(g)
         assert np.allclose(rho.matrix, np.outer(psi, psi.conj()), atol=1e-14)
 
     def test_full_dephasing_single_qubit(self):
@@ -117,7 +129,7 @@ class TestThermalDensity:
     def test_known_fidelity(self):
         g = path_graph(4)
         rho = thermal_density(g, BETA_HALF)
-        psi = build_pure_state(g).amplitudes
+        psi = build_pure_state(g)
         overlap = np.real(psi.conj() @ rho.matrix @ psi)
         assert overlap == pytest.approx(16 / 81, abs=1e-12)
         assert overlap == pytest.approx(fidelity(4, BETA_HALF), abs=1e-12)
@@ -164,13 +176,13 @@ class TestBoltzmannDensity:
     def test_large_beta_approaches_projector(self):
         g = path_graph(3)
         rho = boltzmann_density(g, 30.0)
-        psi = build_pure_state(g).amplitudes
+        psi = build_pure_state(g)
         assert np.max(np.abs(rho.matrix - np.outer(psi, psi.conj()))) <= 1e-8
 
     def test_zero_temperature_sentinel(self):
         g = path_graph(3)
         rho = boltzmann_density(g, math.inf)
-        psi = build_pure_state(g).amplitudes
+        psi = build_pure_state(g)
         assert np.max(np.abs(rho.matrix - np.outer(psi, psi.conj()))) <= 1e-10
 
     def test_infinite_temperature_is_maximally_mixed(self):
@@ -199,7 +211,7 @@ class TestDenseExpectation:
 
     def test_stabilizer_on_pure_projector(self):
         g = path_graph(4)
-        psi = build_pure_state(g).amplitudes
+        psi = build_pure_state(g)
         projector = DenseMixedState(np.outer(psi, psi.conj()), 4)
         for selector in (0b0011, 0b1010, 0b1111):
             bits = [(selector >> b) & 1 for b in range(4)]
@@ -215,10 +227,18 @@ class TestDenseExpectation:
     def test_pure_state_route_matches_mixed_route(self):
         g = path_graph(3)
         psi = build_pure_state(g)
-        projector = DenseMixedState(np.outer(psi.amplitudes, psi.amplitudes.conj()), 3)
+        projector = DenseMixedState(np.outer(psi, psi), 3)
         word = stabilizer_product(g, "101")
-        assert dense_expectation(psi, word) == pytest.approx(
+        assert statevector_expectation(psi, word) == pytest.approx(
             dense_expectation(projector, word), abs=1e-12)
+
+    def test_takes_only_a_density_operator_and_a_pauli_word(self):
+        g = path_graph(3)
+        psi = build_pure_state(g)
+        with pytest.raises(TypeError, match="unsupported state type ndarray"):
+            dense_expectation(psi, stabilizer_product(g, "101"))
+        with pytest.raises(TypeError, match="unsupported operator type StabilizerProduct"):
+            dense_expectation(thermal_density(g, 0.7), generalized_product(g, "101"))
 
     def test_dimension_mismatch(self):
         rho = thermal_density(path_graph(3), 0.7)
@@ -244,11 +264,14 @@ class TestDenseExpectation:
             for selector in range(1 << n):
                 bits = [(selector >> b) & 1 for b in range(n)]
                 product = generalized_product(h, bits)
-                a = dense_expectation(mixture, product)
-                b = dense_expectation(gibbs, product)
+                a = density_expectation(mixture.matrix, product)
+                b = density_expectation(gibbs.matrix, product)
                 c = exhaustive_parity_expectation(n, product.x_mask, p)
                 assert abs(a - b) <= 1e-8
                 assert abs(a - c) <= 1e-8
+                word = try_to_pauli(product)
+                if word is not None:  # the package's own route agrees too
+                    assert dense_expectation(mixture, word) == pytest.approx(a, abs=1e-12)
 
 
 class TestStabilizerCheck:
@@ -273,8 +296,8 @@ class TestStabilizerCheck:
         assert not stabilizer_check(psi, x1)
 
     @pytest.mark.parametrize("state", [lambda: thermal_density(ring_graph(4), 1.0),
-                                       lambda: build_pure_state(ring_graph(4)).amplitudes],
-                             ids=["DenseMixedState", "ndarray"])
+                                       lambda: build_pure_state(ring_graph(4)).tolist()],
+                             ids=["DenseMixedState", "list"])
     def test_other_state_types_rejected(self, state):
         with pytest.raises(TypeError, match="unsupported state type"):
             stabilizer_check(state(), graph_generator(ring_graph(4), 1))
@@ -282,20 +305,13 @@ class TestStabilizerCheck:
 
 class TestStateValidation:
     @pytest.mark.parametrize("make, real, integer, complex_", [
-        (lambda a: DenseState(a, 1).amplitudes, [0.6, 0.8], [1, 0], [0.6, 0.8j]),
         (lambda a: DenseMixedState(a, 1).matrix, np.eye(2) / 2, [[1, 0], [0, 0]],
          [[0.5, 0.5j], [-0.5j, 0.5]]),
-    ], ids=["DenseState", "DenseMixedState"])
+    ], ids=["DenseMixedState"])
     def test_dtype_follows_the_input(self, make, real, integer, complex_):
         assert make(real).dtype == np.float64
         assert make(integer).dtype == np.float64
         assert make(complex_).dtype == np.complex128
-
-    @pytest.mark.parametrize("amplitudes, n", [(np.ones(4), 2), ([math.nan, 0.0], 1)],
-                             ids=["norm 2", "NaN"])
-    def test_unnormalized_state_rejected(self, amplitudes, n):
-        with pytest.raises(ValueError, match="normalized"):
-            DenseState(amplitudes, n)
 
     @pytest.mark.parametrize("n, entry", [(2, 0.5), (1, math.nan), (11, math.nan)],
                              ids=["off-diagonal", "NaN", "NaN past the PSD cap"])
@@ -304,6 +320,20 @@ class TestStateValidation:
         bad[0, 1] = entry
         with pytest.raises(ValueError, match="Hermitian"):
             DenseMixedState(bad, n)
+
+    @pytest.mark.parametrize("row, col", [(0, 1023), (63, 64), (64, 63), (256, 3), (1023, 1022)])
+    @pytest.mark.parametrize("entry", [0.25, 0.25j])
+    def test_hermitian_check_reads_every_tile(self, row, col, entry):
+        # at n = 10 the check compares 64 x 64 tiles of the upper triangle
+        # with their mirror tiles; once the mirror entry is set the matrix
+        # is Hermitian and only the PSD check (dimension 1024) rejects it
+        bad = np.eye(1024, dtype=type(entry)) / 1024
+        bad[row, col] = entry
+        with pytest.raises(ValueError, match=r"not Hermitian: max deviation 2\.500e-01"):
+            DenseMixedState(bad, 10)
+        bad[col, row] = np.conj(entry)
+        with pytest.raises(ValueError, match="PSD"):
+            DenseMixedState(bad, 10)
 
     def test_wrong_trace_rejected(self):
         with pytest.raises(ValueError, match="trace"):

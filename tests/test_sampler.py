@@ -66,7 +66,7 @@ class TestMeasureOutcome:
         every setting (the error-conjugated state stays an eigenstate)."""
         for n in (2, 3, 4, 5):
             g = ring_graph(n) if n >= 3 else HypergraphSpec(2, e2={(1, 2)})
-            psi = build_pure_state(g).amplitudes
+            psi = build_pure_state(g)
             idx = np.arange(1 << n)
             for selector in range(1 << n):
                 bits = [(selector >> b) & 1 for b in range(n)]

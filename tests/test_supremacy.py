@@ -17,7 +17,7 @@ import thermalverify
 from thermalverify import (CertificationDecision, HypergraphSpec, ProtocolConfig,
                            alternating_setting, build_family, build_pure_state, certify,
                            exact_outcome_distribution, fidelity, generalized_product,
-                           iqp_sample, optimal_setting, run_protocol, sample_size,
+                           iqp_sample, optimal_setting, ring_graph, run_protocol, sample_size,
                            thermal_density)
 from thermalverify.oracle import MAX_STATEVECTOR_N
 from thermalverify.sampler import MAX_SAMPLES
@@ -186,9 +186,10 @@ class TestOptimalSetting:
         assert generalized_product(spec, bits) == ascending_generalized_product(spec, bits)
 
     def test_outside_family_is_detected(self):
-        bad = HypergraphSpec(6, e3={(2, 4, 6)})
-        with pytest.raises(RuntimeError, match="restricted family"):
-            optimal_setting(bad)
+        # a stray triple, and odd n, where 0101...01 is one bit short
+        for bad in (HypergraphSpec(6, e3={(2, 4, 6)}), ring_graph(5), HypergraphSpec(1)):
+            with pytest.raises(RuntimeError, match="restricted family"):
+                optimal_setting(bad)
 
 
 class TestCertify:
@@ -267,7 +268,7 @@ class TestCertify:
 class TestExactDistribution:
     def test_zero_temperature_matches_direct_transform(self):
         inst = build_family(4)
-        psi = build_pure_state(inst).amplitudes
+        psi = build_pure_state(inst)
         direct = np.abs(kron_power_reference(H2.real, 4, psi)) ** 2
         assert np.allclose(exact_outcome_distribution(inst, math.inf), direct, atol=1e-12)
 

@@ -199,7 +199,12 @@ class TestBounds:
         with pytest.raises(ValueError):
             error_bounds(2, 1.0, 0.1)
         with pytest.raises(ValueError):
-            error_bounds(4, 1.0, 1.0)
+            error_bounds(4, 1.0, math.nextafter(1.0, 2.0))
+
+    def test_epsilon_one_has_bounds(self):
+        # ProtocolConfig takes 0 < epsilon <= 1, so error_bounds takes 1 too
+        config = ProtocolConfig(epsilon=1.0, delta=0.5)
+        assert error_bounds(12, 1.0, config.epsilon).coarse_bound == pytest.approx(2 / 12 + 1)
 
     def test_report_type(self):
         assert isinstance(error_bounds(4, 1.0, 0.1), BoundReport)

@@ -37,14 +37,17 @@ oracle._kron_power applies in GEMM passes. mask_loop_thermal_density is
 the per-mask loop that oracle.thermal_density's one real matrix product
 replaced.
 
-Three dense checks live here because no CLI command reaches them:
+These dense checks live here because no CLI command reaches them:
 boltzmann_density builds the thermal state a second, independent way, as
 the Gibbs exponential of the generator Hamiltonian H = -sum_i D X_i D (D
 the diagonal sign pattern of the pure state, X_i an index flip), so it
-shares no code with the symbolic generators in pauli that it cross-checks;
-apply_operator applies a PauliString or StabilizerProduct to a statevector
-as oracle's index-permutation + sign map; stabilizer_check tests
-Op|psi> = |psi> with it.
+shares no code with the symbolic generators in pauli that it cross-checks.
+operator_coefficients is the normal-form map c with Op|z> = c[z] |z ^ x_mask>
+of a PauliString or StabilizerProduct; on it rest apply_operator (Op applied
+to an amplitude vector, an index permutation and a sign), stabilizer_check
+(Op|psi> = |psi> for an amplitude vector), statevector_expectation
+(<psi|Op|psi>) and density_expectation (Tr[rho Op] for any supported
+operator, where oracle.dense_expectation takes only a PauliString).
 
 Index convention matches the package: bit i-1 of a basis index is site i.
 """
@@ -331,7 +334,7 @@ def boltzmann_density(spec, beta: float):
     if spec.n > MAX_HAMILTONIAN_N:
         raise ValueError(f"Hamiltonian route limited to n <= {MAX_HAMILTONIAN_N}, got {spec.n}")
     beta = _check_beta(beta)
-    signs = np.sign(build_pure_state(spec).amplitudes)
+    signs = np.sign(build_pure_state(spec))
     idx = np.arange(1 << spec.n, dtype=np.uint32)
     ham = np.zeros((1 << spec.n, 1 << spec.n))
     for i in range(spec.n):
@@ -346,29 +349,60 @@ def boltzmann_density(spec, beta: float):
     return DenseMixedState(rho, spec.n)
 
 
+def _check_operator(op, shape: tuple, dims: int) -> np.ndarray:
+    """The basis indices of a PauliString or StabilizerProduct, checked to
+    act on a state of the given shape (dims axes of length 2^n)."""
+    from thermalverify import PauliString, StabilizerProduct
+
+    if not isinstance(op, (PauliString, StabilizerProduct)):
+        raise TypeError(f"unsupported operator type {type(op).__name__}")
+    if shape != (1 << op.n,) * dims:
+        raise ValueError(f"operator on {op.n} sites cannot act on shape {shape}")
+    return np.arange(1 << op.n, dtype=np.uint32)
+
+
+def operator_coefficients(op, idx: np.ndarray) -> np.ndarray:
+    """c over the basis indices idx with Op|z> = c[z] |z ^ x_mask>, for a
+    PauliString (sign * i^|X&Z| * (-1)^(z.Z)) or a StabilizerProduct
+    (sign * (-1)^f(z) with its phase polynomial f)."""
+    from thermalverify import PauliString
+    from thermalverify.oracle import _signs
+
+    if isinstance(op, PauliString):
+        prefactor = op.sign * (1j) ** ((op.x_mask & op.z_mask).bit_count())
+        return prefactor * _signs(idx, op.z_mask)
+    acc = np.bitwise_count(idx & np.uint32(op.linear)).astype(np.uint32)
+    for (a, b) in op.quadratic:
+        acc += (idx >> np.uint32(a - 1)) & (idx >> np.uint32(b - 1)) & np.uint32(1)
+    return op.sign * np.where(acc & 1, -1.0, 1.0)
+
+
 def apply_operator(op, amplitudes: np.ndarray) -> np.ndarray:
-    """Apply a PauliString or StabilizerProduct to a statevector array."""
-    from thermalverify.oracle import (MAX_STATEVECTOR_N, _coefficients, _indices,
-                                      _operator_sites)
-
-    n = _operator_sites(op)
-    if n > MAX_STATEVECTOR_N:
-        raise ValueError(f"statevector maps limited to n <= {MAX_STATEVECTOR_N}, got {n}")
-    if amplitudes.shape != (1 << n,):
-        raise ValueError(f"operator on {n} sites cannot act on shape {amplitudes.shape}")
-    idx = _indices(n)
-    vals = _coefficients(op, idx) * amplitudes
-    return vals[idx ^ np.uint32(op.x_mask)]
+    """Op|psi> for an amplitude vector: an index permutation and a sign."""
+    idx = _check_operator(op, amplitudes.shape, 1)
+    return (operator_coefficients(op, idx) * amplitudes)[idx ^ np.uint32(op.x_mask)]
 
 
-def stabilizer_check(state, op) -> bool:
-    """True iff Op|psi> = |psi> within 1e-10 (max norm), for a DenseState."""
-    from thermalverify import DenseState
+def stabilizer_check(amplitudes, op) -> bool:
+    """True iff Op|psi> = |psi> within 1e-10 (max norm), for an amplitude
+    vector such as oracle.build_pure_state returns."""
+    if not isinstance(amplitudes, np.ndarray):
+        raise TypeError(f"unsupported state type {type(amplitudes).__name__}")
+    return bool(np.max(np.abs(apply_operator(op, amplitudes) - amplitudes)) <= 1e-10)
 
-    if not isinstance(state, DenseState):
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-    applied = apply_operator(op, state.amplitudes)
-    return bool(np.max(np.abs(applied - state.amplitudes)) <= 1e-10)
+
+def statevector_expectation(amplitudes: np.ndarray, op) -> float:
+    """<psi|Op|psi> for an amplitude vector, the pure-state route that
+    oracle.dense_expectation's density-matrix route is compared with."""
+    return float(np.vdot(amplitudes, apply_operator(op, amplitudes)).real)
+
+
+def density_expectation(matrix: np.ndarray, op) -> float:
+    """Tr[rho Op] = sum_z c[z] rho[z, z ^ x_mask] for a 2^n x 2^n density
+    matrix and a PauliString or StabilizerProduct."""
+    idx = _check_operator(op, matrix.shape, 2)
+    value = np.sum(matrix[idx, idx ^ np.uint32(op.x_mask)] * operator_coefficients(op, idx))
+    return float(value.real)
 
 
 def conjugated_x_reference(n: int, bits, e2, e3):
