@@ -17,8 +17,8 @@ README quick start reach, pinned by tests/test_api.py. A pure state is its
 float64 amplitude vector (oracle.build_pure_state). References that only
 tests compare against (the per-shot error-pattern model, the Pauli product,
 path graphs, the Gibbs-state builder boltzmann_density, the StabilizerProduct
-coefficient map, the statevector operator map apply_operator, the
-statevector expectation and stabilizer_check) live in tests/util_dense.py.
+coefficient map, the statevector operator map apply_operator and
+stabilizer_check) live in tests/util_dense.py.
 """
 
 __version__ = "0.1.0"

@@ -37,11 +37,6 @@ from .thermal import _built, flip_probability
 MAX_STATEVECTOR_N = 24
 MAX_DENSITY_N = 12
 
-# Side of the square tiles DenseMixedState's Hermitian check compares with
-# their mirror tiles: 64 was fastest at n = 12, real and complex, among
-# sides 16 to 256, and each temporary is one tile whatever the dimension.
-_HERMITIAN_TILE = 64
-
 # Most bits one Kronecker pass transforms: 5 (32 x 32 factors) was fastest
 # at n in {10, 16, 20, 24}, with one BLAS thread and with two.
 _PASS_BITS = 5
@@ -59,8 +54,6 @@ class DenseMixedState:
     """A density operator on n qubits (Hermitian, unit trace, PSD); real
     input stays real.
 
-    Hermiticity is compared one tile of the upper triangle at a time with
-    its mirror tile, so the check's temporaries do not grow with 4^n.
     Positivity is eigenvalue-checked only up to dimension 1024; beyond that
     the check is skipped at construction for cost reasons. Each tolerance
     test is written so that NaN fails it.
@@ -71,9 +64,7 @@ class DenseMixedState:
         dim = 1 << n
         if matrix.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {matrix.shape}")
-        t = _HERMITIAN_TILE
-        herm = np.max([np.max(np.abs(matrix[i:i + t, j:j + t] - matrix[j:j + t, i:i + t].T.conj()))
-                       for i in range(0, dim, t) for j in range(i, dim, t)])  # keeps a NaN
+        herm = np.max(np.abs(matrix - matrix.conj().T))
         if not herm <= 1e-10:
             raise ValueError(f"matrix is not Hermitian: max deviation {herm:.3e}")
         tr = matrix.trace()

@@ -100,8 +100,9 @@ def optimal_setting(spec: HypergraphSpec) -> PauliString:
 
     X/Y letters land on exactly half the sites (the selector's ones); the
     two-vertex edges only dress the word with extra Z letters (CZ
-    conjugation), never X/Y. The selector 0101...01 goes in as a string;
-    on odd n it is one bit short, and odd n is outside the family.
+    conjugation), never X/Y. The selector 0101...01 goes in as a string,
+    the same bits as alternating_setting(n) without its n-entry tuple; on
+    odd n it is one bit short, and odd n is outside the family.
     """
     try:
         return stabilizer_product(spec, "01" * (spec.n // 2))

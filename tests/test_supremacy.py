@@ -18,7 +18,7 @@ from thermalverify import (CertificationDecision, HypergraphSpec, ProtocolConfig
                            alternating_setting, build_family, build_pure_state, certify,
                            exact_outcome_distribution, fidelity, generalized_product,
                            iqp_sample, optimal_setting, ring_graph, run_protocol, sample_size,
-                           thermal_density)
+                           stabilizer_product, thermal_density)
 from thermalverify.oracle import MAX_STATEVECTOR_N
 from thermalverify.sampler import MAX_SAMPLES
 from thermalverify.supremacy import (ACCEPT_MARGIN, EPSILON_FULL_SCALE, MIN_FULL_SCALE_N,
@@ -184,6 +184,14 @@ class TestOptimalSetting:
         spec = build_family(2000)
         bits = alternating_setting(2000)
         assert generalized_product(spec, bits) == ascending_generalized_product(spec, bits)
+
+    @pytest.mark.parametrize("n, e2", [(4, ()), (10, {(1, 2)}), (40, {(3, 8), (5, 9)}),
+                                       (2000, {(1, 2000)})])
+    def test_word_is_the_product_for_the_alternating_selector(self, n, e2):
+        # optimal_setting spells the selector as a string; verify's default
+        # is the alternating_setting tuple, and both must give one word
+        spec = build_family(n, e2=e2)
+        assert optimal_setting(spec) == stabilizer_product(spec, alternating_setting(n))
 
     def test_outside_family_is_detected(self):
         # a stray triple, and odd n, where 0101...01 is one bit short

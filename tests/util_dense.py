@@ -45,9 +45,9 @@ shares no code with the symbolic generators in pauli that it cross-checks.
 operator_coefficients is the normal-form map c with Op|z> = c[z] |z ^ x_mask>
 of a PauliString or StabilizerProduct; on it rest apply_operator (Op applied
 to an amplitude vector, an index permutation and a sign), stabilizer_check
-(Op|psi> = |psi> for an amplitude vector), statevector_expectation
-(<psi|Op|psi>) and density_expectation (Tr[rho Op] for any supported
-operator, where oracle.dense_expectation takes only a PauliString).
+(Op|psi> = |psi> for an amplitude vector) and density_expectation
+(Tr[rho Op] for any supported operator, where oracle.dense_expectation
+takes only a PauliString).
 
 Index convention matches the package: bit i-1 of a basis index is site i.
 """
@@ -389,12 +389,6 @@ def stabilizer_check(amplitudes, op) -> bool:
     if not isinstance(amplitudes, np.ndarray):
         raise TypeError(f"unsupported state type {type(amplitudes).__name__}")
     return bool(np.max(np.abs(apply_operator(op, amplitudes) - amplitudes)) <= 1e-10)
-
-
-def statevector_expectation(amplitudes: np.ndarray, op) -> float:
-    """<psi|Op|psi> for an amplitude vector, the pure-state route that
-    oracle.dense_expectation's density-matrix route is compared with."""
-    return float(np.vdot(amplitudes, apply_operator(op, amplitudes)).real)
 
 
 def density_expectation(matrix: np.ndarray, op) -> float:
