@@ -1,7 +1,9 @@
 """In-process sweep of the X-basis path: wall time and tracemalloc peak of
 the Hadamard Kronecker kernel (oracle._kron_power with _hadamard_factor, on a
-copy of the pure state), build_pure_state, exact_outcome_distribution and
-iqp_sample (1e4 shots) on build_family(n, e2={(1, 4), (2, 6)}) at beta = 1,
+copy of the pure state), build_pure_state, exact_outcome_distribution,
+iqp_sample (1e4 shots) and "distribution, then iqp_sample" as one call (the
+caller holds the distribution while it samples, as the xbasis-family
+benchmark job does) on build_family(n, e2={(1, 4), (2, 6)}) at beta = 1,
 for two checkouts of the repository measured side by side.
 
     python scripts/xbasis_sweep.py PARENT_CHECKOUT CHANGE_CHECKOUT [--n 10 16 20 24]
@@ -34,6 +36,14 @@ SHOTS = 10**4
 BETA = 1.0
 
 
+def distribution_then_sample(spec, seed: int):
+    """The exact distribution, then iqp_sample while it is still held."""
+    from thermalverify import exact_outcome_distribution, iqp_sample
+
+    dist = exact_outcome_distribution(spec, BETA)
+    return dist, iqp_sample(spec, BETA, SHOTS, seed)
+
+
 def measure(n: int) -> dict:
     import numpy as np
 
@@ -50,6 +60,7 @@ def measure(n: int) -> dict:
         "build_pure_state": lambda seed: build_pure_state(spec),
         "exact_outcome_distribution": lambda seed: exact_outcome_distribution(spec, BETA),
         "iqp_sample": lambda seed: iqp_sample(spec, BETA, SHOTS, seed),
+        "distribution_then_iqp_sample": lambda seed: distribution_then_sample(spec, seed),
     }
     reps = REPS.get(n, 3)
     results = {}

@@ -368,7 +368,7 @@ def cmd_oracle_check(args) -> int:
 def _estimate_from_report(path: str) -> float:
     """Pull f_est out of a previously emitted JSON document (a serialized
     VerificationReport, or any record nesting one under "result"/"report")."""
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_bytes().decode("utf-8"))  # JSON is UTF-8
     node = doc
     for key in ("result", "report"):
         if isinstance(node, dict) and "f_est" not in node and key in node:

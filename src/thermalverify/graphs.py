@@ -25,6 +25,7 @@ statevector builder in oracle read the arrays and never build the views.
 """
 from __future__ import annotations
 
+import gc
 import json
 from functools import cached_property
 from itertools import chain
@@ -171,10 +172,21 @@ def load_hypergraph(source) -> HypergraphSpec:
     Expected document shape: {"n": int, "e2": [[i, j], ...], "e3": [[i, j, k], ...]}
     with 1-indexed vertices; "e2"/"e3" may be omitted. Every malformed
     document, a non-integer n or a non-list edge included, is a ValueError.
+    A file is decoded as UTF-8, whatever the locale. The cyclic garbage
+    collector is paused while json.loads builds the edge lists, which it
+    would otherwise scan again and again at the paper's scale; it is
+    re-enabled afterwards only if it was enabled before.
     """
     doc = source
     if isinstance(source, (str, Path)):
-        doc = json.loads(Path(source).read_text())
+        text = Path(source).read_bytes().decode("utf-8")
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            doc = json.loads(text)
+        finally:
+            if collecting:
+                gc.enable()
     if not isinstance(doc, dict):
         raise ValueError(f"graph document must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - {"n", "e2", "e3"}

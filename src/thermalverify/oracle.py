@@ -89,15 +89,19 @@ def _ones_view(block: np.ndarray, bits) -> np.ndarray:
     return block.reshape(shape + [1 << top])[tuple(index)]
 
 
+def _check_statevector_n(n: int) -> int:
+    if n > MAX_STATEVECTOR_N:
+        raise ValueError(f"statevector limited to n <= {MAX_STATEVECTOR_N}, got {n}")
+    return n
+
+
 def build_pure_state(spec) -> np.ndarray:
     """The float64 amplitude vector of a HypergraphSpec's state, unit norm
     by construction: uniform superposition with a sign flip wherever an
     edge's (or hyperedge's) bits are all 1. Built site by site: the half
     with z_v = 1 is the half with z_v = 0 times the signs of the edges whose
     largest vertex is v."""
-    n = spec.n
-    if n > MAX_STATEVECTOR_N:
-        raise ValueError(f"statevector limited to n <= {MAX_STATEVECTOR_N}, got {n}")
+    n = _check_statevector_n(spec.n)
     others = [[] for _ in range(n + 1)]  # 0-based lower bits, per largest vertex
     for *rest, top in spec.e2_rows.tolist() + spec.e3_rows.tolist():
         others[top].append([v - 1 for v in rest])
@@ -154,11 +158,20 @@ def _hadamard_factor(k: int) -> np.ndarray:
     return factor
 
 
+@cache
+def _xor_popcounts(k: int) -> np.ndarray:
+    """popcount(i ^ j) for i, j < 2^k, read-only."""
+    i = np.arange(1 << k)
+    table = np.bitwise_count(i[:, None] ^ i)
+    table.flags.writeable = False
+    return table
+
+
 def _flip_factor(k: int, p: float) -> np.ndarray:
     """C^(x)k for C = [[1-p, p], [p, 1-p]]: entry (i, j) is w[popcount(i ^ j)]
     with w[d] = (1-p)^(k-d) p^d."""
-    i, d = np.arange(1 << k), np.arange(k + 1)
-    return ((1.0 - p) ** (k - d) * p**d)[np.bitwise_count(i[:, None] ^ i)]
+    d = np.arange(k + 1)
+    return ((1.0 - p) ** (k - d) * p**d)[_xor_popcounts(k)]
 
 
 def _kron_power(vec: np.ndarray, spare: np.ndarray, factor) -> tuple[np.ndarray, np.ndarray]:

@@ -25,14 +25,20 @@ and H^n Z_e = X_e H^n, so the thermal X-basis distribution is the ideal one
 XOR-convolved with the product flip distribution: C^(x)n |H^(x)n psi|^2
 with C = [[1-p, p], [p, 1-p]]. Its shots are independent draws from that
 one distribution, so iqp_sample draws their counts as one multinomial,
-with memory O(2^n) whatever the shot count. Both X-basis functions run the
-two Kronecker powers as oracle's GEMM passes on the pure state's real
+with memory O(2^n) whatever the shot count. exact_outcome_distribution runs
+the two Kronecker powers as oracle's GEMM passes on the pure state's real
 amplitudes and one spare buffer (tracemalloc peak 2.0 statevectors,
-256 MiB at the shared oracle cap n <= 24, MAX_STATEVECTOR_N).
+256 MiB at the shared oracle cap n <= 24, MAX_STATEVECTOR_N). The array it
+returns is read-only and shared: while any caller still holds the
+distribution of a (spec, p), both X-basis functions reuse that array
+instead of building it again, so "distribution, then iqp_sample" builds
+it once. The registry holds only weak references, so an array lives
+exactly as long as its callers keep it.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -40,7 +46,8 @@ from functools import partial
 import numpy as np
 
 from .graphs import HypergraphSpec, _canonical_rows
-from .oracle import _flip_factor, _hadamard_factor, _kron_power, build_pure_state
+from .oracle import (_check_statevector_n, _flip_factor, _hadamard_factor, _kron_power,
+                     build_pure_state)
 from .pauli import PauliString, stabilizer_product
 from .sampler import _check_draw
 from .thermal import _built, _check_integer, _check_sites, flip_probability
@@ -50,6 +57,8 @@ EPSILON_FULL_SCALE = 1e-6
 L1_TARGET = 1.0 / 192.0
 MIN_FULL_SCALE_N = 400_000
 _KEY_BLOCK = 1 << 16  # outcome keys built per block: 6 MiB of uint32 at n = 24
+# (spec, p) -> the distribution array, while some caller still holds it
+_DISTRIBUTIONS = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -156,7 +165,10 @@ def certify(f_est: float, n: int, allow_small_n: bool = False) -> CertificationD
 
 def exact_outcome_distribution(spec: HypergraphSpec, beta: float) -> np.ndarray:
     """Exact X-basis outcome distribution of the thermal instance, as a
-    length-2^n vector indexed with site 1 in the least significant bit.
+    read-only length-2^n vector indexed with site 1 in the least
+    significant bit. While a caller holds the array, every call with an
+    equal spec and a beta of the same flip probability p returns that same
+    array (see the module docstring).
 
     The ideal distribution |H^(x)n psi|^2, then C^(x)n with C = [[1-p, p],
     [p, 1-p]] (skipped at p = 0): the XOR-convolution with the product
@@ -164,27 +176,33 @@ def exact_outcome_distribution(spec: HypergraphSpec, beta: float) -> np.ndarray:
     the pure state's own amplitudes and one spare buffer.
     """
     p = flip_probability(beta)
-    amps = build_pure_state(spec)
-    dist, spare = _kron_power(amps, np.empty_like(amps), _hadamard_factor)
-    np.square(dist, out=dist)
-    if p:
-        dist, spare = _kron_power(dist, spare, partial(_flip_factor, p=p))
-    return np.divide(dist, dist.sum(), out=dist)
+    _check_statevector_n(spec.n)  # before the lookup: an oversized spec is never hashed
+    dist = _DISTRIBUTIONS.get((spec, p))
+    if dist is None:
+        amps = build_pure_state(spec)
+        dist, spare = _kron_power(amps, np.empty_like(amps), _hadamard_factor)
+        np.square(dist, out=dist)
+        if p:
+            dist, spare = _kron_power(dist, spare, partial(_flip_factor, p=p))
+        np.divide(dist, dist.sum(), out=dist)
+        dist.flags.writeable = False
+        _DISTRIBUTIONS[spec, p] = dist
+    return dist
 
 
 def _outcome_counts(totals: np.ndarray, n: int) -> Counter:
     """The nonzero entries of a length-2^n totals vector in ascending index
     order, keyed by outcome string (site 1 first). numpy builds the keys:
-    each block of up to _KEY_BLOCK entries is a (block, n) uint32 array of
-    the code points of "0" and "1", filled a column at a time and viewed as
-    n-character strings, so the buffer stays small whatever the number of
-    entries. The keys go into the Counter with one dict.update."""
+    each block of up to _KEY_BLOCK entries is one broadcast right shift of
+    its uint32 indices by 0..n-1, a (block, n) uint32 array turned into the
+    code points of "0" and "1" and viewed as n-character strings, so the
+    buffer stays small whatever the number of entries. The keys go into
+    the Counter with one dict.update."""
     hits = np.flatnonzero(totals)
+    shifts = np.arange(n, dtype=np.uint32)
     keys = []
-    for block in np.split(hits, range(_KEY_BLOCK, hits.size, _KEY_BLOCK)):
-        chars = np.empty((block.size, n), np.uint32)
-        for k in range(n):  # the cast keeps bit k of each index, all that & 1 reads
-            np.right_shift(block, k, out=chars[:, k], casting="unsafe")
+    for start in range(0, hits.size, _KEY_BLOCK):
+        chars = hits[start:start + _KEY_BLOCK, None].astype(np.uint32) >> shifts
         chars &= 1
         chars += ord("0")
         keys += chars.view(f"U{n}")[:, 0].tolist()
@@ -198,7 +216,9 @@ def iqp_sample(spec: HypergraphSpec, beta: float, shots: int, seed: int) -> Coun
     are independent draws from exact_outcome_distribution(spec, beta), so
     their counts are one Multinomial(shots, dist) draw: memory is O(2^n)
     and time does not grow with shots, for any integer 1 <= shots <=
-    2^63 - 1 (MAX_SAMPLES) and integer seed >= 0. Returns counts keyed by
+    2^63 - 1 (MAX_SAMPLES) and integer seed >= 0. The draw reads the
+    distribution array a caller still holds for the same spec and flip
+    probability, and builds it only if none does. Returns counts keyed by
     the outcome string (site 1 first).
     """
     _check_draw("shots", shots, seed)

@@ -5,6 +5,8 @@ import os
 import re
 import shutil
 import stat
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import thermalverify
 from thermalverify import build_family, fidelity, ring_graph
 from thermalverify.cli import _dumps, build_parser, main
 from thermalverify.oracle import MAX_DENSITY_N
@@ -194,6 +197,30 @@ class TestExpectation:
         odd.write_text('{"n": 3, "e2": [[1, 2], [2, 3]]}')
         assert main(["expectation", "--graph", str(odd), "--beta", "1"]) == 2
         assert main(["expectation", "--graph", str(odd), "--beta", "1", "--wt", "1"]) == 0
+
+
+class TestUtf8Input:
+    """JSON input files are UTF-8 (RFC 8259), whatever the locale."""
+
+    def test_inputs_are_read_without_the_locale_encoding(self, graph_file, tmp_path):
+        report = tmp_path / "report.json"
+        report.write_text('{"f_est": 0.9}')
+        env = {**os.environ, "PYTHONPATH": str(Path(thermalverify.__file__).resolve().parents[1])}
+        for argv in (["expectation", "--graph", graph_file, "--wt", "2", "--beta", "1"],
+                     ["certify-iqp", "--report", str(report), "--n", "10", "--allow-small-n"]):
+            done = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                                   "-W", "error::EncodingWarning", "-m", "thermalverify", *argv],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, "")
+            assert json.loads(done.stdout)["manifest"]["subcommand"] == argv[0]
+
+    @pytest.mark.parametrize("argv", [["expectation", "--wt", "1", "--beta", "1", "--graph"],
+                                      ["certify-iqp", "--n", "10", "--allow-small-n", "--report"]])
+    def test_bytes_that_are_not_utf8_are_a_validation_error(self, tmp_path, capsys, argv):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"n": 2, "f_est": 1, "caf\u00e9": 1}'.encode("latin-1"))
+        assert main([*argv, str(bad)]) == 2
+        assert "codec can't decode" in capsys.readouterr().err
 
 
 class TestVerify:

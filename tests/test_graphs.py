@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -98,6 +99,28 @@ def test_load_from_file(tmp_path):
     path.write_text('{"n": 2, "e2": [[1, 2]]}')
     assert load_hypergraph(path) == HypergraphSpec(2, e2=frozenset({(1, 2)}))
     assert load_hypergraph(str(path)).n == 2
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_load_keeps_the_callers_gc_state(tmp_path, monkeypatch, collecting):
+    """The collector is paused while json.loads runs and comes back as the
+    caller had it, after a load and after a malformed document."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"n": 3, "e2": [[1, 2]]}')
+    bad.write_text('{"n": 3, "e2": [[1, 2]')
+    parse, during = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda text: during.append(gc.isenabled()) or parse(text))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert load_hypergraph(good) == HypergraphSpec(3, e2={(1, 2)})
+        assert gc.isenabled() is collecting
+        with pytest.raises(ValueError, match="Expecting"):
+            load_hypergraph(bad)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
 
 
 def test_load_rejects_bad_documents():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -21,8 +22,9 @@ from thermalverify import (CertificationDecision, HypergraphSpec, ProtocolConfig
                            stabilizer_product, thermal_density)
 from thermalverify.oracle import MAX_STATEVECTOR_N
 from thermalverify.sampler import MAX_SAMPLES
-from thermalverify.supremacy import (ACCEPT_MARGIN, EPSILON_FULL_SCALE, MIN_FULL_SCALE_N,
-                                     _family_rows, _outcome_counts)
+from thermalverify.supremacy import (_DISTRIBUTIONS, ACCEPT_MARGIN, EPSILON_FULL_SCALE,
+                                     MIN_FULL_SCALE_N, _family_rows, _outcome_counts)
+from thermalverify.thermal import flip_probability
 from util_dense import (H2, ascending_generalized_product, family_members,
                         family_triples_reference, kron_power_reference,
                         mixture_outcome_distribution, outcome_counts_reference,
@@ -442,6 +444,56 @@ class TestIqpSample:
             assert list(counts.items()) == list(reference.items())
 
 
+class TestSharedDistribution:
+    """A distribution array a caller still holds is the one both X-basis
+    functions read for an equal spec and the same flip probability."""
+
+    @given(family_members(), st.one_of(st.sampled_from([0.0, math.inf]), st.floats(0.0, 12.0)),
+           st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_counts_do_not_depend_on_a_held_distribution(self, inst, beta, seed):
+        assert not any(spec == inst for spec, _ in _DISTRIBUTIONS.keys())
+        fresh = iqp_sample(inst, beta, shots=5000, seed=seed)
+        dist = exact_outcome_distribution(inst, beta)
+        held = iqp_sample(inst, beta, shots=5000, seed=seed)
+        assert list(held.items()) == list(fresh.items())
+        assert exact_outcome_distribution(inst, beta) is dist
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_different_instances_never_share_an_array(self, n):
+        base = build_family(n, e2={(1, 4)})
+        held = exact_outcome_distribution(base, 1.0)
+        before = held.copy()
+        others = [exact_outcome_distribution(build_family(n, e2=e2), beta)
+                  for e2, beta in (({(1, 4), (2, n)}, 1.0), (set(), 1.0), ({(1, 3)}, 1.0),
+                                   ({(1, 4)}, 1.5), ({(1, 4)}, math.inf))]
+        assert all(other is not held for other in others)
+        assert len({id(other) for other in others}) == len(others)
+        assert np.array_equal(held, before)
+        # an equal spec built again, or a beta of the same p, shares the array
+        assert exact_outcome_distribution(build_family(n, e2=[(1, 4)]), 1.0) is held
+        assert flip_probability(400.0) == flip_probability(math.inf) == 0.0
+        ideal = exact_outcome_distribution(base, math.inf)
+        assert exact_outcome_distribution(base, 400.0) is ideal
+
+    def test_array_is_read_only(self):
+        dist = exact_outcome_distribution(build_family(6, e2={(2, 5)}), 0.7)
+        assert not dist.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dist[0] = 1.0
+
+    def test_registry_holds_nothing_the_caller_dropped(self):
+        inst = build_family(6, e2={(2, 5)})
+        iqp_sample(inst, 0.7, shots=100, seed=0)
+        assert len(_DISTRIBUTIONS) == 0
+        dist = exact_outcome_distribution(inst, 0.7)
+        assert _DISTRIBUTIONS[inst, flip_probability(0.7)] is dist
+        dropped = weakref.ref(dist)
+        del dist
+        assert dropped() is None
+        assert len(_DISTRIBUTIONS) == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 24), data=st.data())
 def test_outcome_keys_match_per_index_formatter(n, data):
@@ -492,6 +544,20 @@ class TestStatevectorCap:
             finally:
                 tracemalloc.stop()
             assert peak <= limit
+
+    def test_sampling_from_a_held_distribution_at_twenty_sites(self):
+        # the draw reads the caller's array: the peak is the multinomial
+        # totals and the keys, within 1.5 float64 statevectors (12 MiB)
+        inst = build_family(20, e2={(1, 4), (2, 6)})
+        dist = exact_outcome_distribution(inst, 1.0)
+        tracemalloc.start()
+        try:
+            counts = iqp_sample(inst, 1.0, shots=1000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(counts.values()) == 1000 and exact_outcome_distribution(inst, 1.0) is dist
+        assert peak <= 1.5 * 8 * 2**20
 
     def test_fourteen_sites_run(self):
         inst = build_family(14)
