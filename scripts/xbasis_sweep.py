@@ -9,15 +9,19 @@ for two checkouts of the repository measured side by side.
     python scripts/xbasis_sweep.py PARENT_CHECKOUT CHANGE_CHECKOUT [--n 10 16 20 24]
         [--blas-threads 1]
 
-Each (checkout, n) runs in its own fresh child with that checkout's src
-first on PYTHONPATH and OPENBLAS_NUM_THREADS set; the two sides alternate
-which goes first from one n to the next. A child makes one warm-up call
-per function, times REPS further calls with tracemalloc off (the median is
-reported), then takes the tracemalloc peak of one more call. The peak is
-also given in float64 statevectors (8 * 2^n bytes); for the Hadamard kernel
-it excludes the pure state, which exists before the call, and counts the
-copy and the spare buffer. Prints one JSON
-object.
+Each child is a fresh process with one checkout's src first on PYTHONPATH
+and OPENBLAS_NUM_THREADS set, measuring one n. For each n the sides run
+CHILDREN rounds of one child each, and which side goes first alternates
+from one round to the next and from one n to the next ("first" names it
+for the first round). A child makes one warm-up call per function, times
+REPS further calls with tracemalloc off and reports their median, then
+takes the tracemalloc peak of one more call. Each side reports the median
+and the quartiles of its children's medians, so that the ratio of the two
+medians can be read against the spread between processes, which dominates
+below n = 16. It also reports the largest peak of its children, in bytes
+and in float64 statevectors (8 * 2^n bytes); for the Hadamard kernel the
+peak excludes the pure state, which exists before the call, and counts the
+copy and the spare buffer. Prints one JSON object.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ import tracemalloc
 from pathlib import Path
 
 REPS = {10: 101, 16: 21, 20: 5, 24: 3}
+CHILDREN = 3  # per side and n: the fewest that give quartiles
 SHOTS = 10**4
 BETA = 1.0
 
@@ -91,6 +96,18 @@ def run_child(checkout: Path, n: int, blas_threads: int) -> dict:
     return json.loads(done.stdout)
 
 
+def summarize(children: list[dict], fn: str) -> dict:
+    """One side's children for one function: the median and the quartiles
+    of their median times, and their largest tracemalloc peak."""
+    times = [child[fn]["time_s"] for child in children]
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    peak = max(children, key=lambda child: child[fn]["tracemalloc_peak_bytes"])[fn]
+    return {"time_s_median": median, "time_s_quartiles": [q1, q3], "child_time_s": times,
+            "reps_per_child": children[0][fn]["reps"],
+            "tracemalloc_peak_bytes": peak["tracemalloc_peak_bytes"],
+            "tracemalloc_peak_statevectors": peak["tracemalloc_peak_statevectors"]}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="*", type=Path)
@@ -105,18 +122,20 @@ def main() -> None:
         parser.error("give the parent and the change checkout")
     parent, change = args.checkouts
     sweep = {}
+    sides = [("parent", parent), ("change", change)]
     for i, n in enumerate(args.n):
-        sides = [("parent", parent), ("change", change)]
-        order = sides if i % 2 == 0 else sides[::-1]
-        measured = {name: run_child(path, n, args.blas_threads) for name, path in order}
-        sweep[f"n={n}"] = {
-            "first": order[0][0],
-            **{fn: {"parent": measured["parent"][fn], "change": measured["change"][fn],
-                    "time_ratio_change_over_parent": round(
-                        measured["change"][fn]["time_s"] / measured["parent"][fn]["time_s"], 4)}
-               for fn in measured["parent"]},
-        }
-    print(json.dumps({"blas_threads": args.blas_threads, "shots": SHOTS, "beta": BETA,
+        children = {"parent": [], "change": []}
+        for k in range(CHILDREN):
+            for name, path in sides if (i + k) % 2 == 0 else sides[::-1]:
+                children[name].append(run_child(path, n, args.blas_threads))
+        sweep[f"n={n}"] = {"first": sides[i % 2][0]}
+        for fn in children["parent"][0]:
+            summary = {side: summarize(children[side], fn) for side in children}
+            summary["time_ratio_change_over_parent"] = round(
+                summary["change"]["time_s_median"] / summary["parent"]["time_s_median"], 4)
+            sweep[f"n={n}"][fn] = summary
+    print(json.dumps({"blas_threads": args.blas_threads, "children_per_side": CHILDREN,
+                      "shots": SHOTS, "beta": BETA,
                       "instance": "build_family(n, e2={(1, 4), (2, 6)})", "sweep": sweep},
                      indent=1))
 

@@ -95,7 +95,8 @@ def _setting_bytes(setting, n: int | None = None) -> bytes:
     """A selector as one bytes object of 0/1 values, site 1 first, checked
     as parse_setting describes. A tuple or list is read in place."""
     if isinstance(setting, str):
-        if setting.strip("01"):
+        # isascii first: encode() raises on a lone surrogate
+        if not setting.isascii() or setting.encode().translate(None, b"01"):
             raise ValueError(f"setting string must contain only 0/1, got {setting!r}")
         bits = setting.encode().translate(_DIGIT_BITS)
     else:

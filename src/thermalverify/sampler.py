@@ -83,7 +83,7 @@ class VerificationReport:
         if self.plus_count + self.minus_count != self.n_samples:
             raise ValueError("outcome counts do not add up to the sample count")
         expected = (self.plus_count - self.minus_count) / self.n_samples
-        if abs(self.f_est - expected) > 1e-15:
+        if not abs(self.f_est - expected) <= 1e-15:  # NaN fails too
             raise ValueError("f_est does not match the outcome counts")
 
     def to_dict(self) -> dict:

@@ -12,7 +12,9 @@ checking them; only the caller's two-vertex edges are validated.
 On this family the alternating selector 0101...01 collapses every CZ tail
 pairwise, so the product of generalized stabilizers is a plain signed Pauli
 word with X/Y on exactly half the sites, and the single-setting estimation
-protocol applies unchanged.
+protocol applies unchanged. The cancellation is exact for every member, so
+optimal_setting checks membership and reduces only the two-vertex edges;
+stabilizer_product, which verify runs, reduces every edge of any spec.
 
 The decision rule accepts when f_est - 2/n >= 0.999995 and converts the
 accepted estimate into a bound on the (unhalved) l1 distance between the
@@ -45,7 +47,7 @@ from functools import partial
 
 import numpy as np
 
-from .graphs import HypergraphSpec, _canonical_rows
+from .graphs import _NO_ROWS, HypergraphSpec, _canonical_rows
 from .oracle import (_check_statevector_n, _flip_factor, _hadamard_factor, _kron_power,
                      build_pure_state)
 from .pauli import PauliString, stabilizer_product
@@ -104,22 +106,35 @@ def build_family(n: int, e2=frozenset()) -> HypergraphSpec:
 
 
 def optimal_setting(spec: HypergraphSpec) -> PauliString:
-    """The single measurement setting: product of the even-site generalized
-    stabilizers, collapsed to a signed Pauli word.
+    """The single measurement setting of a family member: the product of
+    its even-site generalized stabilizers, a signed Pauli word with X/Y
+    letters on exactly half the sites (the selector's ones). Raises
+    RuntimeError for a spec outside the family (odd n or n < 4, or triples
+    other than build_family's), even one whose alternating product reduces
+    (an even ring, say): use stabilizer_product(spec, alternating_setting(n))
+    for those.
 
-    X/Y letters land on exactly half the sites (the selector's ones); the
-    two-vertex edges only dress the word with extra Z letters (CZ
-    conjugation), never X/Y. The selector 0101...01 goes in as a string,
-    the same bits as alternating_setting(n) without its n-entry tuple; on
-    odd n it is one bit short, and odd n is outside the family.
+    The word is the two-vertex edges' reduction alone, in closed form:
+    - each family triple has exactly one even vertex (4j-2, 4j, 4j or
+      4j+2), so under the selector 0101...01 it adds no linear term and no
+      sign, only the CZ pair of its two odd vertices;
+    - rows 2i and 2i+1 carry the same pair, (4j-3, 4j-1) twice and then
+      (4j-1, 4j+1) twice, and at even n the first n - 2 rows keep whole
+      pairs, so every pair cancels;
+    - generalized_product is additive over edges mod 2, so the word is
+      exactly the reduction of e2, which only adds Z letters (a Y where
+      one meets an X) and the sign.
+    The selector goes in as the string "01" * (n // 2), the same bits as
+    alternating_setting(n) without its n-entry tuple.
     """
-    try:
-        return stabilizer_product(spec, "01" * (spec.n // 2))
-    except ValueError:
+    n = spec.n
+    if n < 4 or n % 2 or not np.array_equal(spec.e3_rows, _family_rows(n)):
         raise RuntimeError(
-            "alternating-selector product did not reduce to a Pauli word; "
-            "the hypergraph is outside the restricted family"
-        ) from None
+            "the hypergraph is outside the restricted family: optimal_setting "
+            "needs even n >= 4 and build_family's triples"
+        )
+    graph = _built(HypergraphSpec, n=n, e2_rows=spec.e2_rows, e3_rows=_NO_ROWS[3])
+    return stabilizer_product(graph, "01" * (n // 2))
 
 
 def certify(f_est: float, n: int, allow_small_n: bool = False) -> CertificationDecision:

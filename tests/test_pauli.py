@@ -433,6 +433,18 @@ class TestSelectors:
             with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 reduce(bad)
 
+    @pytest.mark.parametrize("bad", ["01\u00e9", "0\ud8001", "0 1"])
+    def test_a_string_with_any_other_character_is_rejected(self, bad):
+        # a non-ASCII letter and a lone surrogate, which str.encode refuses
+        message = f"setting string must contain only 0/1, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _setting_bytes(bad, 3)
+
+    def test_the_empty_string_is_short_not_invalid(self):
+        assert _setting_bytes("") == b""
+        with pytest.raises(ValueError, match="setting has 0 bits, expected 4"):
+            _setting_bytes("", 4)
+
     @given(st.data())
     @settings(max_examples=400, deadline=None)
     def test_bytes_match_the_tuple_path(self, data):

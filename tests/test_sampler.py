@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from thermalverify import (DenseMixedState, HypergraphSpec, PauliString, ProtocolConfig,
-                           StabilizerProduct, build_pure_state, check_error_bound,
-                           dense_expectation, flip_probability, ring_graph,
+                           StabilizerProduct, VerificationReport, build_pure_state,
+                           check_error_bound, dense_expectation, flip_probability, ring_graph,
                            run_protocol, sample_size, setting_expectation,
                            stabilizer_product, thermal_density)
 from thermalverify.sampler import MAX_SAMPLES
@@ -270,6 +270,14 @@ class TestReportSerialization:
         assert report.to_dict() == before
         assert report.bound_report.fine_bound == before["bound_report"]["fine_bound"]
         assert report.beta_used == 1.0
+
+    @pytest.mark.parametrize("f_est", [math.nan, math.inf, 0.2 + 1e-12, -0.2])
+    def test_report_rejects_an_estimate_its_counts_do_not_give(self, f_est):
+        fields = dict(n_samples=10, plus_count=6, minus_count=4, setting="+YYZ",
+                      beta_used=0.5, bound_report=None, epsilon=0.1, delta=0.1, seed=0)
+        assert VerificationReport(f_est=0.2, **fields).f_est == 0.2
+        with pytest.raises(ValueError, match="does not match the outcome counts"):
+            VerificationReport(f_est=f_est, **fields)
 
 
 class TestCheckErrorBound:

@@ -195,11 +195,35 @@ class TestOptimalSetting:
         spec = build_family(n, e2=e2)
         assert optimal_setting(spec) == stabilizer_product(spec, alternating_setting(n))
 
+    def test_family_triples_cancel_under_the_alternating_selector(self):
+        # the closed form rests on this: the triples alone reduce to +X on
+        # the even sites, with no linear term and no CZ pair left
+        for n in [*range(4, 2004, 2), 400_000]:
+            product = generalized_product(build_family(n), "01" * (n // 2))
+            assert (product.sign, product.linear, product.quadratic) == (1, 0, frozenset()), n
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_equals_the_full_reduction(self, data):
+        n = data.draw(st.integers(2, 32).map(lambda k: 2 * k), label="n")
+        site = st.integers(1, n)
+        e2 = data.draw(st.sets(st.tuples(site, site).filter(lambda e: e[0] != e[1]),
+                               max_size=3 * n), label="e2")
+        spec = build_family(n, e2=e2)
+        assert optimal_setting(spec) == stabilizer_product(spec, alternating_setting(n))
+
     def test_outside_family_is_detected(self):
-        # a stray triple, and odd n, where 0101...01 is one bit short
-        for bad in (HypergraphSpec(6, e3={(2, 4, 6)}), ring_graph(5), HypergraphSpec(1)):
-            with pytest.raises(RuntimeError, match="restricted family"):
+        # a stray triple, odd n (where 0101...01 is one bit short), an even
+        # ring and the extra all-odd triple (1, 3, 5), whose alternating
+        # products do reduce, and the family with one triple dropped
+        family = _family_rows(10).tolist()
+        reducible = (ring_graph(6), HypergraphSpec(10, e3=family + [[1, 3, 5]]))
+        for bad in (HypergraphSpec(6, e3={(2, 4, 6)}), ring_graph(5), HypergraphSpec(1),
+                    HypergraphSpec(10, e3=family[:3] + family[4:]), *reducible):
+            with pytest.raises(RuntimeError, match="outside the restricted family"):
                 optimal_setting(bad)
+        for spec in reducible:
+            assert stabilizer_product(spec, alternating_setting(spec.n)).xy_support == spec.n // 2
 
 
 class TestCertify:
