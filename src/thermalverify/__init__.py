@@ -14,7 +14,8 @@ diagonal-circuit sampling.
 
 __all__ is the runtime surface that the CLI, the acceptance tests and the
 README quick start reach, pinned by tests/test_api.py. A pure state is its
-float64 amplitude vector (oracle.build_pure_state). References that only
+float64 amplitude vector (oracle.build_pure_state), a thermal state its
+float64 density matrix (oracle.thermal_density). References that only
 tests compare against (the per-shot error-pattern model, the Pauli product,
 path graphs, the Gibbs-state builder boltzmann_density, the StabilizerProduct
 coefficient map, the statevector operator map apply_operator and
@@ -33,7 +34,7 @@ from .thermal import (BoundReport, beta_from_temperature, deviation_leading_orde
                       error_bounds, fidelity, flip_probability, half_weight_expectation,
                       invert_temperature, minus_probability, sample_size,
                       setting_expectation, union_bound)
-from .oracle import DenseMixedState, build_pure_state, dense_expectation, thermal_density
+from .oracle import build_pure_state, dense_expectation, thermal_density
 from .sampler import ProtocolConfig, VerificationReport, check_error_bound, run_protocol
 from .supremacy import (CertificationDecision, build_family, certify,
                         exact_outcome_distribution, iqp_sample, optimal_setting)
@@ -48,8 +49,7 @@ __all__ = [
     "BoundReport", "beta_from_temperature", "deviation_leading_order", "error_bounds",
     "fidelity", "flip_probability", "half_weight_expectation", "invert_temperature",
     "minus_probability", "sample_size", "setting_expectation", "union_bound",
-    "DenseMixedState", "build_pure_state", "dense_expectation",
-    "thermal_density",
+    "build_pure_state", "dense_expectation", "thermal_density",
     "ProtocolConfig", "VerificationReport", "check_error_bound", "run_protocol",
     "CertificationDecision", "build_family", "certify",
     "exact_outcome_distribution", "iqp_sample", "optimal_setting",

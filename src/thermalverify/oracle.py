@@ -3,16 +3,17 @@
 A pure state is its float64 amplitude vector: the CZ/CCZ sign pattern of a
 HypergraphSpec's edge arrays (CZ only, for a graph) applied to the uniform
 superposition, returned as built, up to n = 24 (MAX_STATEVECTOR_N, also the
-cap of the X-basis functions in supremacy). The thermal state is the
-explicit phase-flip mixture, one real GEMM over a 2^n x 2^n matrix of
-weighted sign-flipped states: at n = 12 it takes about 1 s and a 256 MiB
-tracemalloc peak on a 2-core VM. It is a weighted Gram matrix with unit
-trace by construction, so it is returned without the DenseMixedState
-constructor's checks. dense_expectation reads Tr[rho P] for a PauliString
-P off the density matrix, the one dense expectation oracle-check and the
-acceptance gate take. The second, independent route to the same state
-(the Gibbs exponential of the generator Hamiltonian, n <= 10), the
-StabilizerProduct coefficient map, the statevector operator map and the
+cap of the X-basis functions in supremacy). The thermal state is its
+float64 density matrix: the explicit phase-flip mixture, one real GEMM over
+a 2^n x 2^n matrix of weighted sign-flipped states, at n = 12 about 1 s and
+a 256 MiB tracemalloc peak on a 2-core VM. It is a weighted Gram matrix
+with unit trace by construction, so it is returned as built, and tests
+check those properties on the matrix itself. dense_expectation reads
+Tr[rho P] for a PauliString P off that matrix, the one dense expectation
+oracle-check and the acceptance gate take; it checks the operator type and
+the matrix shape of its outside input. The second, independent route to the
+same state (the Gibbs exponential of the generator Hamiltonian, n <= 10),
+the StabilizerProduct coefficient map, the statevector operator map and the
 stabilizer check are references only tests compare against; they live in
 tests/util_dense.py.
 
@@ -32,7 +33,7 @@ from functools import cache
 import numpy as np
 
 from .pauli import PauliString
-from .thermal import _built, flip_probability
+from .thermal import flip_probability
 
 MAX_STATEVECTOR_N = 24
 MAX_DENSITY_N = 12
@@ -48,34 +49,6 @@ def _indices(n: int) -> np.ndarray:
 
 def _signs(values: np.ndarray, mask: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(values & np.uint32(mask)) & 1)
-
-
-class DenseMixedState:
-    """A density operator on n qubits (Hermitian, unit trace, PSD); real
-    input stays real.
-
-    Positivity is eigenvalue-checked only up to dimension 1024; beyond that
-    the check is skipped at construction for cost reasons. Each tolerance
-    test is written so that NaN fails it.
-    """
-
-    def __init__(self, matrix, n: int):
-        matrix = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
-        dim = 1 << n
-        if matrix.shape != (dim, dim):
-            raise ValueError(f"expected {dim}x{dim} matrix, got shape {matrix.shape}")
-        herm = np.max(np.abs(matrix - matrix.conj().T))
-        if not herm <= 1e-10:
-            raise ValueError(f"matrix is not Hermitian: max deviation {herm:.3e}")
-        tr = matrix.trace()
-        if not abs(tr - 1.0) <= 1e-10:
-            raise ValueError(f"matrix does not have unit trace: {tr}")
-        if dim <= 1024:
-            lowest = np.linalg.eigvalsh(matrix)[0]
-            if not lowest >= -1e-10:
-                raise ValueError(f"matrix is not PSD: lowest eigenvalue {lowest:.3e}")
-        self.matrix = matrix
-        self.n = n
 
 
 def _ones_view(block: np.ndarray, bits) -> np.ndarray:
@@ -116,10 +89,11 @@ def build_pure_state(spec) -> np.ndarray:
     return amps
 
 
-def thermal_density(spec, beta: float) -> DenseMixedState:
-    """Thermal state as the explicit phase-flip mixture: sum over all error
-    masks of Pr(mask) * Z_mask |psi><psi| Z_mask, returned unchecked (see
-    the module docstring)."""
+def thermal_density(spec, beta: float) -> np.ndarray:
+    """Thermal state as the explicit phase-flip mixture: the float64
+    2^n x 2^n matrix of the sum over all error masks of
+    Pr(mask) * Z_mask |psi><psi| Z_mask, returned as built (see the module
+    docstring)."""
     if spec.n > MAX_DENSITY_N:
         raise ValueError(f"density mixture limited to n <= {MAX_DENSITY_N}, got {spec.n}")
     psi = build_pure_state(spec)
@@ -128,22 +102,24 @@ def thermal_density(spec, beta: float) -> DenseMixedState:
     m = np.bitwise_count(idx)
     # row `mask` of v is sqrt(Pr(mask)) * Z_mask psi, so v.T @ v is the mixture
     v = _signs(idx[:, None], idx) * (np.sqrt(p**m * (1.0 - p) ** (spec.n - m))[:, None] * psi)
-    return _built(DenseMixedState, matrix=v.T @ v, n=spec.n)
+    return v.T @ v
 
 
-def dense_expectation(state, op) -> float:
-    """Tr[rho * P] for a DenseMixedState rho and a PauliString P. P acts on
-    a basis state as P|z> = c[z] |z ^ x_mask> with c[z] = sign *
-    i^|X&Z| * (-1)^(z.Z), so the trace is the sum of c[z] rho[z, z ^ x_mask]."""
+def dense_expectation(rho, op) -> float:
+    """Tr[rho * P] for a 2^n x 2^n density matrix rho, such as
+    thermal_density returns, and a PauliString P. P acts on a basis state as
+    P|z> = c[z] |z ^ x_mask> with c[z] = sign * i^|X&Z| * (-1)^(z.Z), so the
+    trace is the sum of c[z] rho[z, z ^ x_mask]."""
     if not isinstance(op, PauliString):
         raise TypeError(f"unsupported operator type {type(op).__name__}")
-    if not isinstance(state, DenseMixedState):
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-    if op.n != state.n:
-        raise ValueError(f"dimension mismatch: state n={state.n}, op n={op.n}")
+    rho = np.asarray(rho)
+    dim = 1 << op.n
+    if rho.shape != (dim, dim):
+        raise ValueError(f"operator on {op.n} sites needs a {dim}x{dim} density matrix, "
+                         f"got shape {rho.shape}")
     idx = _indices(op.n)
     coefficients = op.sign * (1j) ** ((op.x_mask & op.z_mask).bit_count()) * _signs(idx, op.z_mask)
-    value = np.sum(state.matrix[idx, idx ^ np.uint32(op.x_mask)] * coefficients)
+    value = np.sum(rho[idx, idx ^ np.uint32(op.x_mask)] * coefficients)
     if not abs(value.imag) <= 1e-10:
         raise RuntimeError(f"expectation has imaginary residue {value.imag:.3e}")
     return float(value.real)

@@ -52,7 +52,7 @@ from .oracle import (_check_statevector_n, _flip_factor, _hadamard_factor, _kron
                      build_pure_state)
 from .pauli import PauliString, stabilizer_product
 from .sampler import _check_draw
-from .thermal import _built, _check_integer, _check_sites, flip_probability
+from .thermal import _built, _check_sites, flip_probability
 
 ACCEPT_MARGIN = 0.999995
 EPSILON_FULL_SCALE = 1e-6
@@ -139,7 +139,10 @@ def optimal_setting(spec: HypergraphSpec) -> PauliString:
 
 def certify(f_est: float, n: int, allow_small_n: bool = False) -> CertificationDecision:
     """Apply the accept/reject rule to an estimate on n qubits: accept when
-    the margin f_est - 2/n reaches ACCEPT_MARGIN.
+    the margin f_est - 2/n reaches ACCEPT_MARGIN. n must be even and >= 4,
+    as build_family requires: at odd n there is no family member, no
+    half-weight setting and no 2/n bound (error_bounds), whatever the source
+    of f_est.
 
     The full-scale regime assumes n >= 400000 (with epsilon 1e-6); pass
     allow_small_n=True to evaluate the same arithmetic at desk scales.
@@ -156,9 +159,7 @@ def certify(f_est: float, n: int, allow_small_n: bool = False) -> CertificationD
     """
     if not -1.0 <= f_est <= 1.0:
         raise ValueError(f"f_est must lie in [-1, 1], got {f_est}")
-    n = _check_integer("n", n)
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
+    n = _check_sites(n, even_from=4, need="family requires")
     if n < MIN_FULL_SCALE_N and not allow_small_n:
         raise ValueError(
             f"n = {n} is below the full-scale regime (>= {MIN_FULL_SCALE_N}); "

@@ -63,7 +63,7 @@ def test_thermal_representations_agree():
         for beta in (0.3, 1.0, 2.0):
             mixture = thermal_density(spec, beta)
             gibbs = boltzmann_density(spec, beta)
-            worst = max(worst, float(np.max(np.abs(mixture.matrix - gibbs.matrix))))
+            worst = max(worst, float(np.max(np.abs(mixture - gibbs))))
     elapsed = time.monotonic() - start
     assert worst <= 1e-8
     assert elapsed < 60

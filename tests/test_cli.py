@@ -455,6 +455,16 @@ class TestCertifyCommand:
     def test_small_n_without_flag_is_validation_error(self):
         assert main(["certify-iqp", "--n", "12", "--f-est", "1"]) == 2
 
+    @pytest.mark.parametrize("mode", ["--f-est", "--report", "--beta"])
+    def test_odd_n_is_rejected_in_every_mode(self, tmp_path, capsys, mode):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"f_est": 1.0}))
+        value = {"--f-est": "1", "--report": str(report), "--beta": "30"}[mode]
+        assert main(["certify-iqp", "--n", "400001", mode, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: family requires even n >= 4, got 400001\n"
+
     @pytest.mark.parametrize("budget", [["--epsilon", "1e-12"],
                                         ["--samples", "100000000000000000000"]])
     def test_budget_beyond_int64_is_validation_error(self, capsys, budget):

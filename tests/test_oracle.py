@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermalverify import (DenseMixedState, HypergraphSpec, PauliString, StabilizerProduct,
-                           build_pure_state, dense_expectation, fidelity, flip_probability,
+from thermalverify import (HypergraphSpec, PauliString, StabilizerProduct, build_pure_state,
+                           dense_expectation, fidelity, flip_probability,
                            generalized_product, ring_graph, setting_expectation,
                            stabilizer_product, thermal_density, try_to_pauli)
 from thermalverify.oracle import _flip_factor, _hadamard_factor, _kron_power
-from thermalverify.thermal import _built
 from util_dense import (apply_operator, boltzmann_density, density_expectation,
                         exhaustive_parity_expectation, from_letters, generator,
                         gibbs_reference, graph_generator, hypergraph_state_vector,
@@ -107,7 +106,7 @@ class TestApplyOperator:
 
     def test_operand_without_site_count_rejected_by_type(self):
         psi = np.ones(4) / 2
-        rho = DenseMixedState(np.eye(4) / 4, 2)
+        rho = np.eye(4) / 4
         with pytest.raises(TypeError, match="unsupported operator type str"):
             apply_operator("XZ", np.ones(4) / 2)
         for state in (psi, rho):
@@ -120,34 +119,38 @@ class TestThermalDensity:
         g = path_graph(3)
         rho = thermal_density(g, math.inf)
         psi = build_pure_state(g)
-        assert np.allclose(rho.matrix, np.outer(psi, psi.conj()), atol=1e-14)
+        assert np.allclose(rho, np.outer(psi, psi.conj()), atol=1e-14)
 
     def test_full_dephasing_single_qubit(self):
         rho = thermal_density(HypergraphSpec(1), 0.0)
-        assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-14)
+        assert np.allclose(rho, np.eye(2) / 2, atol=1e-14)
 
     def test_known_fidelity(self):
         g = path_graph(4)
         rho = thermal_density(g, BETA_HALF)
         psi = build_pure_state(g)
-        overlap = np.real(psi.conj() @ rho.matrix @ psi)
+        overlap = np.real(psi.conj() @ rho @ psi)
         assert overlap == pytest.approx(16 / 81, abs=1e-12)
         assert overlap == pytest.approx(fidelity(4, BETA_HALF), abs=1e-12)
 
     def test_eigenvalues_nonnegative(self):
         rho = thermal_density(path_graph(5), 0.4)
-        assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-12
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-12
 
-    @given(hypergraphs_with_selector(max_n=8),
+    @given(hypergraphs_with_selector(max_n=10), st.sampled_from((thermal_density,
+                                                                 boltzmann_density)),
            st.one_of(st.just(math.inf), st.floats(0.0, 8.0)))
     @settings(max_examples=60, deadline=None)
-    def test_unchecked_mixture_passes_the_public_constructor(self, case, beta):
-        # thermal_density skips DenseMixedState's checks; at n <= 10 the
-        # constructor's Hermitian, trace and PSD eigenvalue checks all run
+    def test_both_routes_return_a_density_matrix(self, case, build, beta):
+        # each route returns its matrix as built: float64, symmetric, unit
+        # trace and positive semidefinite, each within 1e-10
         h, _ = case
-        rho = thermal_density(h, beta)
-        assert type(rho) is DenseMixedState and rho.n == h.n
-        DenseMixedState(rho.matrix, h.n)
+        rho = build(h, beta)
+        assert type(rho) is np.ndarray and rho.dtype == np.float64
+        assert rho.shape == (1 << h.n, 1 << h.n)
+        assert np.max(np.abs(rho - rho.T)) <= 1e-10
+        assert abs(np.trace(rho) - 1.0) <= 1e-10
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-10
 
     @given(hypergraphs_with_selector(max_n=6), st.booleans(),
            st.one_of(st.sampled_from((0.0, 1e-3, math.inf)),
@@ -157,7 +160,7 @@ class TestThermalDensity:
         h, _ = case
         if graph_only:
             h = HypergraphSpec(h.n, e2=h.e2)
-        rho = thermal_density(h, beta).matrix
+        rho = thermal_density(h, beta)
         assert rho.dtype == np.float64
         assert np.max(np.abs(rho - mask_loop_thermal_density(h, beta))) <= 1e-15
 
@@ -170,24 +173,24 @@ class TestBoltzmannDensity:
             for beta in (0.3, 1.0, 2.0):
                 gibbs = boltzmann_density(h, beta)
                 mixture = thermal_density(h, beta)
-                assert gibbs.matrix.dtype == mixture.matrix.dtype == np.float64
-                assert np.max(np.abs(gibbs.matrix - mixture.matrix)) <= 1e-8
+                assert gibbs.dtype == mixture.dtype == np.float64
+                assert np.max(np.abs(gibbs - mixture)) <= 1e-8
 
     def test_large_beta_approaches_projector(self):
         g = path_graph(3)
         rho = boltzmann_density(g, 30.0)
         psi = build_pure_state(g)
-        assert np.max(np.abs(rho.matrix - np.outer(psi, psi.conj()))) <= 1e-8
+        assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) <= 1e-8
 
     def test_zero_temperature_sentinel(self):
         g = path_graph(3)
         rho = boltzmann_density(g, math.inf)
         psi = build_pure_state(g)
-        assert np.max(np.abs(rho.matrix - np.outer(psi, psi.conj()))) <= 1e-10
+        assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) <= 1e-10
 
     def test_infinite_temperature_is_maximally_mixed(self):
         rho = boltzmann_density(path_graph(3), 0.0)
-        assert np.allclose(rho.matrix, np.eye(8) / 8, atol=1e-12)
+        assert np.allclose(rho, np.eye(8) / 8, atol=1e-12)
 
     @pytest.mark.parametrize("beta", [-1.0, math.nan])
     def test_beta_rule_is_the_thermal_one(self, beta):
@@ -201,7 +204,7 @@ class TestBoltzmannDensity:
 @settings(max_examples=150, deadline=None)
 def test_gibbs_state_matches_generator_sum_reference(case, beta):
     h, _ = case
-    assert np.max(np.abs(boltzmann_density(h, beta).matrix - gibbs_reference(h, beta))) <= 1e-12
+    assert np.max(np.abs(boltzmann_density(h, beta) - gibbs_reference(h, beta))) <= 1e-12
 
 
 class TestDenseExpectation:
@@ -212,7 +215,7 @@ class TestDenseExpectation:
     def test_stabilizer_on_pure_projector(self):
         g = path_graph(4)
         psi = build_pure_state(g)
-        projector = DenseMixedState(np.outer(psi, psi.conj()), 4)
+        projector = np.outer(psi, psi)
         for selector in (0b0011, 0b1010, 0b1111):
             bits = [(selector >> b) & 1 for b in range(4)]
             word = stabilizer_product(g, bits)
@@ -227,29 +230,32 @@ class TestDenseExpectation:
     def test_pure_state_route_matches_mixed_route(self):
         g = path_graph(3)
         psi = build_pure_state(g)
-        projector = DenseMixedState(np.outer(psi, psi), 3)
+        projector = np.outer(psi, psi)
         word = stabilizer_product(g, "101")
         assert np.vdot(psi, apply_operator(word, psi)).real == pytest.approx(
             dense_expectation(projector, word), abs=1e-12)
 
-    def test_takes_only_a_density_operator_and_a_pauli_word(self):
+    def test_takes_only_a_pauli_word(self):
         g = path_graph(3)
-        psi = build_pure_state(g)
-        with pytest.raises(TypeError, match="unsupported state type ndarray"):
-            dense_expectation(psi, stabilizer_product(g, "101"))
         with pytest.raises(TypeError, match="unsupported operator type StabilizerProduct"):
             dense_expectation(thermal_density(g, 0.7), generalized_product(g, "101"))
 
+    def test_amplitude_vector_rejected_by_shape(self):
+        g = path_graph(3)
+        with pytest.raises(ValueError, match=r"8x8 density matrix, got shape \(8,\)"):
+            dense_expectation(build_pure_state(g), stabilizer_product(g, "101"))
+
     def test_dimension_mismatch(self):
         rho = thermal_density(path_graph(3), 0.7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"4 sites needs a 16x16 density matrix, "
+                                             r"got shape \(8, 8\)"):
             dense_expectation(rho, PauliString(4))
+        with pytest.raises(ValueError, match=r"got shape \(16, 16\)"):
+            dense_expectation(np.eye(16) / 16, PauliString(3))
 
     def test_nan_imaginary_residue_rejected(self):
-        unchecked = _built(DenseMixedState, matrix=np.full((2, 2), complex(math.nan, math.nan)),
-                           n=1)
         with pytest.raises(RuntimeError, match="imaginary residue nan"):
-            dense_expectation(unchecked, PauliString(1))
+            dense_expectation(np.full((2, 2), complex(math.nan, math.nan)), PauliString(1))
 
     def test_oracle_consistency_triangle(self):
         """Mixture route, Gibbs route, and the exhaustive parity model agree
@@ -264,8 +270,8 @@ class TestDenseExpectation:
             for selector in range(1 << n):
                 bits = [(selector >> b) & 1 for b in range(n)]
                 product = generalized_product(h, bits)
-                a = density_expectation(mixture.matrix, product)
-                b = density_expectation(gibbs.matrix, product)
+                a = density_expectation(mixture, product)
+                b = density_expectation(gibbs, product)
                 c = exhaustive_parity_expectation(n, product.x_mask, p)
                 assert abs(a - b) <= 1e-8
                 assert abs(a - c) <= 1e-8
@@ -295,40 +301,12 @@ class TestStabilizerCheck:
         x1 = from_letters("XI")
         assert not stabilizer_check(psi, x1)
 
-    @pytest.mark.parametrize("state", [lambda: thermal_density(ring_graph(4), 1.0),
-                                       lambda: build_pure_state(ring_graph(4)).tolist()],
-                             ids=["DenseMixedState", "list"])
-    def test_other_state_types_rejected(self, state):
-        with pytest.raises(TypeError, match="unsupported state type"):
-            stabilizer_check(state(), graph_generator(ring_graph(4), 1))
-
-
-class TestStateValidation:
-    @pytest.mark.parametrize("make, real, integer, complex_", [
-        (lambda a: DenseMixedState(a, 1).matrix, np.eye(2) / 2, [[1, 0], [0, 0]],
-         [[0.5, 0.5j], [-0.5j, 0.5]]),
-    ], ids=["DenseMixedState"])
-    def test_dtype_follows_the_input(self, make, real, integer, complex_):
-        assert make(real).dtype == np.float64
-        assert make(integer).dtype == np.float64
-        assert make(complex_).dtype == np.complex128
-
-    @pytest.mark.parametrize("n, entry", [(2, 0.5), (1, math.nan), (11, math.nan)],
-                             ids=["off-diagonal", "NaN", "NaN past the PSD cap"])
-    def test_non_hermitian_rejected(self, n, entry):
-        bad = np.eye(1 << n, dtype=complex) / (1 << n)
-        bad[0, 1] = entry
-        with pytest.raises(ValueError, match="Hermitian"):
-            DenseMixedState(bad, n)
-
-    def test_wrong_trace_rejected(self):
-        with pytest.raises(ValueError, match="trace"):
-            DenseMixedState(np.eye(4, dtype=complex), 2)
-
-    def test_negative_matrix_rejected(self):
-        bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError, match="PSD"):
-            DenseMixedState(bad, 2)
+    def test_other_state_types_rejected(self):
+        g = ring_graph(4)
+        with pytest.raises(TypeError, match="unsupported state type list"):
+            stabilizer_check(build_pure_state(g).tolist(), graph_generator(g, 1))
+        with pytest.raises(ValueError, match=r"cannot act on shape \(16, 16\)"):
+            stabilizer_check(thermal_density(g, 1.0), graph_generator(g, 1))
 
 
 class TestKronPower:

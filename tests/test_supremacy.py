@@ -19,7 +19,7 @@ from thermalverify import (CertificationDecision, HypergraphSpec, ProtocolConfig
                            alternating_setting, build_family, build_pure_state, certify,
                            exact_outcome_distribution, fidelity, generalized_product,
                            iqp_sample, optimal_setting, ring_graph, run_protocol, sample_size,
-                           stabilizer_product, thermal_density)
+                           setting_expectation, stabilizer_product, thermal_density)
 from thermalverify.oracle import MAX_STATEVECTOR_N
 from thermalverify.sampler import MAX_SAMPLES
 from thermalverify.supremacy import (_DISTRIBUTIONS, ACCEPT_MARGIN, EPSILON_FULL_SCALE,
@@ -259,6 +259,16 @@ class TestCertify:
         assert doc["verdict"] == "accept" and doc["n"] == 400_000
         assert isinstance(certify(1.0, 400_000), CertificationDecision)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 400_001])
+    def test_n_follows_the_family_rule(self, n):
+        # no family member, half-weight setting or 2/n bound exists at odd n
+        message = f"family requires even n >= 4, got {n}"
+        for allow_small_n in (False, True):
+            with pytest.raises(ValueError, match=message):
+                certify(1.0, n, allow_small_n=allow_small_n)
+        with pytest.raises(ValueError, match=message):
+            build_family(n)
+
     def test_non_integer_n_is_named(self):
         with pytest.raises(TypeError, match="n must be an integer, got 400000.5"):
             certify(0.5, 400000.5, allow_small_n=True)
@@ -324,9 +334,22 @@ class TestExactDistribution:
         inst = build_family(6, e2={(1, 4), (2, 6)})
         hadamard = reduce(np.kron, [H2] * 6)
         for beta in (0.0, 0.4, 2.0):
-            rho = thermal_density(inst, beta).matrix
+            rho = thermal_density(inst, beta)
             diagonal = np.diag(hadamard @ rho @ hadamard).real
             assert np.max(np.abs(exact_outcome_distribution(inst, beta) - diagonal)) <= 1e-12
+
+    @given(family_members(sizes=range(4, 17, 2)),
+           st.one_of(st.just(math.inf), st.floats(0.05, 40.0)))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_chain_holds_on_exact_distributions(self, inst, beta):
+        # exact l1(thermal, ideal) <= 2 sqrt(1 - F) <= the tvd_bound that
+        # certify derives from the exact half-weight expectation
+        n = inst.n
+        thermal = exact_outcome_distribution(inst, beta)
+        l1 = float(np.abs(thermal - exact_outcome_distribution(inst, math.inf)).sum())
+        fidelity_bound = 2 * math.sqrt(1 - fidelity(n, beta))
+        decision = certify(setting_expectation(n, n // 2, beta), n, allow_small_n=True)
+        assert l1 <= fidelity_bound + 1e-12 <= decision.tvd_bound + 1e-12
 
 
 class TestIqpSample:

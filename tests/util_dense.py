@@ -322,13 +322,14 @@ MAX_HAMILTONIAN_N = 10
 
 def boltzmann_density(spec, beta: float):
     """Thermal state as exp(-beta * H)/Z with H = -(sum of generators),
-    via eigendecomposition of the dense Hamiltonian, as a DenseMixedState.
+    via eigendecomposition of the dense Hamiltonian, as its 2^n x 2^n
+    float64 matrix.
 
     The generator of vertex i is U X_i U^dagger, with U the product of the
     CZ and CCZ gates: the diagonal D of the pure state's amplitude signs.
     So H = -sum_i D X_i D, whose entry at (z ^ 2^(i-1), z) is
     -D[z ^ 2^(i-1)] * D[z], and H is real."""
-    from thermalverify import DenseMixedState, build_pure_state
+    from thermalverify import build_pure_state
     from thermalverify.thermal import _check_beta
 
     if spec.n > MAX_HAMILTONIAN_N:
@@ -345,8 +346,7 @@ def boltzmann_density(spec, beta: float):
         weights = (evals <= evals[0] + 1e-9).astype(float)
     else:
         weights = np.exp(-beta * (evals - evals[0]))
-    rho = (evecs * weights) @ evecs.conj().T / weights.sum()
-    return DenseMixedState(rho, spec.n)
+    return (evecs * weights) @ evecs.conj().T / weights.sum()
 
 
 def _check_operator(op, shape: tuple, dims: int) -> np.ndarray:
