@@ -22,6 +22,16 @@ takes none of these steps: every empty edge set is the same read-only
 The public e2 and e3 stay frozensets of sorted tuples: they are views of
 the arrays, built on first read. The setting reductions in pauli and the
 statevector builder in oracle read the arrays and never build the views.
+
+load_hypergraph reads a graph file by one of two routes. The byte route
+takes the layout json.dumps writes for to_dict(), in any JSON whitespace:
+it checks the file's structure with whole-buffer bytes operations and
+parses each edge array with np.fromstring into the int64 rows the
+constructor validates, building no Python object per edge. Every other
+document (other key orders, other value types, anything malformed) takes
+the JSON route: json.loads with the garbage collector paused, then the
+dict checks. A document the byte route takes loads to the spec, or raises
+the error, that json.loads of it would give.
 """
 from __future__ import annotations
 
@@ -165,21 +175,135 @@ class HypergraphSpec:
         return {"n": self.n, "e2": self.e2_rows.tolist(), "e3": self.e3_rows.tolist()}
 
 
+_JSON_SPACE = b" \t\n\r"
+_EDGE_KEYS = {b'"e2"': 2, b'"e3"': 3}
+_DIGITS_TO_ZERO = bytes.maketrans(b"0123456789", b"0" * 10)
+_POWERS_OF_TEN = 10 ** np.arange(1, 18, dtype=np.int64)  # v >= 10**k for digits(v) - 1 of them
+_JSON_TYPES = {dict: "object", str: "string", bool: "boolean", int: "number",
+               float: "number", type(None): "null"}
+
+
+def _array_edge_count(skeleton: bytes, start: int, stop: int, arity: int) -> int | None:
+    """m if skeleton[start:stop] is [] (m = 0) or m comma-joined [,] or
+    [,,] inside [ ], else None."""
+    if stop == start + 2 and skeleton.startswith(b"[]", start):
+        return 0
+    unit = b"[,]," if arity == 2 else b"[,,],"
+    m, extra = divmod(stop - start - 1, len(unit))
+    tail = stop - len(unit)  # the last edge, without its comma, and the closing ]
+    if (extra or m < 1 or not skeleton.startswith(b"[", start)
+            or not skeleton.startswith(unit[:-1] + b"]", tail)):
+        return None
+    # m - 1 non-overlapping units in m - 1 units' length tile the middle
+    return m if skeleton.count(unit, start + 1, tail) == m - 1 else None
+
+
+def _layout_rows(data: bytes) -> tuple[int, dict] | None:
+    """(n, {"e2": rows, "e3": rows}) of a document in the layout to_dict()
+    writes, parsed with whole-buffer operations, or None to decline it.
+
+    The layout is {"n": N, "e2": [[i, j], ...], "e3": [[i, j, k], ...]}:
+    the edge keys optional but in that order, no other string, and JSON
+    whitespace anywhere between tokens. Its skeleton (the bytes without
+    digits and whitespace) must be exactly the layout's. No digit may sit
+    just outside a bracket: the skeleton cannot see a digit moved out of
+    its slot, and deleting the brackets would join it to a neighbour. Each
+    array without its brackets goes through np.fromstring, which rejects
+    two numbers in one slot but takes 01 and values beyond int64
+    (saturated) and reads a blank slot as 0. So the route also requires
+    arity * m values, all in 1..10**18 - 1 (vertex 0 is invalid anyway),
+    and exactly as many digits in the file as the canonical spellings of
+    n, of the key digits and of the values have.
+    """
+    quote = data.find(b'"')
+    if not data.startswith(b'"n"', quote):
+        return None
+    keys, at = [], quote + 3  # (arity, offset) of each edge key
+    while (at := data.find(b'"', at)) >= 0:
+        arity = _EDGE_KEYS.get(data[at:at + 4])
+        if arity is None or (keys and keys[-1][0] >= arity):
+            return None
+        keys.append((arity, at))
+        at += 4
+    squeezed = data.translate(_DIGITS_TO_ZERO, _JSON_SPACE)
+    marks = np.frombuffer(squeezed, np.uint8)
+    digit = marks == ord("0")
+    if ((digit[:-1] & (marks[1:] == ord("["))).any()
+            or ((marks[:-1] == ord("]")) & digit[1:]).any()):  # 0[ or ]0
+        return None
+    del marks, digit
+    skeleton = squeezed.translate(None, b"0")
+    digits = len(squeezed) - len(skeleton)
+    del squeezed
+    if not (skeleton.startswith(b'{"n":') and skeleton.endswith(b"}")):
+        return None
+    at, counts = 5, []  # at: the comma before each edge key, then the closing brace
+    for arity, _ in keys:
+        if not skeleton.startswith(b',"e":', at):
+            return None
+        stop = skeleton.find(b'"', at + 5)  # the next key's quote, after its comma
+        stop = len(skeleton) - 1 if stop < 0 else stop - 1
+        m = _array_edge_count(skeleton, at + 5, stop, arity)
+        if m is None:
+            return None
+        counts.append(m)
+        at = stop
+    if at != len(skeleton) - 1:
+        return None
+    colon = data.index(b":")
+    token = data[colon + 1:data.index(b"," if keys else b"}", colon)].strip(_JSON_SPACE)
+    if not token.isdigit() or len(token) > 18 or (token[:1] == b"0" and len(token) > 1):
+        return None
+    digits -= len(token) + len(keys)
+    edges = {}
+    for (arity, key_at), m, end in zip(keys, counts, [at for _, at in keys[1:]] + [len(data)]):
+        if not m:  # an empty array: the spec's default
+            continue
+        first = data.index(b"[", key_at)
+        text = data[first:data.rindex(b"]", first, end) + 1].translate(None, b"[]")
+        try:
+            values = np.fromstring(text, dtype=np.int64, sep=",")
+        except ValueError:  # two numbers in one slot, or an empty slot between commas
+            return None
+        if values.size != arity * m:
+            return None
+        top = int(values.max())
+        if values.min() < 1 or top >= 10 ** 18:
+            return None
+        powers = _POWERS_OF_TEN[:len(str(top)) - 1]
+        digits -= values.size + int(np.searchsorted(powers, values, "right").sum())
+        edges[f"e{arity}"] = values.reshape(m, arity)
+    return (int(token), edges) if digits == 0 else None
+
+
 def load_hypergraph(source) -> HypergraphSpec:
     """Build a HypergraphSpec from a dict, or from the JSON file at a path
     (a str or Path, always read as a file name, never as JSON text).
 
     Expected document shape: {"n": int, "e2": [[i, j], ...], "e3": [[i, j, k], ...]}
     with 1-indexed vertices; "e2"/"e3" may be omitted. Every malformed
-    document, a non-integer n or a non-list edge included, is a ValueError.
-    A file is decoded as UTF-8, whatever the locale. The cyclic garbage
-    collector is paused while json.loads builds the edge lists, which it
-    would otherwise scan again and again at the paper's scale; it is
-    re-enabled afterwards only if it was enabled before.
+    document, a non-integer n or an "e2"/"e3" that is not an array
+    included, is a ValueError.
+
+    A file is read once, as bytes. If it has the layout json.dumps writes
+    for to_dict() (keys n, e2, e3 in that order, integers without sign,
+    fraction or leading zero, vertices >= 1, any JSON whitespace), the
+    byte route parses each edge array straight into int64 rows, with no
+    Python object per edge. Every other document is decoded as UTF-8,
+    whatever the locale, and goes through json.loads. Only that JSON
+    route pauses the cyclic garbage collector, while json.loads builds the
+    edge lists, which it would otherwise scan again and again at the
+    paper's scale; it is re-enabled afterwards only if it was enabled
+    before.
     """
     doc = source
     if isinstance(source, (str, Path)):
-        text = Path(source).read_bytes().decode("utf-8")
+        data = Path(source).read_bytes()
+        layout = _layout_rows(data)
+        if layout is not None:
+            n, edges = layout
+            return HypergraphSpec(n, **edges)
+        text = data.decode("utf-8")
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -194,6 +318,10 @@ def load_hypergraph(source) -> HypergraphSpec:
         raise ValueError(f"graph document has unknown keys {sorted(unknown)}")
     if "n" not in doc:
         raise ValueError('graph document is missing "n"')
+    for key in ("e2", "e3"):
+        if key in doc and not isinstance(doc[key], list):
+            kind = _JSON_TYPES.get(type(doc[key]), type(doc[key]).__name__)
+            raise ValueError(f'graph document: "{key}" must be a JSON array, got {kind}')
     try:
         return HypergraphSpec(doc["n"], e2=doc.get("e2", []), e3=doc.get("e3", []))
     except TypeError as exc:  # a value of the wrong JSON type is a bad document

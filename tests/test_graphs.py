@@ -1,11 +1,13 @@
 import gc
 import json
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermalverify import HypergraphSpec, load_hypergraph, ring_graph
+from thermalverify import HypergraphSpec, build_family, load_hypergraph, ring_graph
 from util_dense import (canonical_edge_reference, generator, hypergraphs_with_selector,
                         integer_edge_arrays, path_graph, raw_edges, reference_edge_set)
 
@@ -104,15 +106,20 @@ def test_load_from_file(tmp_path):
 @pytest.mark.parametrize("collecting", [True, False])
 def test_load_keeps_the_callers_gc_state(tmp_path, monkeypatch, collecting):
     """The collector is paused while json.loads runs and comes back as the
-    caller had it, after a load and after a malformed document."""
-    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-    good.write_text('{"n": 3, "e2": [[1, 2]]}')
+    caller had it, after a load and after a malformed document. The good
+    document has its keys reordered, so the byte route declines it and
+    json.loads reads it; a to_dict() file never reaches json.loads."""
+    good, bad, written = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "ring.json"
+    good.write_text('{"e2": [[1, 2]], "n": 3}')
     bad.write_text('{"n": 3, "e2": [[1, 2]')
+    written.write_text(json.dumps(ring_graph(5).to_dict()))
     parse, during = json.loads, []
     monkeypatch.setattr(json, "loads", lambda text: during.append(gc.isenabled()) or parse(text))
     was = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
     try:
+        assert load_hypergraph(written) == ring_graph(5)
+        assert during == [] and gc.isenabled() is collecting
         assert load_hypergraph(good) == HypergraphSpec(3, e2={(1, 2)})
         assert gc.isenabled() is collecting
         with pytest.raises(ValueError, match="Expecting"):
@@ -121,6 +128,23 @@ def test_load_keeps_the_callers_gc_state(tmp_path, monkeypatch, collecting):
     finally:
         (gc.enable if was else gc.disable)()
     assert during == [False, False]
+
+
+@pytest.mark.parametrize("text, kind", [('{"n": 3, "e2": {}}', "e2\" must be a JSON array, got object"),
+                                        ('{"n": 3, "e2": ""}', "e2\" must be a JSON array, got string"),
+                                        ('{"n": 3, "e3": {}}', "e3\" must be a JSON array, got object"),
+                                        ('{"n": 3, "e3": 7}', "e3\" must be a JSON array, got number"),
+                                        ('{"n": 3, "e2": null}', "e2\" must be a JSON array, got null")])
+def test_non_array_edge_collection_is_a_bad_document(tmp_path, text, kind):
+    """An "e2" or "e3" that is not a JSON array no longer loads as an
+    edgeless graph, from a dict or from a file."""
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    for source in (json.loads(text), path):
+        with pytest.raises(ValueError) as exc:
+            load_hypergraph(source)
+        assert str(exc.value) == 'graph document: "' + kind
+    assert HypergraphSpec(3, e2={}) == HypergraphSpec(3, e2="") == HypergraphSpec(3)
 
 
 def test_load_rejects_bad_documents():
@@ -289,3 +313,154 @@ def test_ndarray_spec_equals_and_hashes_like_frozenset_spec(case, dtype):
     assert from_arrays.e2 == h.e2 and from_arrays.e3 == h.e3
     g = HypergraphSpec(h.n, e2=e2)
     assert g == HypergraphSpec(h.n, e2=h.e2) and hash(g) == hash(HypergraphSpec(h.n, e2=h.e2))
+
+
+def _outcome(load):
+    """What load() returns, or the type and message of what it raises."""
+    try:
+        return load()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("layouts") / "graph.json"
+
+
+def _file_and_json_routes(path, text):
+    """The outcome of loading text from a file, whether that load called
+    json.loads, and the outcome of loading json.loads(text) as a dict."""
+    path.write_bytes(text.encode())
+    expected = _outcome(lambda: load_hypergraph(json.loads(text)))
+    with mock.patch.object(json, "loads", wraps=json.loads) as parse:
+        got = _outcome(lambda: load_hypergraph(path))
+    return got, parse.called, expected
+
+
+SPACE = st.text(alphabet=" \t\n\r", max_size=3)
+VERTEX = st.one_of(st.integers(1, 12), st.sampled_from([0, -1, True, 10**18, 2**63, 2**70]))
+
+
+@st.composite
+def graph_texts(draw):
+    """A graph document with random n, e2 and e3 (invalid edges included),
+    written by json.dumps in its default, compact or indent=2 style, or
+    compact with random JSON whitespace between tokens; and whether every
+    value is one the byte route reads (a plain int, vertices >= 1)."""
+    n = draw(st.one_of(st.integers(1, 12), st.sampled_from([0, -2, True, 10**17, 2**64])))
+    doc, plain = {"n": n}, type(n) is int and 0 <= n < 10**18
+    for arity in (2, 3):
+        if draw(st.booleans()):
+            edge = st.one_of(st.lists(VERTEX, min_size=arity, max_size=arity),
+                             st.lists(VERTEX, max_size=4))
+            edges = draw(st.lists(edge, max_size=6))
+            doc[f"e{arity}"] = edges
+            plain &= all(len(e) == arity and all(type(v) is int and 1 <= v < 10**18 for v in e)
+                         for e in edges)
+    style = draw(st.sampled_from(["default", "compact", "indent", "spaced"]))
+    if style == "default":
+        return json.dumps(doc), plain
+    if style == "indent":
+        return json.dumps(doc, indent=2), plain
+    tokens = re.split(r"([\[\]{},:])", json.dumps(doc, separators=(",", ":")))
+    if style == "compact":
+        return "".join(tokens), plain
+    return "".join(draw(SPACE) + token for token in tokens) + draw(SPACE), plain
+
+
+@given(graph_texts())
+@settings(max_examples=300, deadline=None)
+def test_byte_route_matches_the_json_route(doc_path, case):
+    """A file loads to the same spec, or raises the same exception type and
+    message, as json.loads of its text loaded as a dict; a document whose
+    every value is a plain int in range of the layout never reaches json.loads."""
+    text, plain = case
+    got, parsed, expected = _file_and_json_routes(doc_path, text)
+    assert got == expected and type(got) is type(expected)
+    if plain:
+        assert not parsed
+
+
+MUTATION_BYTES = st.sampled_from(list("0123456789 \t\n\r,[]{}:\"-+.e\x0c"))
+
+
+@given(st.sampled_from([json.dumps(ring_graph(5).to_dict()),
+                        json.dumps(build_family(6, e2={(1, 2)}).to_dict(), indent=2),
+                        '{"n":13,"e2":[[1,10],[2,11]],"e3":[]}']),
+       st.lists(st.tuples(st.integers(0, 10**6), st.one_of(MUTATION_BYTES, st.just(""))),
+                min_size=1, max_size=3))
+@settings(max_examples=500, deadline=None)
+def test_mutated_layouts_match_the_json_route(doc_path, text, edits):
+    """Insert or delete single characters of to_dict() files: whatever the
+    byte route still takes must load as json.loads reads it."""
+    for at, char in edits:
+        at %= len(text) + 1
+        text = text[:at] + char + text[at + (not char):]
+    got, _, expected = _file_and_json_routes(doc_path, text)
+    assert got == expected and type(got) is type(expected)
+
+
+BYTE_ROUTE_LAYOUTS = {
+    "to_dict, default": json.dumps(ring_graph(5).to_dict()),
+    "to_dict with triples, indent=2": json.dumps(build_family(10, e2={(1, 4)}).to_dict(), indent=2),
+    "to_dict, compact": json.dumps(build_family(6).to_dict(), separators=(",", ":")),
+    "no edges": json.dumps(HypergraphSpec(4).to_dict()),
+    "n alone": '{"n": 5}',
+    "triples alone": '{"n": 4, "e3": [[3, 2, 1]]}',
+    "every JSON whitespace": '\n{ "n" :\t4 ,\r"e2" : [ [ 2 , 1 ] ,[3,4 ] ] }\r\n',
+    "vertex out of range": '{"n": 3, "e2": [[1, 9]]}',
+    "repeated vertex": '{"n": 3, "e3": [[1, 2, 2]]}',
+    "n = 0": '{"n": 0}',
+    "18-digit n": '{"n": 999999999999999999}',
+}
+DECLINED_LAYOUTS = {
+    "space inside a number": '{"n": 30, "e2": [[1 2, 3]]}',
+    "leading zero": '{"n": 3, "e2": [[01, 2]]}',
+    "leading zero in n": '{"n": 03, "e2": [[1, 2]]}',
+    "plus sign": '{"n": 3, "e2": [[+1, 2]]}',
+    "negative vertex": '{"n": 3, "e2": [[-1, 2]]}',
+    "trailing comma": '{"n": 3, "e2": [[1, 2],]}',
+    "trailing comma in an edge": '{"n": 3, "e2": [[1, 2,]]}',
+    "true": '{"n": 3, "e2": [[1, 2], [2, true]]}',
+    "float": '{"n": 3, "e2": [[1.0, 2]]}',
+    "exponent": '{"n": 3, "e2": [[1e3, 2]]}',
+    "duplicate n": '{"n": 3, "n": 4, "e2": [[1, 4]]}',
+    "duplicate edge key": '{"n": 4, "e2": [[1, 2]], "e2": [[3, 4]]}',
+    "unknown key": '{"n": 3, "e4": [[1, 2]]}',
+    "n after the edges": '{"e2": [[1, 2]], "n": 3}',
+    "triples before edges": '{"n": 4, "e3": [[1, 2, 3]], "e2": [[1, 2]]}',
+    "BOM": '\ufeff{"n": 3, "e2": [[1, 2]]}',
+    "form feed as whitespace": '{"n": 3,\x0c"e2": [[1, 2]]}',
+    "no-break space as whitespace": '{"n": 3,\xa0"e2": [[1, 2]]}',
+    "vertex beyond int64": '{"n": 3, "e2": [[1, 99999999999999999999]]}',
+    "19-digit vertex": '{"n": 3, "e2": [[1, 1000000000000000000]]}',
+    "n beyond int64": '{"n": 99999999999999999999, "e2": [[1, 2]]}',
+    "empty edge": '{"n": 3, "e2": [[]]}',
+    "nested arrays": '{"n": 3, "e2": [[[1, 2]]]}',
+    "missing n": '{"e2": [[1, 2]]}',
+    "vertex 0": '{"n": 3, "e2": [[0, 2]]}',
+    "blank slot and a leading zero": '{"n": 20, "e2": [[ , 010]]}',
+    "stray digit before an edge": '{"n": 30, "e2": [[1, 2], 5[, 4]]}',
+    "stray digit after an edge": '{"n": 30, "e2": [[1, 2], [, 4]5]}',
+    "digit before a bracket joins a number": '{"n": 60, "e2": [[1, 2], 5[3, 4]]}',
+    "digit after a bracket joins a number": '{"n": 30, "e2": [[1, 2]5, [3, 4]]}',
+    "stray digit after a key": '{"n": 3, "e2"7: [[1, 2]]}',
+    "e2 is an object": '{"n": 3, "e2": {}}',
+    "not an object": '[[1, 2]]',
+    "empty file": '',
+}
+
+
+@pytest.mark.parametrize("text", BYTE_ROUTE_LAYOUTS.values(), ids=BYTE_ROUTE_LAYOUTS.keys())
+def test_layouts_the_byte_route_takes(tmp_path, text):
+    got, parsed, expected = _file_and_json_routes(tmp_path / "g.json", text)
+    assert not parsed
+    assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize("text", DECLINED_LAYOUTS.values(), ids=DECLINED_LAYOUTS.keys())
+def test_declined_layouts_take_the_json_route(tmp_path, text):
+    got, parsed, expected = _file_and_json_routes(tmp_path / "g.json", text)
+    assert parsed
+    assert got == expected and type(got) is type(expected)

@@ -22,8 +22,9 @@ from thermalverify import (CertificationDecision, HypergraphSpec, ProtocolConfig
                            setting_expectation, stabilizer_product, thermal_density)
 from thermalverify.oracle import MAX_STATEVECTOR_N
 from thermalverify.sampler import MAX_SAMPLES
-from thermalverify.supremacy import (_DISTRIBUTIONS, ACCEPT_MARGIN, EPSILON_FULL_SCALE,
-                                     MIN_FULL_SCALE_N, _family_rows, _outcome_counts)
+from thermalverify.supremacy import (_CHECK_ROWS, _DISTRIBUTIONS, ACCEPT_MARGIN,
+                                     EPSILON_FULL_SCALE, MIN_FULL_SCALE_N, _family_rows,
+                                     _holds_family_rows, _outcome_counts)
 from thermalverify.thermal import flip_probability
 from util_dense import (H2, ascending_generalized_product, family_members,
                         family_triples_reference, kron_power_reference,
@@ -224,6 +225,18 @@ class TestOptimalSetting:
                 optimal_setting(bad)
         for spec in reducible:
             assert stabilizer_product(spec, alternating_setting(spec.n)).xy_support == spec.n // 2
+
+    def test_membership_is_checked_in_every_block(self):
+        """The block-by-block check sees one changed triple in any block, at
+        either end of a block, and a missing last triple."""
+        n = 3 * _CHECK_ROWS + 6
+        rows = _family_rows(n)
+        assert _holds_family_rows(rows, n) and _holds_family_rows(_family_rows(8), 8)
+        for at in (0, _CHECK_ROWS - 1, _CHECK_ROWS, 2 * _CHECK_ROWS + 5, n - 3):
+            changed = rows.copy()
+            changed[at, 2] += 1
+            assert not _holds_family_rows(changed, n), at
+        assert not _holds_family_rows(rows[:-1], n) and not _holds_family_rows(rows, n + 2)
 
 
 class TestCertify:
