@@ -226,12 +226,8 @@ def _layout_rows(data: bytes) -> tuple[int, dict] | None:
         keys.append((arity, at))
         at += 4
     squeezed = data.translate(_DIGITS_TO_ZERO, _JSON_SPACE)
-    marks = np.frombuffer(squeezed, np.uint8)
-    digit = marks == ord("0")
-    if ((digit[:-1] & (marks[1:] == ord("["))).any()
-            or ((marks[:-1] == ord("]")) & digit[1:]).any()):  # 0[ or ]0
+    if b"0[" in squeezed or b"]0" in squeezed:
         return None
-    del marks, digit
     skeleton = squeezed.translate(None, b"0")
     digits = len(squeezed) - len(skeleton)
     del squeezed
@@ -298,7 +294,8 @@ def load_hypergraph(source) -> HypergraphSpec:
     """
     doc = source
     if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
+        with open(source, "rb", buffering=0) as fh:  # one unbuffered read to the end
+            data = fh.read()
         layout = _layout_rows(data)
         if layout is not None:
             n, edges = layout

@@ -1,6 +1,8 @@
 import gc
 import json
+import os
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -128,6 +130,21 @@ def test_load_keeps_the_callers_gc_state(tmp_path, monkeypatch, collecting):
     finally:
         (gc.enable if was else gc.disable)()
     assert during == [False, False]
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+@pytest.mark.parametrize("text", [json.dumps(ring_graph(6).to_dict()),
+                                  '{"e2": [[1, 2], [1, 6], [2, 3], [3, 4], [4, 5], [5, 6]], "n": 6}'])
+def test_load_reads_a_pipe_once(text):
+    """A pipe, such as --graph /dev/stdin, can be read only once: both the
+    byte route and the JSON route it falls back to load from that read."""
+    read, write = os.pipe()
+    try:
+        os.write(write, text.encode())
+        os.close(write)
+        assert load_hypergraph(f"/dev/fd/{read}") == ring_graph(6)
+    finally:
+        os.close(read)
 
 
 @pytest.mark.parametrize("text, kind", [('{"n": 3, "e2": {}}', "e2\" must be a JSON array, got object"),
