@@ -199,8 +199,9 @@ def _array_edge_count(skeleton: bytes, start: int, stop: int, arity: int) -> int
 
 
 def _layout_rows(data: bytes) -> tuple[int, dict] | None:
-    """(n, {"e2": rows, "e3": rows}) of a document in the layout to_dict()
-    writes, parsed with whole-buffer operations, or None to decline it.
+    """(n, edges) of a document in the layout to_dict() writes, parsed with
+    whole-buffer operations, or None to decline it; edges maps "e2" and
+    "e3" to the (m, arity) int64 rows of each non-empty array.
 
     The layout is {"n": N, "e2": [[i, j], ...], "e3": [[i, j, k], ...]}:
     the edge keys optional but in that order, no other string, and JSON
