@@ -23,11 +23,12 @@ operations, O(n + |E2| + |E3|): each edge's share of f is gathered
 from the selector, the linear part is the parity of a bincount, the CZ
 pairs are the pair keys with odd counts, and the masks are packed bits
 read as one integer. The frozenset edge views are not built, and an empty
-edge table is skipped. The selector travels as one bytes object of 0/1
-values (_setting_bytes, which parse_setting also uses): a string is
-translated, a tuple or list is packed in place, and no per-site tuple is
-built on the way to the numpy view. Letter strings are formatted from whole
-masks, so printing a word is O(n) as well.
+edge table is skipped: a spec with no edges runs no tally at all. The
+selector travels as one bytes object of 0/1 values (_setting_bytes, which
+parse_setting also uses): a string is translated, a tuple or list is
+packed in place, and no per-site tuple is built on the way to the numpy
+view. Letter strings are formatted from whole masks, so printing a word
+is O(n) as well.
 """
 from __future__ import annotations
 
@@ -244,7 +245,7 @@ def generalized_product(spec, setting) -> StabilizerProduct:
     n = spec.n
     s = np.zeros(n + 1, dtype=bool)  # s[v] is the bit of site v
     s[1:] = np.frombuffer(_setting_bytes(setting, n), dtype=np.uint8)
-    toggled = [np.empty(0, np.int64)]  # one entry per linear-term toggle
+    toggled = []  # one entry per linear-term toggle
     inside = 0
     quadratic = frozenset()
     if len(spec.e2_rows):
@@ -262,10 +263,11 @@ def generalized_product(spec, setting) -> StabilizerProduct:
         keys, counts = np.unique(keys, return_counts=True)
         first, second = np.divmod(keys[counts & 1 == 1], n + 1)
         quadratic = frozenset(zip(first.tolist(), second.tolist()))
-    linear = np.bincount(np.concatenate(toggled), minlength=n + 1) & 1
+    linear = 0
+    if toggled:
+        linear = _mask_from_bits(np.bincount(np.concatenate(toggled), minlength=n + 1)[1:] & 1)
     return _built(StabilizerProduct, n=n, sign=-1 if inside & 1 else 1,
-                  x_mask=_mask_from_bits(s[1:]), linear=_mask_from_bits(linear[1:]),
-                  quadratic=quadratic)
+                  x_mask=_mask_from_bits(s[1:]), linear=linear, quadratic=quadratic)
 
 
 def try_to_pauli(s: StabilizerProduct) -> PauliString | None:

@@ -15,6 +15,10 @@ word with X/Y on exactly half the sites, and the single-setting estimation
 protocol applies unchanged. The cancellation is exact for every member, so
 optimal_setting checks membership and reduces only the two-vertex edges;
 stabilizer_product, which verify runs, reduces every edge of any spec.
+optimal_setting is the library route, for a member a caller built.
+certify-iqp simulates the member without two-vertex edges, so the CLI
+reduces the edgeless HypergraphSpec(n) under 0101...01 itself, the same
+word with no triples built and no membership to check.
 
 The decision rule accepts when f_est - 2/n >= 0.999995 and converts the
 accepted estimate into a bound on the (unhalved) l1 distance between the

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -15,9 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermalverify
-from thermalverify import build_family, fidelity, ring_graph
+from thermalverify import (ProtocolConfig, build_family, certify, fidelity, optimal_setting,
+                           ring_graph, run_protocol, supremacy)
 from thermalverify.cli import _dumps, build_parser, main
 from thermalverify.oracle import MAX_DENSITY_N
+from thermalverify.supremacy import EPSILON_FULL_SCALE, L1_TARGET
 from util_dense import dumps_reference
 
 PATH4 = {"n": 4, "e2": [[1, 2], [2, 3], [3, 4]]}
@@ -464,6 +468,48 @@ class TestCertifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: family requires even n >= 4, got 400001\n"
+
+    @pytest.mark.parametrize("n", ["400001", "3", "0"])
+    @pytest.mark.parametrize("thermal", [["--beta", "3"], ["--temperature", "0"]])
+    def test_n_outside_the_family_is_rejected_before_simulating(self, capsys, n, thermal):
+        assert main(["certify-iqp", "--n", n, "--allow-small-n"] + thermal) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: family requires even n >= 4, got {n}\n"
+
+    @given(n=st.one_of(st.integers(2, 1001).map(lambda k: 2 * k), st.just(400_000)),
+           beta=st.one_of(st.floats(0.0, 40.0), st.just(math.inf)),
+           seed=st.integers(0, 2**31), samples=st.integers(1, 10**15))
+    @settings(max_examples=40, deadline=None)
+    def test_simulation_equals_the_library_route(self, n, beta, seed, samples):
+        # the CLI reduces the edgeless member; the library's route builds the
+        # family member and checks it in optimal_setting
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(["certify-iqp", "--n", str(n), "--beta", repr(beta), "--seed", str(seed),
+                         "--samples", str(samples), "--allow-small-n"]) == 0
+        out = stdout.getvalue()
+        member = build_family(n)
+        setting = optimal_setting(member)
+        config = ProtocolConfig(epsilon=EPSILON_FULL_SCALE, delta=1e-2, n_samples=samples,
+                                seed=seed)
+        report = run_protocol(member, setting, beta, config)
+        result = {"report": report.to_dict(),
+                  "decision": certify(report.f_est, n, allow_small_n=True).to_dict(),
+                  "l1_target": L1_TARGET}
+        doc = json.loads(out)  # the manifest, timestamp included, is the CLI's own
+        assert out == _dumps({"manifest": doc["manifest"], "result": result}) + "\n"
+        assert doc["result"]["report"]["setting"] == str(setting)
+
+    def test_simulation_builds_no_family_triples(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"_family_rows({n}) called")
+        monkeypatch.setattr(supremacy, "_family_rows", refuse)
+        with pytest.raises(AssertionError, match="_family_rows"):
+            build_family(2000)
+        for argv in (["--n", "2000", "--beta", "3", "--samples", "2000", "--allow-small-n"],
+                     ["--n", "400000", "--temperature", "0"]):
+            assert main(["certify-iqp"] + argv) == 0
+            assert read_json(capsys)["result"]["report"]["setting"].startswith("+IX")
 
     @pytest.mark.parametrize("budget", [["--epsilon", "1e-12"],
                                         ["--samples", "100000000000000000000"]])

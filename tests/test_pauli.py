@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -535,6 +536,31 @@ class TestFastReductions:
         expected = conjugated_x_reference(h.n, bits, h.e2, h.e3)
         assert generalized_product(h, bits) == expected
         assume(expected.quadratic)  # count only draws with CZ pairs left over
+
+    @given(st.integers(1, 300).flatmap(
+        lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    @settings(max_examples=100, deadline=None)
+    def test_edgeless_spec_has_no_linear_part(self, bits):
+        h = HypergraphSpec(len(bits))
+        sp = generalized_product(h, bits)
+        assert type(sp.linear) is int and sp.linear == 0
+        assert sp == conjugated_x_reference(h.n, bits, (), ())
+        assert sp == ascending_generalized_product(h, bits)
+
+    def test_edgeless_reduction_runs_no_per_site_tally(self):
+        # the selector's bytes and its bool view take 3 bytes a site; an
+        # int64 bincount over the sites would add 8 more
+        n = 1_000_000
+        h, bits = HypergraphSpec(n), "01" * (n // 2)
+        generalized_product(HypergraphSpec(4), "0101")  # lazy numpy set-up outside the peak
+        tracemalloc.start()
+        try:
+            sp = generalized_product(h, bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp.linear == 0 and sp.x_mask == int("10" * (n // 2), 2)
+        assert peak < 4 * n
 
     def test_reduction_builds_no_vertex_index(self):
         g = path_graph(50)
