@@ -7,19 +7,20 @@ small qubit counts. Every public function that takes or returns a spec uses
 the one spec type, graphs.HypergraphSpec (a graph is one with no
 three-vertex edges).
 Between the spec and the closed forms, pauli reduces the one selected
-product of stabilizer generators to a normal form in a single pass over the
-edge arrays. The supremacy module builds, as a HypergraphSpec, the member of
-the restricted hypergraph family whose single measurement setting certifies
-diagonal-circuit sampling.
+product of stabilizer generators to the signed Pauli word it measures, in
+a single pass over the edge arrays. The supremacy module builds, as a
+HypergraphSpec, the member of the restricted hypergraph family whose single
+measurement setting certifies diagonal-circuit sampling.
 
 __all__ is the runtime surface that the CLI, the acceptance tests and the
 README quick start reach, pinned by tests/test_api.py. A pure state is its
 float64 amplitude vector (oracle.build_pure_state), a thermal state its
 float64 density matrix (oracle.thermal_density). References that only
 tests compare against (the per-shot error-pattern model, the Pauli product,
-path graphs, the Gibbs-state builder boltzmann_density, the StabilizerProduct
-coefficient map, the statevector operator map apply_operator and
-stabilizer_check) live in tests/util_dense.py.
+path graphs, the Gibbs-state builder boltzmann_density, the X-times-diagonal
+normal form StabilizerProduct with its coefficient map, the statevector
+operator map apply_operator and stabilizer_check) live in
+tests/util_dense.py.
 """
 
 __version__ = "0.1.0"
@@ -27,9 +28,8 @@ __version__ = "0.1.0"
 from .graphs import HypergraphSpec, load_hypergraph, ring_graph
 from .identities import (IdentityReport, check_alternating, check_even, check_odd,
                          signed_pattern_count)
-from .pauli import (PauliString, StabilizerProduct, alternating_setting,
-                    generalized_product, leading_half_setting, parse_setting,
-                    stabilizer_product, try_to_pauli)
+from .pauli import (PauliString, alternating_setting, leading_half_setting, parse_setting,
+                    stabilizer_product)
 from .thermal import (BoundReport, beta_from_temperature, deviation_leading_order,
                       error_bounds, fidelity, flip_probability, half_weight_expectation,
                       invert_temperature, minus_probability, sample_size,
@@ -44,8 +44,8 @@ __all__ = [
     "HypergraphSpec", "load_hypergraph", "ring_graph",
     "IdentityReport", "check_alternating", "check_even", "check_odd",
     "signed_pattern_count",
-    "PauliString", "StabilizerProduct", "alternating_setting", "generalized_product",
-    "leading_half_setting", "parse_setting", "stabilizer_product", "try_to_pauli",
+    "PauliString", "alternating_setting", "leading_half_setting", "parse_setting",
+    "stabilizer_product",
     "BoundReport", "beta_from_temperature", "deviation_leading_order", "error_bounds",
     "fidelity", "flip_probability", "half_weight_expectation", "invert_temperature",
     "minus_probability", "sample_size", "setting_expectation", "union_bound",

@@ -30,13 +30,15 @@ parses each edge array with np.fromstring into the int64 rows the
 constructor validates, building no Python object per edge. Every other
 document (other key orders, other value types, anything malformed) takes
 the JSON route: json.loads with the garbage collector paused, then the
-dict checks. A document the byte route takes loads to the spec, or raises
-the error, that json.loads of it would give.
+dict checks. to_dict pauses it too, while it builds one list per edge. A
+document the byte route takes loads to the spec, or raises the error, that
+json.loads of it would give.
 """
 from __future__ import annotations
 
 import gc
 import json
+from contextlib import contextmanager
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -128,6 +130,20 @@ def _edge_set(rows: np.ndarray) -> frozenset:
     return frozenset(map(tuple, rows.tolist()))
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector while a block builds one small
+    list per edge, which it would otherwise scan again and again at the
+    paper's scale; re-enable it afterwards only if it was enabled before."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 class HypergraphSpec:
     """A hypergraph on vertices 1..n with two-vertex edges (e2) and
     three-vertex edges (e3); a graph is the case with no e3.
@@ -172,7 +188,8 @@ class HypergraphSpec:
         return _edge_set(self.e3_rows)
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "e2": self.e2_rows.tolist(), "e3": self.e3_rows.tolist()}
+        with _gc_paused():
+            return {"n": self.n, "e2": self.e2_rows.tolist(), "e3": self.e3_rows.tolist()}
 
 
 _JSON_SPACE = b" \t\n\r"
@@ -288,10 +305,8 @@ def load_hypergraph(source) -> HypergraphSpec:
     byte route parses each edge array straight into int64 rows, with no
     Python object per edge. Every other document is decoded as UTF-8,
     whatever the locale, and goes through json.loads. Only that JSON
-    route pauses the cyclic garbage collector, while json.loads builds the
-    edge lists, which it would otherwise scan again and again at the
-    paper's scale; it is re-enabled afterwards only if it was enabled
-    before.
+    route pauses the cyclic garbage collector (_gc_paused), while
+    json.loads builds the edge lists.
     """
     doc = source
     if isinstance(source, (str, Path)):
@@ -302,13 +317,8 @@ def load_hypergraph(source) -> HypergraphSpec:
             n, edges = layout
             return HypergraphSpec(n, **edges)
         text = data.decode("utf-8")
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        with _gc_paused():
             doc = json.loads(text)
-        finally:
-            if collecting:
-                gc.enable()
     if not isinstance(doc, dict):
         raise ValueError(f"graph document must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - {"n", "e2", "e3"}

@@ -13,9 +13,9 @@ Tr[rho P] for a PauliString P off that matrix, the one dense expectation
 oracle-check and the acceptance gate take; it checks the operator type and
 the matrix shape of its outside input. The second, independent route to the
 same state (the Gibbs exponential of the generator Hamiltonian, n <= 10),
-the StabilizerProduct coefficient map, the statevector operator map and the
-stabilizer check are references only tests compare against; they live in
-tests/util_dense.py.
+the X-times-diagonal normal form StabilizerProduct with its coefficient
+map, the statevector operator map and the stabilizer check are references
+only tests compare against; they live in tests/util_dense.py.
 
 A Kronecker power m^(x)n of a symmetric 2x2 matrix (the Hadamard transform
 and the thermal flip mix, both applied by supremacy's X-basis functions)

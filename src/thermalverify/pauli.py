@@ -1,43 +1,37 @@
-"""Signed Pauli words and X-times-diagonal normal forms for stabilizer products.
+"""Signed Pauli words and the reduction of a selected stabilizer product
+to one.
 
-Two operator representations live here:
-
-* PauliString -- a tensor product of single-site I/X/Z/Y letters with a global
-  sign, kept Hermitian (the Y letter absorbs the i in Y = iXZ, so eigenvalues
-  are always +-1).
-* StabilizerProduct -- sign * (product of X_i over an x-mask) * D_f, where D_f
-  is diagonal with entries (-1)^f(z) and f is a boolean polynomial of degree
-  at most two. Every product of graph-state stabilizers, or of their
-  CZ-dressed hypergraph generalizations, has this normal form.
-
-Sites are 1-indexed in every public signature; bit i-1 of a mask corresponds
-to site i.
+PauliString is a tensor product of single-site I/X/Z/Y letters with a
+global sign, kept Hermitian (the Y letter absorbs the i in Y = iXZ, so
+eigenvalues are always +-1). Sites are 1-indexed in every public signature;
+bit i-1 of a mask corresponds to site i.
 
 Every generator is U X_i U^dagger, with U the product of the CZ and CCZ
-gates, so a selected product is U X_S U^dagger = sign * X_S * D_f.
-generalized_product is the one route to that normal form, and
-stabilizer_product, its collapse by try_to_pauli, the one route to the
-measured Pauli word. Both take a HypergraphSpec (a graph is one with no
-triples) and read its int64 edge arrays in place with whole-array numpy
-operations, O(n + |E2| + |E3|): each edge's share of f is gathered
-from the selector, the linear part is the parity of a bincount, the CZ
-pairs are the pair keys with odd counts, and the masks are packed bits
-read as one integer. The frozenset edge views are not built, and an empty
-edge table is skipped: a spec with no edges runs no tally at all. The
-selector travels as one bytes object of 0/1 values (_setting_bytes, which
-parse_setting also uses): a string is translated, a tuple or list is
-packed in place, and no per-site tuple is built on the way to the numpy
-view. Letter strings are formatted from whole masks, so printing a word
-is O(n) as well.
+gates, so a selected product is U X_S U^dagger = sign * X_S * D_f, where
+D_f is diagonal with entries (-1)^f(z) and f is a boolean polynomial of
+degree at most two. stabilizer_product is the one route from a selector to
+the measured Pauli word: _normal_form computes (sign, X_S, f) and
+stabilizer_product collapses it to letters, which succeeds exactly when f
+has no CZ pair left. _normal_form takes a HypergraphSpec (a graph is one
+with no triples) and reads its int64 edge arrays in place with
+whole-array numpy operations, O(n + |E2| + |E3|): each edge's share of f
+is gathered from the selector, the linear part is the parity of a
+bincount, the CZ pairs are the pair keys with odd counts, and the masks
+are packed bits read as one integer. The frozenset edge views are not
+built, and an empty edge table is skipped: a spec with no edges runs no
+tally at all. The selector travels as one bytes object of 0/1 values
+(_setting_bytes, which parse_setting also uses): a string is translated, a
+tuple or list is packed in place, and no per-site tuple is built on the
+way to the numpy view. Letter strings are formatted from whole masks, so
+printing a word is O(n) as well.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .thermal import _built, _check_sites
+from .thermal import _check_sites
 
 # hex digit x + 2z of a site -> its letter (see PauliString.letters)
 _HEX_LETTERS = str.maketrans("0123", "IXZY")
@@ -51,28 +45,6 @@ def _mask_from_bits(bits: np.ndarray) -> int:
 def _check_mask(mask: int, n: int, name: str) -> None:
     if mask < 0 or mask >> n:
         raise ValueError(f"{name} {bin(mask)} does not fit {n} sites")
-
-
-def _site_pair(pair, n: int) -> tuple[int, int]:
-    """A CZ pair as (a, b) with 1 <= a < b <= n and a, b plain ints. A site
-    may be any integer type but bool."""
-    try:
-        sites = tuple(pair)
-        if len(sites) != 2 or any(isinstance(v, bool) for v in sites):
-            raise TypeError
-        a, b = map(operator.index, sites)
-    except TypeError:
-        raise ValueError(f"quadratic pair {pair!r} must be two integer sites") from None
-    if a == b:
-        raise ValueError(f"quadratic pair {(a, b)} has repeated site")
-    if not (1 <= a <= n and 1 <= b <= n):
-        raise ValueError(f"quadratic pair {(a, b)} outside 1..{n}")
-    return (min(a, b), max(a, b))
-
-
-def _check_sign(sign: int) -> None:
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -154,7 +126,8 @@ class PauliString:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_sites(self.n))
-        _check_sign(self.sign)
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
         _check_mask(self.x_mask, self.n, "x_mask")
         _check_mask(self.z_mask, self.n, "z_mask")
 
@@ -174,61 +147,40 @@ class PauliString:
         return self.x_mask.bit_count()
 
 
-@dataclass(frozen=True)
-class StabilizerProduct:
-    """Normal form sign * X^x_mask * D_f with f of boolean degree <= 2.
-
-    f(z) = sum_i linear_i z_i + sum_{(i,j) in quadratic} z_i z_j (mod 2),
-    with `linear` a bitmask and `quadratic` a set of sorted 1-indexed pairs,
-    each two distinct integer sites.
-    """
-
-    n: int
-    sign: int = 1
-    x_mask: int = 0
-    linear: int = 0
-    quadratic: frozenset = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _check_sites(self.n))
-        _check_sign(self.sign)
-        _check_mask(self.x_mask, self.n, "x_mask")
-        _check_mask(self.linear, self.n, "linear")
-        object.__setattr__(self, "quadratic",
-                           frozenset(_site_pair(p, self.n) for p in self.quadratic))
-
-    @property
-    def xy_support(self) -> int:
-        return self.x_mask.bit_count()
-
-
 def stabilizer_product(spec, setting) -> PauliString:
     """Product of the generators of a HypergraphSpec selected by the bits
     of `setting`, as the signed Pauli word it measures.
 
-    The generalized_product collapsed by try_to_pauli: on a graph, X on the
-    selected set S, Z^(|N(j) & S| mod 2) on each site j, and sign
+    The normal form sign * X_S * D_f collapsed to letters: on a graph, X on
+    the selected set S, Z^(|N(j) & S| mod 2) on each site j, and sign
     (-1)^(|E(S)| + |X & Z| / 2), where E(S) are the edges inside S and the
     second term turns each XZ into a Y letter. Sites with selector bit 1 are
     exactly the sites carrying X or Y in the result. Raises ValueError when
     CZ tails remain (three-vertex edges the selector does not cancel).
+
+    |X & Z| is always even: each generator is Hermitian (U is a real +-1
+    diagonal) and they commute, so their product is Hermitian too.
     """
-    word = try_to_pauli(generalized_product(spec, setting))
-    if word is None:
+    sign, x_mask, linear, quadratic = _normal_form(spec, setting)
+    if quadratic:
         raise ValueError(
             "selector does not reduce to a Pauli word on this hypergraph; "
             "choose a selector whose CZ tails cancel (e.g. 0101...01 on the "
             "restricted family)"
         )
-    return word
+    if (x_mask & linear).bit_count() % 4 == 2:
+        sign = -sign
+    return PauliString(spec.n, sign, x_mask, linear)
 
 
-def generalized_product(spec, setting) -> StabilizerProduct:
-    """Normal-form product of the generalized generators of a HypergraphSpec
-    selected by `setting`, equal to their product in ascending vertex order
-    (they commute): U X_S U^dagger, for U the product of CZ over the e2 rows
-    and CCZ over the e3 rows and S the sites whose bit is 1. The edge rows
-    are read in place.
+def _normal_form(spec, setting) -> tuple[int, int, int, frozenset]:
+    """(sign, x_mask, linear, quadratic) of the product of the generalized
+    generators of a HypergraphSpec selected by `setting`, equal to their
+    product in ascending vertex order (they commute): U X_S U^dagger =
+    sign * X^x_mask * D_f with f(z) = sum_i linear_i z_i +
+    sum_{(i,j) in quadratic} z_i z_j (mod 2), for U the product of CZ over
+    the e2 rows and CCZ over the e3 rows and S the sites whose bit is 1.
+    The edge rows are read in place.
 
     Every generator is U X_i U^dagger, so the product over S is
     U X_S U^dagger = X_S D_f with f(z) = sum over edges e of
@@ -238,9 +190,7 @@ def generalized_product(spec, setting) -> StabilizerProduct:
     s_a s_c z_b, s_a s_b z_c. The constant term, the number of edges inside
     S, becomes the sign. All edges are summed at once: a linear bit is the
     parity of its toggle count, a CZ pair survives when its count is odd.
-    The masks fit n sites and each pair (a, b) of ascending edge rows has
-    1 <= a < b <= n, so the result is stored without StabilizerProduct's
-    re-check.
+    Every pair (a, b) comes from an ascending edge row, so 1 <= a < b <= n.
     """
     n = spec.n
     s = np.zeros(n + 1, dtype=bool)  # s[v] is the bit of site v
@@ -266,20 +216,4 @@ def generalized_product(spec, setting) -> StabilizerProduct:
     linear = 0
     if toggled:
         linear = _mask_from_bits(np.bincount(np.concatenate(toggled), minlength=n + 1)[1:] & 1)
-    return _built(StabilizerProduct, n=n, sign=-1 if inside & 1 else 1,
-                  x_mask=_mask_from_bits(s[1:]), linear=linear, quadratic=quadratic)
-
-
-def try_to_pauli(s: StabilizerProduct) -> PauliString | None:
-    """Collapse a StabilizerProduct to a signed Pauli word, or return None.
-
-    Succeeds exactly when the quadratic part is empty: the diagonal tail is
-    then a plain Z-mask and the word is a tensor product of Pauli letters.
-    """
-    if s.quadratic:
-        return None
-    phase = (0 if s.sign > 0 else 2) - (s.x_mask & s.linear).bit_count()
-    phase %= 4
-    if phase % 2:
-        raise ValueError("operator is not Hermitian; cannot form a Pauli word")
-    return PauliString(s.n, 1 if phase == 0 else -1, s.x_mask, s.linear)
+    return -1 if inside & 1 else 1, _mask_from_bits(s[1:]), linear, quadratic

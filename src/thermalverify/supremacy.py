@@ -142,9 +142,9 @@ def optimal_setting(spec: HypergraphSpec) -> PauliString:
     - rows 2i and 2i+1 carry the same pair, (4j-3, 4j-1) twice and then
       (4j-1, 4j+1) twice, and at even n the first n - 2 rows keep whole
       pairs, so every pair cancels;
-    - generalized_product is additive over edges mod 2, so the word is
-      exactly the reduction of e2, which only adds Z letters (a Y where
-      one meets an X) and the sign.
+    - the normal form (pauli._normal_form) is additive over edges mod 2,
+      so the word is exactly the reduction of e2, which only adds Z
+      letters (a Y where one meets an X) and the sign.
     The selector goes in as the string "01" * (n // 2), the same bits as
     alternating_setting(n) without its n-entry tuple.
     """

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 
@@ -48,8 +49,12 @@ def _check_integer(name: str, value) -> int:
 
 
 def _check_sites(n: int, even_from: int = 0, need: str = "need") -> int:
-    """n as a plain int >= 1; with even_from, an even int >= even_from."""
+    """n as a plain int >= 1; with even_from, an even int >= even_from. n
+    must also fit a float, which every closed form turns it into."""
     n = _check_integer("n", n)
+    if n > sys.float_info.max:  # compared exactly, int to float
+        raise ValueError(f"need n <= {sys.float_info.max:g}, the largest float, "
+                         f"got an n of {n.bit_length()} bits")
     if even_from and (n < even_from or n % 2):
         raise ValueError(f"{need} even n >= {even_from}, got {n}")
     if n < 1:

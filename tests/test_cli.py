@@ -203,6 +203,34 @@ class TestExpectation:
         assert main(["expectation", "--graph", str(odd), "--beta", "1", "--wt", "1"]) == 0
 
 
+HUGE_N = str(10**400)  # beyond the largest float
+
+
+class TestSiteCountBeyondFloat:
+    """An n that no float holds is a validation error on every route that
+    reads n, not an OverflowError traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate-temperature", "--n", HUGE_N, "--f-est", "0.5"],
+        ["estimate-temperature", "--n", HUGE_N, "--f-est", "0.5", "--from-fidelity"],
+        ["certify-iqp", "--n", HUGE_N, "--f-est", "1"],
+        ["sweep-wt", "--n", HUGE_N, "--betas", "1"],
+        ["curves", "--sizes", HUGE_N, "--points", "2"],
+        ["expectation", "--beta", "1", "--graph"],
+        ["verify", "--beta", "1", "--epsilon", "0.1", "--delta", "0.1", "--samples", "10",
+         "--graph"],
+    ])
+    def test_exits_two_naming_the_float_limit(self, tmp_path, capsys, argv):
+        if argv[-1] == "--graph":
+            huge = tmp_path / "huge.json"
+            huge.write_text(f'{{"n": {HUGE_N}}}')
+            argv = [*argv, str(huge)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: need n <= 1.79769e+308, the largest float")
+
+
 class TestUtf8Input:
     """JSON input files are UTF-8 (RFC 8259), whatever the locale."""
 

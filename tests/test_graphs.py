@@ -106,11 +106,12 @@ def test_load_from_file(tmp_path):
 
 
 @pytest.mark.parametrize("collecting", [True, False])
-def test_load_keeps_the_callers_gc_state(tmp_path, monkeypatch, collecting):
+def test_load_and_to_dict_keep_the_callers_gc_state(tmp_path, monkeypatch, collecting):
     """The collector is paused while json.loads runs and comes back as the
-    caller had it, after a load and after a malformed document. The good
-    document has its keys reordered, so the byte route declines it and
-    json.loads reads it; a to_dict() file never reaches json.loads."""
+    caller had it, after a load, after a malformed document and after
+    to_dict, which returns the same dict either way. The good document has
+    its keys reordered, so the byte route declines it and json.loads reads
+    it; a to_dict() file never reaches json.loads."""
     good, bad, written = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "ring.json"
     good.write_text('{"e2": [[1, 2]], "n": 3}')
     bad.write_text('{"n": 3, "e2": [[1, 2]')
@@ -126,6 +127,9 @@ def test_load_keeps_the_callers_gc_state(tmp_path, monkeypatch, collecting):
         assert gc.isenabled() is collecting
         with pytest.raises(ValueError, match="Expecting"):
             load_hypergraph(bad)
+        assert gc.isenabled() is collecting
+        assert HypergraphSpec(4, e2={(2, 1)}, e3={(4, 2, 3)}).to_dict() == {
+            "n": 4, "e2": [[1, 2]], "e3": [[2, 3, 4]]}
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if was else gc.disable)()

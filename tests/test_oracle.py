@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermalverify import (HypergraphSpec, PauliString, StabilizerProduct, build_pure_state,
-                           dense_expectation, fidelity, flip_probability,
-                           generalized_product, ring_graph, setting_expectation,
-                           stabilizer_product, thermal_density, try_to_pauli)
+from thermalverify import (HypergraphSpec, PauliString, build_pure_state, dense_expectation,
+                           fidelity, flip_probability, ring_graph, setting_expectation,
+                           stabilizer_product, thermal_density)
 from thermalverify.oracle import _flip_factor, _hadamard_factor, _kron_power
 from util_dense import (apply_operator, boltzmann_density, density_expectation,
                         exhaustive_parity_expectation, from_letters, generator,
                         gibbs_reference, graph_generator, hypergraph_state_vector,
                         hypergraphs_with_selector, kron_power_reference,
-                        mask_loop_thermal_density, path_graph, pauli_matrix,
+                        mask_loop_thermal_density, normal_form, path_graph, pauli_matrix,
                         per_edge_pure_state, random_hypergraph, stabilizer_check,
-                        stabilizer_product_matrix)
+                        stabilizer_product_matrix, try_to_pauli)
 
 BETA_HALF = math.log(2) / 2
 
@@ -238,7 +237,7 @@ class TestDenseExpectation:
     def test_takes_only_a_pauli_word(self):
         g = path_graph(3)
         with pytest.raises(TypeError, match="unsupported operator type StabilizerProduct"):
-            dense_expectation(thermal_density(g, 0.7), generalized_product(g, "101"))
+            dense_expectation(thermal_density(g, 0.7), normal_form(g, "101"))
 
     def test_amplitude_vector_rejected_by_shape(self):
         g = path_graph(3)
@@ -269,7 +268,7 @@ class TestDenseExpectation:
             gibbs = boltzmann_density(h, beta)
             for selector in range(1 << n):
                 bits = [(selector >> b) & 1 for b in range(n)]
-                product = generalized_product(h, bits)
+                product = normal_form(h, bits)
                 a = density_expectation(mixture, product)
                 b = density_expectation(gibbs, product)
                 c = exhaustive_parity_expectation(n, product.x_mask, p)

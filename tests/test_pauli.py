@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from thermalverify import (HypergraphSpec, PauliString, StabilizerProduct,
-                           alternating_setting, build_family, generalized_product,
-                           leading_half_setting, parse_setting, stabilizer_product,
-                           try_to_pauli)
-from thermalverify.pauli import _setting_bytes
-from util_dense import (all_graphs, ascending_generalized_product,
-                        ascending_stabilizer_product, conjugated_x_reference, from_letters,
-                        generator, graph_generator, hypergraph_state_vector,
-                        hypergraphs_with_selector, kron_chain, letter, multiply,
+from thermalverify import (HypergraphSpec, PauliString, alternating_setting, build_family,
+                           leading_half_setting, parse_setting, stabilizer_product)
+from thermalverify.pauli import _normal_form, _setting_bytes
+from util_dense import (StabilizerProduct, all_graphs, ascending_generalized_product,
+                        ascending_stabilizer_product, conjugated_x_reference, family_members,
+                        from_letters, generator, graph_generator, hypergraph_state_vector,
+                        hypergraphs_with_selector, kron_chain, letter, multiply, normal_form,
                         parse_setting_reference, path_graph, pauli_matrix, pauli_multiply,
-                        random_hypergraph, stabilizer_product_matrix)
+                        random_hypergraph, stabilizer_product_matrix, try_to_pauli)
 
 
 def fig3_instance() -> HypergraphSpec:
@@ -302,17 +300,17 @@ class TestStabilizerProduct:
 class TestGeneralizedProduct:
     def test_all_zero_selector(self):
         h = fig3_instance()
-        assert generalized_product(h, "0" * 10) == StabilizerProduct(10)
+        assert normal_form(h, "0" * 10) == StabilizerProduct(10)
 
     def test_fig3_alternating_selector_collapses(self):
         h = fig3_instance()
-        sp = generalized_product(h, alternating_setting(10))
+        sp = normal_form(h, alternating_setting(10))
         assert sp.quadratic == frozenset()
         assert sp.x_mask == sum(1 << (i - 1) for i in (2, 4, 6, 8, 10))
 
     def test_fig4_alternating_selector_collapses(self):
         h = build_family(20)
-        sp = generalized_product(h, alternating_setting(20))
+        sp = normal_form(h, alternating_setting(20))
         assert sp.quadratic == frozenset()
         assert sp.x_mask == sum(1 << (i - 1) for i in range(2, 21, 2))
 
@@ -326,7 +324,7 @@ class TestGeneralizedProduct:
             psi = build_pure_state(h)
             for selector in range(1 << n):
                 bits = [(selector >> b) & 1 for b in range(n)]
-                assert stabilizer_check(psi, generalized_product(h, bits))
+                assert stabilizer_check(psi, normal_form(h, bits))
 
     def test_stabilizes_ten_vertex_instance_exhaustively(self):
         from thermalverify import build_pure_state
@@ -336,12 +334,12 @@ class TestGeneralizedProduct:
         psi = build_pure_state(h)
         for selector in range(1 << 10):
             bits = [(selector >> b) & 1 for b in range(10)]
-            assert stabilizer_check(psi, generalized_product(h, bits))
+            assert stabilizer_check(psi, normal_form(h, bits))
 
     def test_matches_scalar_statevector(self):
         h = fig3_instance()
         psi = hypergraph_state_vector(h)
-        sp = generalized_product(h, alternating_setting(10))
+        sp = normal_form(h, alternating_setting(10))
         applied = stabilizer_product_matrix(sp) @ psi
         assert np.allclose(applied, psi, atol=1e-12)
 
@@ -355,21 +353,23 @@ class TestGeneralizedProduct:
                 s1 = int(rng.integers(0, 1 << n))
                 s2 = int(rng.integers(0, 1 << n))
                 bits = lambda s: [(s >> b) & 1 for b in range(n)]
-                lhs = multiply(generalized_product(h, bits(s1)),
-                               generalized_product(h, bits(s2)))
-                assert lhs == generalized_product(h, bits(s1 ^ s2))
+                lhs = multiply(normal_form(h, bits(s1)),
+                               normal_form(h, bits(s2)))
+                assert lhs == normal_form(h, bits(s1 ^ s2))
 
 
     @given(st.one_of(hypergraphs_with_selector(),
                      st.just((build_family(2000), leading_half_setting(2000)))))
     @settings(max_examples=100, deadline=None)
-    def test_unchecked_result_passes_the_public_constructor(self, case):
-        # generalized_product skips StabilizerProduct's checks; the public
-        # constructor must accept its fields unchanged, all plain ints
+    def test_plain_tuple_passes_the_checking_constructor(self, case):
+        # _normal_form returns its fields unchecked; StabilizerProduct must
+        # accept them unchanged, all plain ints
         h, bits = case
-        sp = generalized_product(h, bits)
-        assert StabilizerProduct(sp.n, sp.sign, sp.x_mask, sp.linear, sp.quadratic) == sp
-        values = [sp.n, sp.sign, sp.x_mask, sp.linear, *chain.from_iterable(sp.quadratic)]
+        fields = _normal_form(h, bits)
+        sp = StabilizerProduct(h.n, *fields)
+        assert (sp.sign, sp.x_mask, sp.linear, sp.quadratic) == fields
+        sign, x_mask, linear, quadratic = fields
+        values = [sign, x_mask, linear, *chain.from_iterable(quadratic)]
         assert {type(v) for v in values} == {int}
 
 
@@ -384,8 +384,8 @@ class TestTryToPauli:
 
     def test_fig3_reduction_has_half_support(self):
         h = fig3_instance()
-        word = try_to_pauli(generalized_product(h, alternating_setting(10)))
-        assert word is not None
+        word = stabilizer_product(h, alternating_setting(10))
+        assert try_to_pauli(normal_form(h, alternating_setting(10))) == word
         assert word.xy_support == 5
         assert str(word) == "+IXIXIXIXIX"
 
@@ -429,7 +429,7 @@ class TestSelectors:
                                      (1, float("nan")), (0, float("inf")), 5, None])
     def test_every_rejected_selector_is_a_value_error_naming_it(self, bad):
         g = path_graph(2)
-        for reduce in (parse_setting, lambda s: generalized_product(g, s),
+        for reduce in (parse_setting, lambda s: _normal_form(g, s),
                        lambda s: stabilizer_product(g, s)):
             with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 reduce(bad)
@@ -508,33 +508,55 @@ class TestFastReductions:
     @settings(max_examples=300, deadline=None)
     def test_generalized_product_matches_ascending_product(self, case):
         h, bits = case
-        assert generalized_product(h, bits) == ascending_generalized_product(h, bits)
+        assert normal_form(h, bits) == ascending_generalized_product(h, bits)
 
     @given(hypergraphs_with_selector())
     @settings(max_examples=300, deadline=None)
     def test_graph_case_of_generalized_product_is_stabilizer_product(self, case):
         h, bits = case
         graph_part = HypergraphSpec(h.n, e2=h.e2)
-        assert (try_to_pauli(generalized_product(graph_part, bits))
+        assert (try_to_pauli(normal_form(graph_part, bits))
                 == stabilizer_product(graph_part, bits))
 
     @given(hypergraphs_with_selector())
     @settings(max_examples=300, deadline=None)
     def test_stabilizer_product_is_the_collapsed_normal_form(self, case):
         h, bits = case
-        word = try_to_pauli(generalized_product(h, bits))
+        word = try_to_pauli(ascending_generalized_product(h, bits))
+        assert try_to_pauli(conjugated_x_reference(h.n, bits, h.e2, h.e3)) == word
         if word is None:
             with pytest.raises(ValueError, match="CZ tails cancel"):
                 stabilizer_product(h, bits)
         else:
             assert stabilizer_product(h, bits) == word
 
+    @given(st.one_of(hypergraphs_with_selector(), family_members().flatmap(
+        lambda h: st.tuples(st.just(h), st.one_of(
+            st.just(alternating_setting(h.n)),
+            st.lists(st.integers(0, 1), min_size=h.n, max_size=h.n))))))
+    @settings(max_examples=300, deadline=None)
+    def test_every_word_is_hermitian_and_graph_signs_count_inner_edges(self, case):
+        # stabilizer_product collapses without a Hermiticity check; this is
+        # the invariant that makes the check unreachable
+        h, bits = case
+        graph = HypergraphSpec(h.n, e2=h.e2_rows)
+        for spec in (h, graph):
+            try:
+                word = stabilizer_product(spec, bits)
+            except ValueError:
+                assert spec is h and len(h.e3_rows)  # only CZ tails refuse
+                continue
+            overlap = (word.x_mask & word.z_mask).bit_count()
+            assert overlap % 2 == 0
+        inner = np.array([0, *bits], dtype=bool)[graph.e2_rows].all(axis=1)
+        assert word.sign == (-1) ** (int(np.count_nonzero(inner)) + overlap // 2)
+
     @given(hypergraphs_with_selector())
     @settings(max_examples=300, deadline=None)
     def test_array_reduction_matches_pure_python_pass(self, case):
         h, bits = case
         expected = conjugated_x_reference(h.n, bits, h.e2, h.e3)
-        assert generalized_product(h, bits) == expected
+        assert normal_form(h, bits) == expected
         assume(expected.quadratic)  # count only draws with CZ pairs left over
 
     @given(st.integers(1, 300).flatmap(
@@ -542,7 +564,7 @@ class TestFastReductions:
     @settings(max_examples=100, deadline=None)
     def test_edgeless_spec_has_no_linear_part(self, bits):
         h = HypergraphSpec(len(bits))
-        sp = generalized_product(h, bits)
+        sp = normal_form(h, bits)
         assert type(sp.linear) is int and sp.linear == 0
         assert sp == conjugated_x_reference(h.n, bits, (), ())
         assert sp == ascending_generalized_product(h, bits)
@@ -552,14 +574,14 @@ class TestFastReductions:
         # int64 bincount over the sites would add 8 more
         n = 1_000_000
         h, bits = HypergraphSpec(n), "01" * (n // 2)
-        generalized_product(HypergraphSpec(4), "0101")  # lazy numpy set-up outside the peak
+        _normal_form(HypergraphSpec(4), "0101")  # lazy numpy set-up outside the peak
         tracemalloc.start()
         try:
-            sp = generalized_product(h, bits)
+            _, x_mask, linear, _ = _normal_form(h, bits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sp.linear == 0 and sp.x_mask == int("10" * (n // 2), 2)
+        assert linear == 0 and x_mask == int("10" * (n // 2), 2)
         assert peak < 4 * n
 
     def test_reduction_builds_no_vertex_index(self):

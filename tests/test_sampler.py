@@ -5,13 +5,13 @@ import time
 import numpy as np
 import pytest
 
-from thermalverify import (HypergraphSpec, PauliString, ProtocolConfig, StabilizerProduct,
-                           VerificationReport, build_pure_state, check_error_bound,
-                           dense_expectation, flip_probability, ring_graph, run_protocol,
-                           sample_size, setting_expectation, stabilizer_product,
-                           thermal_density)
+from thermalverify import (HypergraphSpec, PauliString, ProtocolConfig, VerificationReport,
+                           build_pure_state, check_error_bound, dense_expectation,
+                           flip_probability, ring_graph, run_protocol, sample_size,
+                           setting_expectation, stabilizer_product, thermal_density)
 from thermalverify.sampler import MAX_SAMPLES
-from util_dense import from_letters, measure_outcome, path_graph, sample_error_pattern
+from util_dense import (StabilizerProduct, from_letters, measure_outcome, path_graph,
+                        sample_error_pattern)
 
 BETA_HALF = math.log(2) / 2
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from thermalverify import (BoundReport, ProtocolConfig, beta_from_temperature,
-                           deviation_leading_order, error_bounds, fidelity,
+from thermalverify import (BoundReport, HypergraphSpec, ProtocolConfig, beta_from_temperature,
+                           certify, deviation_leading_order, error_bounds, fidelity,
                            flip_probability, half_weight_expectation,
                            invert_temperature, minus_probability, ring_graph,
                            run_protocol, sample_size, setting_expectation,
@@ -385,6 +385,21 @@ class TestIntegerSites:
         assert half_weight_expectation(n, 1.0) == half_weight_expectation(6, 1.0)
         assert error_bounds(n, 1.0, 0.1, wt=wt) == error_bounds(6, 1.0, 0.1)
         assert invert_temperature(n, 0.5) == invert_temperature(6, 0.5)
+
+    def test_largest_float_sized_n_gives_finite_results(self):
+        n = 2**1023
+        assert fidelity(n, 3.0) == 0.0
+        assert certify(1.0, n).verdict == "accept"
+        for from_fidelity in (False, True):
+            assert math.isfinite(invert_temperature(n, 0.5, from_fidelity=from_fidelity))
+
+    @pytest.mark.parametrize("call", [
+        lambda n: fidelity(n, 1.0), lambda n: certify(1.0, n),
+        lambda n: invert_temperature(n, 0.5), lambda n: HypergraphSpec(n),
+    ])
+    def test_n_beyond_the_largest_float_is_rejected_by_name(self, call):
+        with pytest.raises(ValueError, match=r"the largest float, got an n of 1025 bits"):
+            call(2**1024)
 
     @pytest.mark.parametrize("call, match", [
         (lambda: half_weight_expectation(5, 1.0), "need even n >= 2, got 5"),

@@ -3,6 +3,12 @@
 These deliberately avoid the package's bitmask application paths: operators
 are assembled letter by letter with np.kron and states by scalar loops over
 basis indices, so they can serve as ground truth for the fast code.
+StabilizerProduct is the X-times-diagonal normal form sign * X_S * D_f of a
+product of generalized generators, checked field by field on construction;
+normal_form passes pauli._normal_form's plain tuple through that check,
+and try_to_pauli collapses a normal form to a Pauli word, refusing a
+non-Hermitian one (the package's stabilizer_product collapses inline and
+needs no such check: its products are always Hermitian).
 generator builds one stabilizer generator by scanning the edge rows, and
 multiply is the normal-form product of two StabilizerProducts; the package
 needs neither, because it reduces a whole selected product in one pass. The
@@ -55,7 +61,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import reduce
@@ -64,12 +72,83 @@ from itertools import chain
 import numpy as np
 from hypothesis import strategies as st
 
+from thermalverify import PauliString
+from thermalverify.pauli import _check_mask, _normal_form
+from thermalverify.thermal import _check_sites
+
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 H2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 MATS = {"I": I2, "X": X2, "Y": Y2, "Z": Z2}
+
+
+def _site_pair(pair, n: int) -> tuple[int, int]:
+    """A CZ pair as (a, b) with 1 <= a < b <= n and a, b plain ints. A site
+    may be any integer type but bool."""
+    try:
+        sites = tuple(pair)
+        if len(sites) != 2 or any(isinstance(v, bool) for v in sites):
+            raise TypeError
+        a, b = map(operator.index, sites)
+    except TypeError:
+        raise ValueError(f"quadratic pair {pair!r} must be two integer sites") from None
+    if a == b:
+        raise ValueError(f"quadratic pair {(a, b)} has repeated site")
+    if not (1 <= a <= n and 1 <= b <= n):
+        raise ValueError(f"quadratic pair {(a, b)} outside 1..{n}")
+    return (min(a, b), max(a, b))
+
+
+@dataclass(frozen=True)
+class StabilizerProduct:
+    """Normal form sign * X^x_mask * D_f with f of boolean degree <= 2.
+
+    f(z) = sum_i linear_i z_i + sum_{(i,j) in quadratic} z_i z_j (mod 2),
+    with `linear` a bitmask and `quadratic` a set of sorted 1-indexed pairs,
+    each two distinct integer sites.
+    """
+
+    n: int
+    sign: int = 1
+    x_mask: int = 0
+    linear: int = 0
+    quadratic: frozenset = frozenset()
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _check_sites(self.n))
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        _check_mask(self.x_mask, self.n, "x_mask")
+        _check_mask(self.linear, self.n, "linear")
+        object.__setattr__(self, "quadratic",
+                           frozenset(_site_pair(p, self.n) for p in self.quadratic))
+
+    @property
+    def xy_support(self) -> int:
+        return self.x_mask.bit_count()
+
+
+def normal_form(spec, setting) -> StabilizerProduct:
+    """pauli._normal_form of a selected product, through the checking
+    constructor."""
+    return StabilizerProduct(spec.n, *_normal_form(spec, setting))
+
+
+def try_to_pauli(s: StabilizerProduct) -> PauliString | None:
+    """Collapse a StabilizerProduct to a signed Pauli word, or return None.
+
+    Succeeds exactly when the quadratic part is empty: the diagonal tail is
+    then a plain Z-mask and the word is a tensor product of Pauli letters.
+    """
+    if s.quadratic:
+        return None
+    phase = (0 if s.sign > 0 else 2) - (s.x_mask & s.linear).bit_count()
+    phase %= 4
+    if phase % 2:
+        raise ValueError("operator is not Hermitian; cannot form a Pauli word")
+    return PauliString(s.n, 1 if phase == 0 else -1, s.x_mask, s.linear)
 
 
 def kron_chain(letters: str) -> np.ndarray:
@@ -235,8 +314,6 @@ def generator(h, i: int):
     """Generalized generator U X_i U^dagger of |G~> as a StabilizerProduct:
     X on vertex i, Z on each e2-neighbor and CZ on the other two vertices of
     each hyperedge through i, all found by scanning the edge rows."""
-    from thermalverify import StabilizerProduct
-
     if not 1 <= i <= h.n:
         raise ValueError(f"vertex {i} outside 1..{h.n}")
     edges = h.e2_rows[(h.e2_rows == i).any(axis=1)]
@@ -249,15 +326,11 @@ def generator(h, i: int):
 def graph_generator(g, i: int):
     """Generator of the graph state |G> as a PauliString: X on vertex i, Z
     on each neighbor (the e3-empty generator collapsed to a word)."""
-    from thermalverify import try_to_pauli
-
     return try_to_pauli(generator(g, i))
 
 
 def multiply(a, b):
     """Normal form of the product a * b of two StabilizerProducts."""
-    from thermalverify import StabilizerProduct
-
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n} sites")
     # Push D_f(a) through b's X factors: substitute z -> z ^ c with
@@ -283,8 +356,6 @@ def multiply(a, b):
 def ascending_stabilizer_product(g, setting):
     """Reference for pauli.stabilizer_product: multiply the selected
     graph-state generators one by one, in ascending vertex order."""
-    from thermalverify import PauliString
-
     word = PauliString(g.n)
     for i, b in enumerate(parse_setting_reference(setting, g.n), start=1):
         if b:
@@ -293,10 +364,8 @@ def ascending_stabilizer_product(g, setting):
 
 
 def ascending_generalized_product(h, setting):
-    """Reference for pauli.generalized_product: multiply the selected
-    generalized generators one by one, in ascending vertex order."""
-    from thermalverify import StabilizerProduct
-
+    """Reference for pauli._normal_form: multiply the selected generalized
+    generators one by one, in ascending vertex order."""
     word = StabilizerProduct(h.n)
     for i, b in enumerate(parse_setting_reference(setting, h.n), start=1):
         if b:
@@ -352,8 +421,6 @@ def boltzmann_density(spec, beta: float):
 def _check_operator(op, shape: tuple, dims: int) -> np.ndarray:
     """The basis indices of a PauliString or StabilizerProduct, checked to
     act on a state of the given shape (dims axes of length 2^n)."""
-    from thermalverify import PauliString, StabilizerProduct
-
     if not isinstance(op, (PauliString, StabilizerProduct)):
         raise TypeError(f"unsupported operator type {type(op).__name__}")
     if shape != (1 << op.n,) * dims:
@@ -365,7 +432,6 @@ def operator_coefficients(op, idx: np.ndarray) -> np.ndarray:
     """c over the basis indices idx with Op|z> = c[z] |z ^ x_mask>, for a
     PauliString (sign * i^|X&Z| * (-1)^(z.Z)) or a StabilizerProduct
     (sign * (-1)^f(z) with its phase polynomial f)."""
-    from thermalverify import PauliString
     from thermalverify.oracle import _signs
 
     if isinstance(op, PauliString):
@@ -400,13 +466,11 @@ def density_expectation(matrix: np.ndarray, op) -> float:
 
 
 def conjugated_x_reference(n: int, bits, e2, e3):
-    """Reference for pauli.generalized_product: U X_S U^dagger summed edge by edge
+    """Reference for pauli._normal_form: U X_S U^dagger summed edge by edge
     in pure Python, with e2/e3 iterables of sorted vertex tuples. (a, b)
     toggles linear[a] by s_b and linear[b] by s_a; (a, b, c) toggles the
     CZ pair (a, b) if s_c, (a, c) if s_b, (b, c) if s_a, and linear[a] by
     s_b s_c, and likewise for b and c; edges inside S flip the sign."""
-    from thermalverify import StabilizerProduct
-
     s = (0, *bits)  # s[v] is the bit of site v
     linear = [0] * (n + 1)
     negative = 0
@@ -571,8 +635,6 @@ _LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
 def from_letters(letters: str, sign: int = 1):
     """PauliString from a letter string like "XZIY" (site 1 first)."""
-    from thermalverify import PauliString
-
     x = z = 0
     for pos, c in enumerate(letters):
         if c == "X":
@@ -606,8 +668,6 @@ def _phase(word) -> int:
 def pauli_multiply(a, b):
     """The Pauli-group product a * b of two PauliStrings; raises ValueError
     when it is not Hermitian."""
-    from thermalverify import PauliString
-
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n} sites")
     # (X^xa Z^za)(X^xb Z^zb) = (-1)^{za.xb} X^(xa^xb) Z^(za^zb)
