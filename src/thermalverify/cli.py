@@ -1,19 +1,22 @@
 """Command-line surface: reproducible runs emitting JSON records and CSV sweeps.
 
-Single-value subcommands print a JSON document {"manifest": ..., "result": ...};
-sweep subcommands write plain CSV (schema documented in the README, column
-order stable) and put the manifest in a sidecar file next to the output, or
-on stderr when writing CSV to stdout. All JSON goes through one encoder
-(_dumps): strict JSON with sorted keys, every infinite float at any depth
-written as the string "infinity", in the bytes json.dumps(indent=2,
-sort_keys=True, allow_nan=False) would write, from one recursive pass that
-converts, sorts and checks as it writes. Given the same parameters and seed,
-outputs are reproducible byte for byte, timestamps excluded. Every --output
-file goes through one writer (_write_text), which rewrites an existing
-file in place and never truncates it to zero first: on ext4 that pattern
-flushes the file on close (auto_da_alloc): about 130 us per small file
-against about 7-12 us in place on a 2-core VM. Options that exclude each
-other are argparse groups, so a conflict exits 2.
+Each command is a function from the parsed arguments to its record, and
+writes nothing; `main` hands the record to the one writer (_emit), also
+when a check fails (CheckFailure carries the record, exit 3). A result
+dict is printed as the JSON document {"manifest": ..., "result": ...}; a
+(schema, header, rows) table is written as plain CSV (schema documented in
+the README, column order stable) with the manifest in a sidecar file next
+to the output, or on stderr when writing CSV to stdout. All JSON goes
+through one encoder (_dumps): strict JSON with sorted keys, every infinite
+float at any depth written as the string "infinity", in the bytes
+json.dumps(indent=2, sort_keys=True, allow_nan=False) would write, from
+one recursive pass that converts, sorts and checks as it writes. Given the
+same parameters and seed, outputs are reproducible byte for byte,
+timestamps excluded. Every --output file is written by _write_text, which
+rewrites an existing file in place and never truncates it to zero first:
+on ext4 that pattern flushes the file on close (auto_da_alloc): about
+130 us per small file against about 7-12 us in place on a 2-core VM.
+Options that exclude each other are argparse groups, so a conflict exits 2.
 
 The parser is built once per process, at the first `main` call (2-5 ms);
 list defaults are strings converted per parse, so no parse changes it and
@@ -45,7 +48,7 @@ from . import __version__
 from .graphs import HypergraphSpec, load_hypergraph, ring_graph
 from .identities import check_alternating, check_even, check_odd
 from .oracle import MAX_DENSITY_N, dense_expectation, thermal_density
-from .pauli import alternating_setting, parse_setting, stabilizer_product
+from .pauli import _check_selector_sites, alternating_setting, parse_setting, stabilizer_product
 from .sampler import ProtocolConfig, check_error_bound, run_protocol
 from .supremacy import EPSILON_FULL_SCALE, L1_TARGET, certify
 from .thermal import (_check_beta, _check_epsilon, _check_sites, beta_from_temperature,
@@ -55,7 +58,12 @@ from .thermal import (_check_beta, _check_epsilon, _check_sites, beta_from_tempe
 
 
 class CheckFailure(RuntimeError):
-    """An internal consistency check did not hold (exit code 3)."""
+    """An internal consistency check did not hold (exit code 3); `record`
+    is the command's result, which is written all the same."""
+
+    def __init__(self, message: str, record: dict):
+        super().__init__(message)
+        self.record = record
 
 
 def _manifest(args: argparse.Namespace) -> dict:
@@ -112,14 +120,10 @@ def _encode(value, newline: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _cell(value):
+    """A CSV cell: a bool as true/false; csv.writer writes None as an empty
+    cell, a float by its repr and any other value by its str."""
+    return ("true" if value else "false") if isinstance(value, bool) else value
 
 
 def _write_text(path: str, text: str) -> None:
@@ -140,25 +144,27 @@ def _write_text(path: str, text: str) -> None:
         os.close(fd)
 
 
-def _emit_json(args, result: dict) -> None:
-    text = _dumps({"manifest": _manifest(args), "result": result})
-    if args.output:
-        _write_text(args.output, text + "\n")
+def _emit(args, record) -> None:
+    """Write a command's record: a result dict as the JSON document, to
+    --output or stdout; a (schema, header, rows) table as CSV, to --output
+    with the manifest in a sidecar file, or to stdout with the manifest on
+    stderr."""
+    manifest = _manifest(args)
+    if isinstance(record, dict):
+        text, sidecar = _dumps({"manifest": manifest, "result": record}) + "\n", ""
     else:
-        print(text)
-
-
-def _emit_csv(args, schema: str, header: list[str], rows: list[list]) -> None:
-    manifest = _dumps({**_manifest(args), "csv_schema": schema})
-    fh = io.StringIO() if args.output else sys.stdout
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_cell(v) for v in row] for row in rows)
+        schema, header, rows = record
+        fh = io.StringIO()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerows([_cell(v) for v in row] for row in [header, *rows])
+        text, sidecar = fh.getvalue(), _dumps({**manifest, "csv_schema": schema}) + "\n"
     if args.output:
-        _write_text(args.output, fh.getvalue())
-        _write_text(args.output + ".manifest.json", manifest + "\n")
+        _write_text(args.output, text)
+        if sidecar:
+            _write_text(args.output + ".manifest.json", sidecar)
     else:
-        print(manifest, file=sys.stderr)
+        sys.stdout.write(text)
+        sys.stderr.write(sidecar)
 
 
 def _resolve_beta(args) -> float:
@@ -177,21 +183,21 @@ def _add_thermal_arguments(parser: argparse.ArgumentParser):
     return group
 
 
-def _float_list(text: str) -> list[float]:
+def _list_of(kind, name: str, text: str) -> list:
+    """The comma-separated `kind` values in `text`, empty parts skipped; a
+    bad part is an argparse error that names the `name` expected. Bound to
+    a kind below, it is an argparse type."""
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        return [kind(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected comma-separated {name}, got {text!r}") from exc
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+_float_list = functools.partial(_list_of, float, "floats")
+_int_list = functools.partial(_list_of, int, "integers")
 
 
-def cmd_expectation(args) -> int:
+def cmd_expectation(args) -> dict:
     spec = load_hypergraph(args.graph)
     beta = _resolve_beta(args)
     _check_epsilon(args.epsilon)
@@ -221,11 +227,10 @@ def cmd_expectation(args) -> int:
         result["fine_bound"] = bounds.fine_bound
         result["coarse_bound"] = bounds.coarse_bound
         result["union_bound"] = bounds.union_bound
-    _emit_json(args, result)
-    return 0
+    return result
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     if args.trials < 1:
         raise ValueError(f"need at least one trial, got {args.trials}")
     spec = load_hypergraph(args.graph)
@@ -258,11 +263,10 @@ def cmd_verify(args) -> int:
     rate_bound = hits_bound / args.trials if fine is not None else None
     rows.append(["summary", None, None, None, None, None, None, expectation, fid, None,
                  None, None, hits_epsilon / args.trials, rate_bound, 1.0 - args.delta])
-    _emit_csv(args, "verify-v1", header, rows)
-    return 0
+    return "verify-v1", header, rows
 
 
-def cmd_curves(args) -> int:
+def cmd_curves(args) -> tuple:
     if not args.sizes:
         raise ValueError("need at least one size")
     for n in args.sizes:
@@ -281,13 +285,11 @@ def cmd_curves(args) -> int:
             beta = 1.0 / temperature
             rows.append([n, temperature, flip_probability(beta), fidelity(n, beta),
                          half_weight_expectation(n, beta), union_bound(n, beta)])
-    _emit_csv(args, "curves-v1", header, rows)
-    return 0
+    return "curves-v1", header, rows
 
 
-def cmd_sweep_wt(args) -> int:
-    n = args.n
-    _check_sites(n, even_from=2, need="sweep requires")
+def cmd_sweep_wt(args) -> tuple:
+    n = _check_sites(args.n, even_from=2, need="sweep requires")
     if not args.betas:
         raise ValueError("need at least one beta")
     header = ["n", "beta", "wt", "expectation", "fidelity", "deviation",
@@ -303,11 +305,10 @@ def cmd_sweep_wt(args) -> int:
         for dev, wt, expectation in deviations:
             rows.append([n, beta, wt, expectation, fid, dev,
                          deviation_leading_order(n, wt, beta), wt == argmin_wt])
-    _emit_csv(args, "sweep-wt-v1", header, rows)
-    return 0
+    return "sweep-wt-v1", header, rows
 
 
-def cmd_identities(args) -> int:
+def cmd_identities(args) -> dict:
     reports = {
         "odd": check_odd(args.kmax),
         "even": check_even(args.kmax),
@@ -320,13 +321,12 @@ def cmd_identities(args) -> int:
         "failures": failures,
         "checks": {name: rep.ok for name, rep in reports.items()},
     }
-    _emit_json(args, result)
     if failures:
-        raise CheckFailure(f"{len(failures)} identity checks failed")
-    return 0
+        raise CheckFailure(f"{len(failures)} identity checks failed", result)
+    return result
 
 
-def cmd_oracle_check(args) -> int:
+def cmd_oracle_check(args) -> dict:
     if not args.tolerance >= 0.0:
         raise ValueError(f"tolerance must be >= 0, got {args.tolerance}")
     if not 2 <= args.nmax <= MAX_DENSITY_N:
@@ -358,13 +358,10 @@ def cmd_oracle_check(args) -> int:
         "tolerance": args.tolerance,
         "ok": worst <= args.tolerance,
     }
-    _emit_json(args, result)
     if worst > args.tolerance:
-        raise CheckFailure(
-            f"closed form deviates from the dense oracle by {worst:.3e} "
-            f"(tolerance {args.tolerance:.1e})"
-        )
-    return 0
+        raise CheckFailure(f"closed form deviates from the dense oracle by {worst:.3e} "
+                           f"(tolerance {args.tolerance:.1e})", result)
+    return result
 
 
 def _estimate_from_report(path: str) -> float:
@@ -386,7 +383,7 @@ def _estimate_from_report(path: str) -> float:
         raise ValueError(f"f_est in report {path} does not fit a float") from None
 
 
-def cmd_certify_iqp(args) -> int:
+def cmd_certify_iqp(args) -> dict:
     config = ProtocolConfig(epsilon=args.epsilon, delta=args.delta,
                             n_samples=args.samples, seed=args.seed)
     result: dict = {}
@@ -395,20 +392,19 @@ def cmd_certify_iqp(args) -> int:
         f_est = _estimate_from_report(args.report)
     elif f_est is None:
         beta = _resolve_beta(args)
-        n = _check_sites(args.n, even_from=4, need="family requires")
+        n = _check_selector_sites(_check_sites(args.n, even_from=4, need="family requires"))
         member = HypergraphSpec(n)  # the triples cancel in closed form (optimal_setting)
         report = run_protocol(member, stabilizer_product(member, "01" * (n // 2)), beta, config)
         f_est = report.f_est
         result["report"] = report.to_dict()
     result["decision"] = certify(f_est, args.n, allow_small_n=args.allow_small_n).to_dict()
     result["l1_target"] = L1_TARGET
-    _emit_json(args, result)
-    return 0
+    return result
 
 
-def cmd_estimate_temperature(args) -> int:
+def cmd_estimate_temperature(args) -> dict:
     beta = invert_temperature(args.n, args.f_est, from_fidelity=args.from_fidelity)
-    result = {
+    return {
         "n": args.n,
         "observed": args.f_est,
         "mode": "fidelity" if args.from_fidelity else "expectation",
@@ -416,8 +412,6 @@ def cmd_estimate_temperature(args) -> int:
         "temperature": math.inf if beta == 0.0 else 1.0 / beta,
         "p_flip": flip_probability(beta),
     }
-    _emit_json(args, result)
-    return 0
 
 
 @functools.cache
@@ -530,16 +524,21 @@ def _parse(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse(argv)
     try:
-        return args.func(args)
-    except CheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 3
+        try:
+            record, failure = args.func(args), None
+        except CheckFailure as exc:
+            record, failure = exc.record, exc
+        _emit(args, record)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
+    if failure is None:
+        return 0
+    print(f"check failed: {failure}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

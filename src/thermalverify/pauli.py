@@ -27,6 +27,7 @@ printing a word is O(n) as well.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,15 +99,23 @@ def parse_setting(setting, n: int | None = None) -> tuple[int, ...]:
     return tuple(_setting_bytes(setting, n))
 
 
+def _check_selector_sites(n: int) -> int:
+    """n, if a selector of n entries can be built: n < sys.maxsize, so that
+    the n + 1 entry array of _normal_form has an index-sized length."""
+    if n >= sys.maxsize:
+        raise ValueError(f"need n < {sys.maxsize} (sys.maxsize) to build a selector, got {n}")
+    return n
+
+
 def leading_half_setting(n: int) -> tuple[int, ...]:
     """The selector 1^(n/2) 0^(n/2); requires even n >= 2."""
-    n = _check_sites(n, even_from=2, need="half-weight selector needs")
+    n = _check_selector_sites(_check_sites(n, even_from=2, need="half-weight selector needs"))
     return (1,) * (n // 2) + (0,) * (n // 2)
 
 
 def alternating_setting(n: int) -> tuple[int, ...]:
     """The selector 0101...01 picking every even site; requires even n >= 2."""
-    n = _check_sites(n, even_from=2, need="alternating selector needs")
+    n = _check_selector_sites(_check_sites(n, even_from=2, need="alternating selector needs"))
     return (0, 1) * (n // 2)
 
 

@@ -1,4 +1,5 @@
 import re
+import sys
 import tracemalloc
 from itertools import chain
 
@@ -491,6 +492,13 @@ class TestSelectors:
     ])
     def test_canned_selectors_reject_bad_site_counts(self, build, n, error, match):
         with pytest.raises(error, match=match):
+            build(n)
+
+    @pytest.mark.parametrize("build", [alternating_setting, leading_half_setting])
+    @pytest.mark.parametrize("n", [10**30, sys.maxsize + 1])
+    def test_canned_selectors_reject_an_n_past_the_index_limit(self, build, n):
+        # an even n that fits a float but leaves no index for the n + 1 entry array
+        with pytest.raises(ValueError, match=rf"need n < {sys.maxsize} \(sys\.maxsize\)"):
             build(n)
 
 
