@@ -532,6 +532,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # an n that fits an index but not memory
+        print("error: the input needs more memory than is available", file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3

@@ -24,15 +24,17 @@ the arrays, built on first read. The setting reductions in pauli and the
 statevector builder in oracle read the arrays and never build the views.
 
 load_hypergraph reads a graph file by one of two routes. The byte route
-takes the layout json.dumps writes for to_dict(), in any JSON whitespace:
-it checks the file's structure with whole-buffer bytes operations and
-parses each edge array with np.fromstring into the int64 rows the
-constructor validates, building no Python object per edge. Every other
-document (other key orders, other value types, anything malformed) takes
-the JSON route: json.loads with the garbage collector paused, then the
-dict checks. to_dict pauses it too, while it builds one list per edge. A
-document the byte route takes loads to the spec, or raises the error, that
-json.loads of it would give.
+takes the layout json.dumps writes for to_dict(), in any JSON whitespace.
+It parses first: each edge array goes through np.fromstring into int64
+values, and the number of values gives the array's edge count. It checks
+after: the file's structure must be exactly the one those counts imply,
+compared with bytes.count and startswith, which copy nothing. The rows go
+to the constructor, which validates them; no Python object is built per
+edge. Every other document (other key orders, other value types, anything
+malformed) takes the JSON route: json.loads with the garbage collector
+paused, then the dict checks. to_dict pauses it too, while it builds one
+list per edge. A document the byte route takes loads to the spec, or
+raises the error, that json.loads of it would give.
 """
 from __future__ import annotations
 
@@ -58,6 +60,8 @@ def _canonical_edge(edge, n: int, arity: int) -> tuple[int, ...]:
             raise ValueError(f"{name} {tuple(edge)} has non-integer vertex {v!r}")
         if not 1 <= v <= n:
             raise ValueError(f"{name} {tuple(edge)} has vertex {v} outside 1..{n}")
+        if v > 2**63 - 1:  # the rows are int64
+            raise ValueError(f"{name} {tuple(edge)} has vertex {v} past the int64 limit 2**63 - 1")
     if len(set(vertices)) != arity:
         raise ValueError(f"{name} {tuple(edge)} has repeated vertices")
     return tuple(sorted(vertices))
@@ -200,21 +204,6 @@ _JSON_TYPES = {dict: "object", str: "string", bool: "boolean", int: "number",
                float: "number", type(None): "null"}
 
 
-def _array_edge_count(skeleton: bytes, start: int, stop: int, arity: int) -> int | None:
-    """m if skeleton[start:stop] is [] (m = 0) or m comma-joined [,] or
-    [,,] inside [ ], else None."""
-    if stop == start + 2 and skeleton.startswith(b"[]", start):
-        return 0
-    unit = b"[,]," if arity == 2 else b"[,,],"
-    m, extra = divmod(stop - start - 1, len(unit))
-    tail = stop - len(unit)  # the last edge, without its comma, and the closing ]
-    if (extra or m < 1 or not skeleton.startswith(b"[", start)
-            or not skeleton.startswith(unit[:-1] + b"]", tail)):
-        return None
-    # m - 1 non-overlapping units in m - 1 units' length tile the middle
-    return m if skeleton.count(unit, start + 1, tail) == m - 1 else None
-
-
 def _layout_rows(data: bytes) -> tuple[int, dict] | None:
     """(n, edges) of a document in the layout to_dict() writes, parsed with
     whole-buffer operations, or None to decline it; edges maps "e2" and
@@ -222,16 +211,22 @@ def _layout_rows(data: bytes) -> tuple[int, dict] | None:
 
     The layout is {"n": N, "e2": [[i, j], ...], "e3": [[i, j, k], ...]}:
     the edge keys optional but in that order, no other string, and JSON
-    whitespace anywhere between tokens. Its skeleton (the bytes without
-    digits and whitespace) must be exactly the layout's. No digit may sit
-    just outside a bracket: the skeleton cannot see a digit moved out of
-    its slot, and deleting the brackets would join it to a neighbour. Each
-    array without its brackets goes through np.fromstring, which rejects
-    two numbers in one slot but takes 01 and values beyond int64
-    (saturated) and reads a blank slot as 0. So the route also requires
-    arity * m values, all in 1..10**18 - 1 (vertex 0 is invalid anyway),
-    and exactly as many digits in the file as the canonical spellings of
-    n, of the key digits and of the values have.
+    whitespace anywhere between tokens.
+
+    Parse first. Each array, without its outer whitespace and then without
+    its brackets, goes through np.fromstring, which rejects two numbers in
+    one slot but takes 01 and values beyond int64 (saturated) and reads a
+    blank slot as 0 (so [ ] must lose its space first). The value count
+    gives the array's edge count m.
+
+    Check after. The skeleton (the bytes without digits and whitespace)
+    must be exactly the one those counts imply: {"n":, then for each key
+    ,"e":[ with m comma-joined edge units [,] or [,,] and ], then }. The
+    skeleton cannot see a digit moved out of its slot, and deleting the
+    brackets would join it to a neighbour, so no digit may sit just outside
+    a bracket. The values must all lie in 1..10**18 - 1 (vertex 0 is
+    invalid anyway), and the file must hold exactly as many digits as the
+    canonical spellings of n, of the key digits and of the values have.
     """
     quote = data.find(b'"')
     if not data.startswith(b'"n"', quote):
@@ -247,47 +242,40 @@ def _layout_rows(data: bytes) -> tuple[int, dict] | None:
     if b"0[" in squeezed or b"]0" in squeezed:
         return None
     skeleton = squeezed.translate(None, b"0")
-    digits = len(squeezed) - len(skeleton)
+    digits = len(squeezed) - len(skeleton) - len(keys)  # the keys hold one digit each
     del squeezed
-    if not (skeleton.startswith(b'{"n":') and skeleton.endswith(b"}")):
-        return None
-    at, counts = 5, []  # at: the comma before each edge key, then the closing brace
-    for arity, _ in keys:
-        if not skeleton.startswith(b',"e":', at):
+    edges, at = {}, 5  # at: the comma before each edge key in the skeleton, then its }
+    for (arity, key_at), end in zip(keys, [at for _, at in keys[1:]] + [len(data)]):
+        try:
+            first = data.index(b"[", key_at, end)
+            last = data.rindex(b"]", first, end)
+            # one chain, so the slice is freed before np.fromstring runs
+            text = data[first + 1:last].strip(_JSON_SPACE).translate(None, b"[]")
+            values = np.fromstring(text, dtype=np.int64, sep=",")
+        except ValueError:  # no array, two numbers in one slot, or an empty slot
             return None
-        stop = skeleton.find(b'"', at + 5)  # the next key's quote, after its comma
-        stop = len(skeleton) - 1 if stop < 0 else stop - 1
-        m = _array_edge_count(skeleton, at + 5, stop, arity)
-        if m is None:
+        m, extra = divmod(values.size, arity)
+        unit = b"[" + b"," * (arity - 1) + b"],"  # one edge and its comma
+        rest, close = (m - 1, unit[:-1] + b"]") if m else (0, b"]")  # close: last edge and ]
+        tail = at + 6 + len(unit) * rest  # rest non-overlapping units in rest units' length tile
+        if (extra or not skeleton.startswith(b',"e":[', at) or not skeleton.startswith(close, tail)
+                or skeleton.count(unit, at + 6, tail) != rest):
             return None
-        counts.append(m)
-        at = stop
-    if at != len(skeleton) - 1:
+        at = tail + len(close)
+        if m:  # an empty array is the spec's default
+            top = int(values.max())
+            if values.min() < 1 or top >= 10 ** 18:
+                return None
+            powers = _POWERS_OF_TEN[:len(str(top)) - 1]
+            digits -= values.size + int(np.searchsorted(powers, values, "right").sum())
+            edges[f"e{arity}"] = values.reshape(m, arity)
+    if not (skeleton.startswith(b'{"n":') and skeleton.endswith(b"}") and len(skeleton) == at + 1):
         return None
     colon = data.index(b":")
     token = data[colon + 1:data.index(b"," if keys else b"}", colon)].strip(_JSON_SPACE)
     if not token.isdigit() or len(token) > 18 or (token[:1] == b"0" and len(token) > 1):
         return None
-    digits -= len(token) + len(keys)
-    edges = {}
-    for (arity, key_at), m, end in zip(keys, counts, [at for _, at in keys[1:]] + [len(data)]):
-        if not m:  # an empty array: the spec's default
-            continue
-        first = data.index(b"[", key_at)
-        text = data[first:data.rindex(b"]", first, end) + 1].translate(None, b"[]")
-        try:
-            values = np.fromstring(text, dtype=np.int64, sep=",")
-        except ValueError:  # two numbers in one slot, or an empty slot between commas
-            return None
-        if values.size != arity * m:
-            return None
-        top = int(values.max())
-        if values.min() < 1 or top >= 10 ** 18:
-            return None
-        powers = _POWERS_OF_TEN[:len(str(top)) - 1]
-        digits -= values.size + int(np.searchsorted(powers, values, "right").sum())
-        edges[f"e{arity}"] = values.reshape(m, arity)
-    return (int(token), edges) if digits == 0 else None
+    return (int(token), edges) if digits == len(token) else None  # n's digits are the rest
 
 
 def load_hypergraph(source) -> HypergraphSpec:

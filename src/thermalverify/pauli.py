@@ -202,8 +202,9 @@ def _normal_form(spec, setting) -> tuple[int, int, int, frozenset]:
     Every pair (a, b) comes from an ascending edge row, so 1 <= a < b <= n.
     """
     n = spec.n
+    bits = _setting_bytes(setting, n)  # checked before the n + 1 entry array is allocated
     s = np.zeros(n + 1, dtype=bool)  # s[v] is the bit of site v
-    s[1:] = np.frombuffer(_setting_bytes(setting, n), dtype=np.uint8)
+    s[1:] = np.frombuffer(bits, dtype=np.uint8)
     toggled = []  # one entry per linear-term toggle
     inside = 0
     quadratic = frozenset()

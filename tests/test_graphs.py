@@ -239,6 +239,9 @@ MULTI_EDGE_CASES = {
     "int ndarray, wrong arity": (5, 2, np.array([[1, 2, 3]])),
     "uint64 ndarray beyond int64": (5, 2, np.array([[1, 2**64 - 1]], dtype=np.uint64)),
     "bool ndarray": (3, 2, np.array([[True, False]])),
+    "vertex past int64, n past it too": (2**70, 2, [(1, 2), (1, 2**64)]),
+    "uint64 ndarray past int64, n past it too": (2**70, 3, np.array([[1, 2, 2**64 - 1]],
+                                                                    dtype=np.uint64)),
 }
 
 
@@ -434,6 +437,8 @@ BYTE_ROUTE_LAYOUTS = {
     "repeated vertex": '{"n": 3, "e3": [[1, 2, 2]]}',
     "n = 0": '{"n": 0}',
     "18-digit n": '{"n": 999999999999999999}',
+    "empty array written [ ]": '{"n": 3, "e2": [ ]}',
+    "empty array written [newline]": '{"n": 3, "e2": [\n], "e3": [[1, 2, 3]]}',
 }
 DECLINED_LAYOUTS = {
     "space inside a number": '{"n": 30, "e2": [[1 2, 3]]}',
@@ -443,6 +448,20 @@ DECLINED_LAYOUTS = {
     "negative vertex": '{"n": 3, "e2": [[-1, 2]]}',
     "trailing comma": '{"n": 3, "e2": [[1, 2],]}',
     "trailing comma in an edge": '{"n": 3, "e2": [[1, 2,]]}',
+    "trailing comma before a later key": '{"n": 3, "e2": [[1, 2],], "e3": []}',
+    "two values, one edge's worth, grouped wrongly": '{"n": 3, "e2": [[1],[2]]}',
+    "no comma between edges": '{"n": 4, "e2": [[1,2][3,4]]}',
+    "three vertices in an edge": '{"n": 3, "e2": [[1,2,3]]}',
+    "stray digit after the closing brace": '{"n": 3, "e2": [[1, 2]]}5',
+    "a bare vertex for an edge": '{"n": 3, "e2": [5]}',
+    "first edge short, its vertex outside it": '{"n": 4, "e2": [[1], 2, [3, 4]]}',
+    "last edge short, its vertex outside it": '{"n": 4, "e2": [[1, 2], [3], 4]}',
+    "comma for the colon after a key": '{"n": 3, "e2", [[1, 2]]}',
+    "trailing comma in the object": '{"n": 3, "e2": [[1, 2]],}',
+    "brace for the closing bracket": '{"n": 3, "e2": [[1, 2]}]',
+    "bracket for the opening brace": '["n": 3, "e2": [[1, 2]]}',
+    "bracket for the closing brace": '{"n": 3, "e2": [[1, 2]]]',
+    "bracket for the closing brace, no edges": '{"n": 3]',
     "true": '{"n": 3, "e2": [[1, 2], [2, true]]}',
     "float": '{"n": 3, "e2": [[1.0, 2]]}',
     "exponent": '{"n": 3, "e2": [[1e3, 2]]}',

@@ -542,6 +542,8 @@ def canonical_edge_reference(edge, n: int, arity: int) -> tuple[int, ...]:
             raise ValueError(f"{name} {tuple(edge)} has non-integer vertex {v!r}")
         if not 1 <= v <= n:
             raise ValueError(f"{name} {tuple(edge)} has vertex {v} outside 1..{n}")
+        if v > 2**63 - 1:  # the rows are int64
+            raise ValueError(f"{name} {tuple(edge)} has vertex {v} past the int64 limit 2**63 - 1")
     if len(set(vertices)) != arity:
         raise ValueError(f"{name} {tuple(edge)} has repeated vertices")
     return tuple(sorted(vertices))
