@@ -1,8 +1,7 @@
 """Command-line surface: reproducible runs emitting JSON records and CSV sweeps.
 
 Each command is a function from the parsed arguments to its record, and
-writes nothing; `main` hands the record to the one writer (_emit), also
-when a check fails (CheckFailure carries the record, exit 3). A result
+writes nothing; `main` hands the record to the one writer (_emit). A result
 dict is printed as the JSON document {"manifest": ..., "result": ...}; a
 (schema, header, rows) table is written as plain CSV (schema documented in
 the README, column order stable) with the manifest in a sidecar file next
@@ -26,9 +25,13 @@ runs only for help, an empty argv or an unknown subcommand. certify-iqp
 reduces the family member without two-vertex edges as the edgeless spec,
 so it builds no triples; an in-process `certify-iqp --n 2000 --samples
 2000` then costs 0.17-0.18 ms (median of 250 calls, three runs, 2-core VM;
-0.23-0.24 ms through build_family and optimal_setting).
+0.23-0.24 ms through build_family and optimal_setting). The bound certify
+reports assumes epsilon = EPSILON_FULL_SCALE and at least the shots that
+epsilon needs at the run's delta, so outside --allow-small-n certify-iqp
+refuses any other budget: its own, and the one a --report file states.
 
-Exit codes: 0 success, 2 invalid input, 3 internal check failure.
+Exit codes: 0 success, 2 invalid input, 3 a RuntimeError raised by an
+internal check.
 """
 from __future__ import annotations
 
@@ -45,25 +48,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .graphs import HypergraphSpec, load_hypergraph, ring_graph
-from .identities import check_alternating, check_even, check_odd
-from .oracle import MAX_DENSITY_N, dense_expectation, thermal_density
+from .graphs import HypergraphSpec, load_hypergraph
 from .pauli import _check_selector_sites, alternating_setting, parse_setting, stabilizer_product
 from .sampler import ProtocolConfig, check_error_bound, run_protocol
 from .supremacy import EPSILON_FULL_SCALE, L1_TARGET, certify
 from .thermal import (_check_beta, _check_epsilon, _check_sites, beta_from_temperature,
                       deviation_leading_order, error_bounds, fidelity, flip_probability,
-                      half_weight_expectation, invert_temperature, setting_expectation,
-                      union_bound)
-
-
-class CheckFailure(RuntimeError):
-    """An internal consistency check did not hold (exit code 3); `record`
-    is the command's result, which is written all the same."""
-
-    def __init__(self, message: str, record: dict):
-        super().__init__(message)
-        self.record = record
+                      half_weight_expectation, invert_temperature, sample_size,
+                      setting_expectation, union_bound)
 
 
 def _manifest(args: argparse.Namespace) -> dict:
@@ -308,65 +300,12 @@ def cmd_sweep_wt(args) -> tuple:
     return "sweep-wt-v1", header, rows
 
 
-def cmd_identities(args) -> dict:
-    reports = {
-        "odd": check_odd(args.kmax),
-        "even": check_even(args.kmax),
-        "alternating": check_alternating(args.kmax),
-    }
-    failures = [list(f) for rep in reports.values() for f in rep.failures]
-    result = {
-        "k_max": args.kmax,
-        "ok": not failures,
-        "failures": failures,
-        "checks": {name: rep.ok for name, rep in reports.items()},
-    }
-    if failures:
-        raise CheckFailure(f"{len(failures)} identity checks failed", result)
-    return result
-
-
-def cmd_oracle_check(args) -> dict:
-    if not args.tolerance >= 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {args.tolerance}")
-    if not 2 <= args.nmax <= MAX_DENSITY_N:
-        raise ValueError(
-            f"oracle check supports nmax in [2, {MAX_DENSITY_N}], got {args.nmax}: each n "
-            f"checks all 2^n selectors against the dense thermal state, which is "
-            f"limited to n <= {MAX_DENSITY_N} (oracle.MAX_DENSITY_N)"
-        )
-    if not args.betas:
-        raise ValueError("need at least one beta")
-    worst = 0.0
-    checked = 0
-    for n in range(2, args.nmax + 1):
-        graph = ring_graph(n) if n >= 3 else HypergraphSpec(2, e2={(1, 2)})
-        words = [(stabilizer_product(graph, [(selector >> b) & 1 for b in range(n)]),
-                  selector.bit_count()) for selector in range(1 << n)]
-        for beta in args.betas:
-            rho = thermal_density(graph, beta)
-            for word, weight in words:
-                exact = dense_expectation(rho, word)
-                closed = setting_expectation(n, weight, beta)
-                worst = max(worst, abs(exact - closed))
-                checked += 1
-    result = {
-        "n_max": args.nmax,
-        "betas": args.betas,
-        "settings_checked": checked,
-        "max_abs_error": worst,
-        "tolerance": args.tolerance,
-        "ok": worst <= args.tolerance,
-    }
-    if worst > args.tolerance:
-        raise CheckFailure(f"closed form deviates from the dense oracle by {worst:.3e} "
-                           f"(tolerance {args.tolerance:.1e})", result)
-    return result
-
-
-def _estimate_from_report(path: str) -> float:
-    """Pull f_est out of a previously emitted JSON document (a serialized
-    VerificationReport, or any record nesting one under "result"/"report")."""
+def _read_report(path: str, n: int, budget: dict) -> tuple[float, dict]:
+    """f_est of a previously emitted JSON document (a serialized
+    VerificationReport, or any record nesting one under "result"/"report"),
+    and `budget` with whichever of its keys (epsilon, delta, n_samples) sit
+    next to f_est taken from the document. A result.decision.n in the
+    document must equal n."""
     doc = json.loads(Path(path).read_bytes().decode("utf-8"))  # JSON is UTF-8
     node = doc
     for key in ("result", "report"):
@@ -374,23 +313,45 @@ def _estimate_from_report(path: str) -> float:
             node = node[key]
     if not isinstance(node, dict) or "f_est" not in node:
         raise ValueError(f"no f_est field found in report {path}")
-    f_est = node["f_est"]
-    if type(f_est) not in (int, float):  # bool is not a JSON number
-        raise ValueError(f"f_est in report {path} is not a JSON number: {json.dumps(f_est)}")
+    stated = {key: node[key] for key in ("f_est", *budget) if key in node}
+    for key, value in stated.items():
+        kinds, kind = ((int,), "integer") if key == "n_samples" else ((int, float), "number")
+        if type(value) not in kinds:  # bool is not a JSON number
+            raise ValueError(f"{key} in report {path} is not a JSON {kind}: {json.dumps(value)}")
+    found = doc
+    for key in ("result", "decision", "n"):
+        found = found.get(key) if isinstance(found, dict) else None
+    if found is not None and found != n:
+        raise ValueError(f"report {path} is for n = {json.dumps(found)}, not --n {n}")
     try:
-        return float(f_est)
+        return float(stated.pop("f_est")), {**budget, **stated}
     except OverflowError:
         raise ValueError(f"f_est in report {path} does not fit a float") from None
+
+
+def _check_full_scale_budget(epsilon, delta, n_samples, source: str) -> None:
+    """Refuse a budget that certify's bound does not cover: it assumes
+    epsilon = EPSILON_FULL_SCALE and at least sample_size(EPSILON_FULL_SCALE,
+    delta) shots, 10 596 634 733 097 at delta = 0.01. `source` prefixes the
+    error, naming where the budget was stated."""
+    need = sample_size(EPSILON_FULL_SCALE, delta)
+    if epsilon != EPSILON_FULL_SCALE or n_samples < need:
+        raise ValueError(f"{source}the full-scale bound needs epsilon {EPSILON_FULL_SCALE!r} and "
+                         f"at least {need} shots at delta {delta!r}, got epsilon {epsilon!r} and "
+                         f"{n_samples} shots; pass --allow-small-n to evaluate anyway")
 
 
 def cmd_certify_iqp(args) -> dict:
     config = ProtocolConfig(epsilon=args.epsilon, delta=args.delta,
                             n_samples=args.samples, seed=args.seed)
+    budget = dict(epsilon=args.epsilon, delta=args.delta, n_samples=config.resolved_samples())
     result: dict = {}
     f_est = args.f_est
     if args.report is not None:
-        f_est = _estimate_from_report(args.report)
-    elif f_est is None:
+        f_est, budget = _read_report(args.report, args.n, budget)
+    if not args.allow_small_n:
+        _check_full_scale_budget(**budget, source=f"report {args.report}: " if args.report else "")
+    if f_est is None:
         beta = _resolve_beta(args)
         n = _check_selector_sites(_check_sites(args.n, even_from=4, need="family requires"))
         member = HypergraphSpec(n)  # the triples cancel in closed form (optimal_setting)
@@ -419,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermalverify",
         description="Single-setting fidelity estimation for thermal graph and "
-                    "hypergraph states: closed forms, Monte-Carlo protocol runs, "
-                    "brute-force oracles, and certified-sampling decisions.",
+                    "hypergraph states: closed forms, Monte-Carlo protocol runs "
+                    "and certified-sampling decisions.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -462,18 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated inverse temperatures")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sweep_wt)
-
-    p = sub.add_parser("identities", help="exact combinatorial identity checks")
-    p.add_argument("--kmax", type=int, default=40)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_identities)
-
-    p = sub.add_parser("oracle-check", help="closed forms vs dense thermal oracle")
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--betas", type=_float_list, default="0.2,0.5,1.0,2.0")
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("certify-iqp", help="accept/reject rule for certified sampling")
     p.add_argument("--n", type=int, required=True)
@@ -524,11 +473,7 @@ def _parse(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse(argv)
     try:
-        try:
-            record, failure = args.func(args), None
-        except CheckFailure as exc:
-            record, failure = exc.record, exc
-        _emit(args, record)
+        _emit(args, args.func(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -538,11 +483,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
-    if failure is None:
-        return 0
-    print(f"check failed: {failure}", file=sys.stderr)
-    return 3
-
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,21 +1,13 @@
-"""Dense brute-force ground truth at small qubit counts.
+"""Statevectors at small qubit counts, for the X-basis sampler.
 
 A pure state is its float64 amplitude vector: the CZ/CCZ sign pattern of a
 HypergraphSpec's edge arrays (CZ only, for a graph) applied to the uniform
 superposition, returned as built, up to n = 24 (MAX_STATEVECTOR_N, also the
-cap of the X-basis functions in supremacy). The thermal state is its
-float64 density matrix: the explicit phase-flip mixture, one real GEMM over
-a 2^n x 2^n matrix of weighted sign-flipped states, at n = 12 about 1 s and
-a 256 MiB tracemalloc peak on a 2-core VM. It is a weighted Gram matrix
-with unit trace by construction, so it is returned as built, and tests
-check those properties on the matrix itself. dense_expectation reads
-Tr[rho P] for a PauliString P off that matrix, the one dense expectation
-oracle-check and the acceptance gate take; it checks the operator type and
-the matrix shape of its outside input. The second, independent route to the
-same state (the Gibbs exponential of the generator Hamiltonian, n <= 10),
-the X-times-diagonal normal form StabilizerProduct with its coefficient
-map, the statevector operator map and the stabilizer check are references
-only tests compare against; they live in tests/util_dense.py.
+cap of the X-basis functions in supremacy). The dense thermal mixture, the
+Gibbs exponential of the generator Hamiltonian, the X-times-diagonal
+normal form StabilizerProduct with its coefficient map, the statevector
+operator map and the stabilizer check are references only tests compare
+against; they live in tests/util_oracle.py and tests/util_dense.py.
 
 A Kronecker power m^(x)n of a symmetric 2x2 matrix (the Hadamard transform
 and the thermal flip mix, both applied by supremacy's X-basis functions)
@@ -32,23 +24,11 @@ from functools import cache
 
 import numpy as np
 
-from .pauli import PauliString
-from .thermal import flip_probability
-
 MAX_STATEVECTOR_N = 24
-MAX_DENSITY_N = 12
 
 # Most bits one Kronecker pass transforms: 5 (32 x 32 factors) was fastest
 # at n in {10, 16, 20, 24}, with one BLAS thread and with two.
 _PASS_BITS = 5
-
-
-def _indices(n: int) -> np.ndarray:
-    return np.arange(1 << n, dtype=np.uint32)
-
-
-def _signs(values: np.ndarray, mask: int) -> np.ndarray:
-    return 1.0 - 2.0 * (np.bitwise_count(values & np.uint32(mask)) & 1)
 
 
 def _ones_view(block: np.ndarray, bits) -> np.ndarray:
@@ -84,45 +64,12 @@ def build_pure_state(spec) -> np.ndarray:
         low, high = amps[: 1 << (v - 1)], amps[1 << (v - 1): 1 << v]
         high[...] = low
         for bits in others[v]:
+            # NumPy 2.4 miscomputes np.negative(v, out=v) when the view v
+            # has an inner element stride of 8 (4 for float32); a view here
+            # fixes at most two bits, so its inner stride is 1, 2 or 4
             flipped = _ones_view(high, bits)
             np.negative(flipped, out=flipped)
     return amps
-
-
-def thermal_density(spec, beta: float) -> np.ndarray:
-    """Thermal state as the explicit phase-flip mixture: the float64
-    2^n x 2^n matrix of the sum over all error masks of
-    Pr(mask) * Z_mask |psi><psi| Z_mask, returned as built (see the module
-    docstring)."""
-    if spec.n > MAX_DENSITY_N:
-        raise ValueError(f"density mixture limited to n <= {MAX_DENSITY_N}, got {spec.n}")
-    psi = build_pure_state(spec)
-    p = flip_probability(beta)
-    idx = _indices(spec.n)
-    m = np.bitwise_count(idx)
-    # row `mask` of v is sqrt(Pr(mask)) * Z_mask psi, so v.T @ v is the mixture
-    v = _signs(idx[:, None], idx) * (np.sqrt(p**m * (1.0 - p) ** (spec.n - m))[:, None] * psi)
-    return v.T @ v
-
-
-def dense_expectation(rho, op) -> float:
-    """Tr[rho * P] for a 2^n x 2^n density matrix rho, such as
-    thermal_density returns, and a PauliString P. P acts on a basis state as
-    P|z> = c[z] |z ^ x_mask> with c[z] = sign * i^|X&Z| * (-1)^(z.Z), so the
-    trace is the sum of c[z] rho[z, z ^ x_mask]."""
-    if not isinstance(op, PauliString):
-        raise TypeError(f"unsupported operator type {type(op).__name__}")
-    rho = np.asarray(rho)
-    dim = 1 << op.n
-    if rho.shape != (dim, dim):
-        raise ValueError(f"operator on {op.n} sites needs a {dim}x{dim} density matrix, "
-                         f"got shape {rho.shape}")
-    idx = _indices(op.n)
-    coefficients = op.sign * (1j) ** ((op.x_mask & op.z_mask).bit_count()) * _signs(idx, op.z_mask)
-    value = np.sum(rho[idx, idx ^ np.uint32(op.x_mask)] * coefficients)
-    if not abs(value.imag) <= 1e-10:
-        raise RuntimeError(f"expectation has imaginary residue {value.imag:.3e}")
-    return float(value.real)
 
 
 @cache

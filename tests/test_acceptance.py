@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 from thermalverify import (HypergraphSpec, ProtocolConfig, build_family, build_pure_state,
-                           certify, check_alternating, check_error_bound, check_even,
-                           check_odd, dense_expectation, error_bounds, fidelity,
+                           certify, check_error_bound, error_bounds, fidelity,
                            half_weight_expectation, invert_temperature, optimal_setting,
                            ring_graph, run_protocol, sample_size, setting_expectation,
-                           signed_pattern_count, stabilizer_product,
-                           thermal_density, leading_half_setting)
+                           stabilizer_product, leading_half_setting)
 from thermalverify.cli import main
 from util_dense import boltzmann_density, stabilizer_check
+from util_identities import check_alternating, check_even, check_odd, signed_pattern_count
+from util_oracle import dense_expectation, thermal_density
 
 GOLDEN_CURVES = Path(__file__).parent / "golden" / "curves_n50_100.csv"
 

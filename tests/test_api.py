@@ -1,29 +1,33 @@
 """The package's public surface, pinned: thermalverify.__all__ is exactly
 PUBLIC, the names that a CLI subcommand, tests/test_acceptance.py or the
 README's "Library quick start" reach from the package. A test-only
-reference belongs in tests/util_dense.py, not here: the acceptance gate
-imports the dense checks no command reaches (boltzmann_density,
-stabilizer_check) from there. The CI job imports this module from outside
+reference belongs in the test helpers, not here: the acceptance gate
+imports the checks the protocol never runs (boltzmann_density and
+stabilizer_check from tests/util_dense.py, the identities from
+tests/util_identities.py, thermal_density and dense_expectation from
+tests/util_oracle.py) from there. The CI job imports this module from outside
 the checkout to check the installed package against the same set."""
+import importlib
 from pathlib import Path
 
+import pytest
+
 import thermalverify
-from thermalverify import (HypergraphSpec, IdentityReport, PauliString, VerificationReport,
-                           graphs, oracle, pauli, sampler, supremacy, thermal)
+from thermalverify import (HypergraphSpec, PauliString, VerificationReport, cli, graphs,
+                           oracle, pauli, sampler, supremacy, thermal)
+from util_identities import IdentityReport
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = {
     "__version__",
     "HypergraphSpec", "load_hypergraph", "ring_graph",
-    "IdentityReport", "check_alternating", "check_even", "check_odd",
-    "signed_pattern_count",
     "PauliString", "alternating_setting", "leading_half_setting", "parse_setting",
     "stabilizer_product",
     "BoundReport", "beta_from_temperature", "deviation_leading_order", "error_bounds",
     "fidelity", "flip_probability", "half_weight_expectation", "invert_temperature",
     "minus_probability", "sample_size", "setting_expectation", "union_bound",
-    "build_pure_state", "dense_expectation", "thermal_density",
+    "build_pure_state",
     "ProtocolConfig", "VerificationReport", "check_error_bound", "run_protocol",
     "CertificationDecision", "build_family", "certify",
     "exact_outcome_distribution", "iqp_sample", "optimal_setting",
@@ -38,7 +42,7 @@ def readme_quick_start() -> str:
 
 def test_all_is_the_pinned_surface():
     assert sorted(thermalverify.__all__) == sorted(PUBLIC)
-    assert len(PUBLIC) == 39
+    assert len(PUBLIC) == 32
 
 
 def test_test_only_names_are_gone():
@@ -47,12 +51,19 @@ def test_test_only_names_are_gone():
                         "ThermalParams", "FamilyInstance", "GraphSpec", "hadamard_transform",
                         "path_graph", "apply_operator", "boltzmann_density",
                         "stabilizer_check", "DenseState", "DenseMixedState",
-                        "StabilizerProduct", "generalized_product", "try_to_pauli"),
+                        "StabilizerProduct", "generalized_product", "try_to_pauli",
+                        "identities", "IdentityReport", "check_alternating", "check_even",
+                        "check_odd", "signed_pattern_count", "dense_expectation",
+                        "thermal_density"),
+        cli: ("CheckFailure", "cmd_identities", "cmd_oracle_check", "check_odd",
+              "thermal_density", "dense_expectation"),
         sampler: ("sample_error_pattern", "measure_outcome", "json"),
         supremacy: ("family_triples", "FamilyInstance", "hadamard_transform"),
         graphs: ("GraphSpec", "path_graph"),
         oracle: ("hadamard_transform", "apply_operator", "boltzmann_density",
-                 "stabilizer_check", "MAX_HAMILTONIAN_N", "DenseState", "DenseMixedState"),
+                 "stabilizer_check", "MAX_HAMILTONIAN_N", "DenseState", "DenseMixedState",
+                 "thermal_density", "dense_expectation", "MAX_DENSITY_N", "_indices",
+                 "_signs"),
         HypergraphSpec: ("as_hypergraph",),
         pauli: ("_LETTERS", "StabilizerProduct", "generalized_product", "try_to_pauli",
                 "_site_pair", "_built", "operator"),
@@ -92,7 +103,12 @@ def test_generator_algebra_and_vertex_index_are_gone():
                                              "dense_matrix"}
 
 
-def test_oracle_takes_only_the_operator_types_from_pauli():
-    from_pauli = {name for name, value in vars(oracle).items()
-                  if getattr(value, "__module__", None) == pauli.__name__}
-    assert from_pauli == {"PauliString"}
+def test_oracle_takes_nothing_from_pauli():
+    # the operator types went with the dense expectation to tests/util_oracle.py
+    assert not {name for name, value in vars(oracle).items()
+                if getattr(value, "__module__", None) == pauli.__name__}
+
+
+def test_the_identities_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("thermalverify.identities")

@@ -20,7 +20,6 @@ import thermalverify
 from thermalverify import (ProtocolConfig, build_family, certify, fidelity, optimal_setting,
                            ring_graph, run_protocol, supremacy)
 from thermalverify.cli import _dumps, build_parser, main
-from thermalverify.oracle import MAX_DENSITY_N
 from thermalverify.supremacy import EPSILON_FULL_SCALE, L1_TARGET
 from util_dense import dumps_reference
 
@@ -68,8 +67,8 @@ def strict_json(text):
 class TestParser:
     def test_subcommands_exist(self):
         parser = build_parser()
-        args = parser.parse_args(["identities", "--kmax", "7"])
-        assert args.subcommand == "identities" and args.kmax == 7
+        args = parser.parse_args(["sweep-wt", "--n", "4", "--betas", "1,2"])
+        assert args.subcommand == "sweep-wt" and args.betas == [1.0, 2.0]
         args = parser.parse_args(["curves"])
         assert args.sizes == [50, 100] and args.points == 200
 
@@ -121,7 +120,6 @@ class TestCachedParser:
 
     @pytest.mark.parametrize("argv, dest, default", [
         (["curves"], "sizes", [50, 100]),
-        (["oracle-check"], "betas", [0.2, 0.5, 1.0, 2.0]),
     ])
     def test_list_defaults_are_fresh_on_every_parse(self, argv, dest, default):
         first = build_parser().parse_args(argv)
@@ -385,44 +383,6 @@ class TestSweepWt:
         assert rows["0"]["leading_term"] == rows["8"]["leading_term"]
 
 
-class TestIdentitiesCommand:
-    def test_all_pass(self, capsys):
-        assert main(["identities", "--kmax", "10"]) == 0
-        result = read_json(capsys)["result"]
-        assert result["ok"] and result["failures"] == []
-        assert result["checks"] == {"odd": True, "even": True, "alternating": True}
-
-
-class TestOracleCheckCommand:
-    def test_small_sweep(self, capsys):
-        assert main(["oracle-check", "--nmax", "4"]) == 0
-        result = read_json(capsys)["result"]
-        assert result["ok"] and result["max_abs_error"] <= 1e-9
-
-    @pytest.mark.parametrize("tolerance", ["nan", "-1", "-inf"])
-    def test_tolerance_must_be_nonnegative(self, capsys, tolerance):
-        assert main(["oracle-check", "--nmax", "2", f"--tolerance={tolerance}"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"tolerance must be >= 0, got {float(tolerance)}" in captured.err
-
-    def test_nmax_validated(self):
-        assert main(["oracle-check", "--nmax", "17"]) == 2
-
-    def test_empty_beta_list_is_rejected(self, capsys):
-        assert main(["oracle-check", "--nmax", "2", "--betas", ","]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: need at least one beta\n"
-
-    def test_nmax_cap_is_the_dense_limit_and_says_why(self, capsys):
-        for nmax in (1, MAX_DENSITY_N + 1):
-            assert main(["oracle-check", "--nmax", str(nmax)]) == 2
-            err = capsys.readouterr().err
-            assert f"nmax in [2, {MAX_DENSITY_N}], got {nmax}" in err
-            assert "2^n selectors" in err and f"n <= {MAX_DENSITY_N}" in err
-
-
 class TestCertifyCommand:
     def test_direct_arithmetic_accept(self, capsys):
         assert main(["certify-iqp", "--n", "400000", "--f-est", "1"]) == 0
@@ -486,6 +446,87 @@ class TestCertifyCommand:
 
     def test_small_n_without_flag_is_validation_error(self):
         assert main(["certify-iqp", "--n", "12", "--f-est", "1"]) == 2
+
+
+class TestCertifyBudget:
+    """Outside --allow-small-n the bound certify reports holds only for
+    epsilon 1e-6 and at least sample_size(1e-6, delta) shots, so any other
+    budget, stated on the command line or in a --report file, exits 2."""
+
+    FULL = 10_596_634_733_097  # sample_size(1e-6, 1e-2)
+
+    @staticmethod
+    def refused(argv, capsys) -> str:
+        assert main(["certify-iqp", "--n", "400000"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        return captured.err
+
+    @pytest.mark.parametrize("source", [["--temperature", "0"], ["--f-est", "1"]])
+    @pytest.mark.parametrize("budget, message", [
+        (["--samples", "10"], f"the full-scale bound needs epsilon 1e-06 and at least {FULL} "
+                              f"shots at delta 0.01, got epsilon 1e-06 and 10 shots; "),
+        (["--samples", str(FULL - 1)], f"got epsilon 1e-06 and {FULL - 1} shots"),
+        (["--epsilon", "0.5"], "got epsilon 0.5 and 43 shots"),
+        (["--delta", "0.001", "--samples", str(FULL)],
+         f"shots at delta 0.001, got epsilon 1e-06 and {FULL} shots"),
+    ])
+    def test_a_short_budget_is_refused(self, capsys, source, budget, message):
+        assert message in self.refused(source + budget, capsys)
+
+    @pytest.mark.parametrize("budget", [[], ["--samples", str(FULL)], ["--delta", "0.5"]])
+    def test_the_full_budget_runs(self, capsys, budget):
+        assert main(["certify-iqp", "--n", "400000", "--temperature", "0"] + budget) == 0
+        assert read_json(capsys)["result"]["decision"]["verdict"] == "accept"
+
+    def test_allow_small_n_evaluates_any_budget(self, capsys):
+        assert main(["certify-iqp", "--n", "400000", "--temperature", "0", "--samples", "10",
+                     "--allow-small-n"]) == 0
+        assert read_json(capsys)["result"]["report"]["n_samples"] == 10
+
+    def test_a_report_for_another_n_is_refused(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert main(["certify-iqp", "--n", "2000", "--temperature", "0", "--samples", "2000",
+                     "--allow-small-n", "--output", str(report)]) == 0
+        err = self.refused(["--report", str(report)], capsys)
+        assert err == f"error: report {report} is for n = 2000, not --n 400000\n"
+        err = self.refused(["--report", str(report), "--allow-small-n"], capsys)
+        assert "is for n = 2000" in err
+
+    @pytest.mark.parametrize("stated, message", [
+        ({"n_samples": 2000, "epsilon": 1e-6, "delta": 0.01}, "got epsilon 1e-06 and 2000 shots"),
+        ({"epsilon": 0.5}, f"got epsilon 0.5 and {FULL} shots"),
+        ({"n_samples": FULL, "delta": 0.001},
+         f"shots at delta 0.001, got epsilon 1e-06 and {FULL} shots"),
+    ])
+    def test_a_report_with_a_short_budget_is_refused(self, tmp_path, capsys, stated, message):
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({"result": {"decision": {"n": 400000},
+                                                 "report": {"f_est": 1.0, **stated}}}))
+        err = self.refused(["--report", str(report)], capsys)
+        assert err.startswith(f"error: report {report}: ") and message in err
+        assert main(["certify-iqp", "--n", "400000", "--report", str(report),
+                     "--allow-small-n"]) == 0
+        assert read_json(capsys)["result"]["decision"]["verdict"] == "accept"
+
+    @pytest.mark.parametrize("field, value, kind", [("n_samples", "2000.0", "integer"),
+                                                    ("n_samples", "true", "integer"),
+                                                    ("epsilon", '"1e-6"', "number"),
+                                                    ("delta", "null", "number")])
+    def test_report_budget_fields_must_be_json_numbers(self, tmp_path, capsys, field, value,
+                                                       kind):
+        report = tmp_path / "r.json"
+        report.write_text('{"f_est": 1.0, "%s": %s}' % (field, value))
+        err = self.refused(["--report", str(report), "--allow-small-n"], capsys)
+        assert err == f"error: {field} in report {report} is not a JSON {kind}: {value}\n"
+
+    def test_a_full_scale_report_is_evaluated(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert main(["certify-iqp", "--n", "400000", "--temperature", "0",
+                     "--output", str(report)]) == 0
+        assert main(["certify-iqp", "--n", "400000", "--report", str(report)]) == 0
+        assert read_json(capsys)["result"]["decision"]["verdict"] == "accept"
 
     @pytest.mark.parametrize("mode", ["--f-est", "--report", "--beta"])
     def test_odd_n_is_rejected_in_every_mode(self, tmp_path, capsys, mode):
@@ -728,8 +769,7 @@ class TestSeedRule:
 
 
 class TestStrictJson:
-    @pytest.mark.parametrize("argv", [["oracle-check", "--nmax", "2", "--betas", "inf,1"],
-                                      ["expectation", "--temperature", "0"],
+    @pytest.mark.parametrize("argv", [["expectation", "--temperature", "0"],
                                       ["estimate-temperature", "--n", "4", "--f-est", "1"]])
     def test_stdout_has_no_nonstandard_tokens(self, graph_file, capsys, argv):
         if argv[0] == "expectation":
@@ -738,15 +778,9 @@ class TestStrictJson:
         doc = strict_json(capsys.readouterr().out)
         assert "infinity" in json.dumps(doc)
 
-    def test_infinite_betas_in_lists_are_spelled_out(self, capsys):
-        assert main(["oracle-check", "--nmax", "2", "--betas", "inf,1"]) == 0
-        doc = strict_json(capsys.readouterr().out)
-        assert doc["result"]["betas"] == ["infinity", 1.0]
-        assert doc["manifest"]["parameters"]["betas"] == ["infinity", 1.0]
-
     def test_negative_infinity_keeps_its_sign(self):
-        # no CLI input reaches the output as -inf any more (a negative
-        # --tolerance exits 2), so the encoder is checked directly
+        # no CLI input reaches the output as -inf, so the encoder is
+        # checked directly
         doc = strict_json(_dumps({"low": -math.inf, "nested": [{"high": math.inf}]}))
         assert doc == {"low": "-infinity", "nested": [{"high": "infinity"}]}
 
@@ -782,10 +816,11 @@ class TestStrictJson:
         assert self.outcome(_dumps, doc) is TypeError
 
     def test_csv_sidecar_is_strict(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep-wt", "--n", "4", "--betas", "inf", "--output", str(out)]) == 0
-        manifest = strict_json((tmp_path / "sweep.csv.manifest.json").read_text())
-        assert manifest["parameters"]["betas"] == ["infinity"]
+        # an infinite beta inside the betas list is spelled out too
+        out = tmp_path / "sw.csv"
+        assert main(["sweep-wt", "--n", "4", "--betas", "inf,1", "--output", str(out)]) == 0
+        manifest = strict_json((tmp_path / "sw.csv.manifest.json").read_text())
+        assert manifest["parameters"]["betas"] == ["infinity", 1.0]
         assert manifest["csv_schema"] == "sweep-wt-v1"
 
 

@@ -2,17 +2,17 @@
 
 Each example draws a subcommand and fills its options from edge values
 (nan, +-inf, -1, 0, 1e-300, 0.5, 1, 1e20, 1e308) and small integers, with
-n, --nmax, --samples and the like kept small so that a run stays cheap.
+n, --samples and the like kept small so that a run stays cheap.
 Options are passed as --name=value, so that argparse reads "-inf" as a
 value rather than as an option. Whatever is drawn:
 
-* the exit code is 0, 2 or 3, and no exception escapes `main`;
+* the exit code is 0 or 2, and no exception escapes `main` (exit 3 is
+  kept for a RuntimeError raised by an internal check, which no argv may
+  reach);
 * exit 0 prints strict JSON, or CSV with its manifest as strict JSON on
   stderr, and an echoed --epsilon or --delta lies in the library's domain;
 * exit 2 prints exactly one "error:" line, never the JSON encoder's
-  "Out of range float values" (an input that reached the output unchecked);
-* exit 3, a failed internal check, comes only from identities or
-  oracle-check.
+  "Out of range float values" (an input that reached the output unchecked).
 
 A second property checks that `main`'s one parse per argv (the named
 subcommand's parser alone) reads every such argv, and help, typos and
@@ -32,7 +32,6 @@ from util_dense import path_graph
 
 VALUES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "0.5", "1", "1e20", "1e308")
 CSV_COMMANDS = {"verify", "curves", "sweep-wt"}
-CHECK_COMMANDS = {"identities", "oracle-check"}
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +64,7 @@ def argvs(draw, inputs):
     graph = option("--graph", st.sampled_from(inputs["graph"]))
     setting = st.text("01", max_size=9)
     command = draw(st.sampled_from(("expectation", "verify", "curves", "sweep-wt",
-                                    "identities", "oracle-check", "certify-iqp",
-                                    "estimate-temperature")))
+                                    "certify-iqp", "estimate-temperature")))
     if command == "expectation":
         selector = draw(st.sampled_from((None, "--wt", "--setting")))
         selector = option(selector, integer if selector == "--wt" else setting) if selector else []
@@ -81,11 +79,6 @@ def argvs(draw, inputs):
                 *maybe("--tmin", value), *maybe("--tmax", value), *maybe("--points", integer)]
     if command == "sweep-wt":
         return [command, *option("--n", integer), *option("--betas", values)]
-    if command == "identities":
-        return [command, *option("--kmax", integer)]
-    if command == "oracle-check":
-        return [command, *option("--nmax", integer), *maybe("--betas", values),
-                *maybe("--tolerance", value)]
     if command == "certify-iqp":
         mode = draw(st.sampled_from(("--beta", "--temperature", "--f-est", "--report")))
         source = st.sampled_from(inputs["report"]) if mode == "--report" else value
@@ -118,7 +111,7 @@ def run(argv) -> tuple[int, str, str]:
 def test_every_argv_ends_in_a_documented_exit(inputs, data):
     argv = data.draw(argvs(inputs), label="argv")
     code, out, err = run(argv)
-    assert code in (0, 2, 3), err
+    assert code in (0, 2), err
     if code == 0:
         if argv[0] in CSV_COMMANDS:
             rows = list(csv.reader(io.StringIO(out)))
@@ -129,17 +122,16 @@ def test_every_argv_ends_in_a_documented_exit(inputs, data):
         parameters = manifest["parameters"]
         assert 0.0 <= parameters.get("epsilon", 0.0) <= 1.0
         assert 0.0 < parameters.get("delta", 0.5) < 1.0
-    elif code == 2:
+    else:
         assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
         assert "Out of range float values" not in err
-    else:
-        assert argv[0] in CHECK_COMMANDS, err
 
 
 # argvs the subcommand strategy never draws: help, no subcommand, a typo, "--"
 # first, and leftovers after a subcommand
 SPECIAL = ([], ["-h"], ["--help"], ["frobnicate"], ["--", "curves"], ["-h", "verify"],
-           ["curves", "--bogus"], ["identities", "7"], ["verify", "-h"], ["curves", "--", "x"])
+           ["curves", "--bogus"], ["identities", "7"], ["oracle-check"], ["verify", "-h"],
+           ["curves", "--", "x"])
 EXTRAS = ("--bogus", "x", "--", "-h", "--n=1", "--help")
 
 

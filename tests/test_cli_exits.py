@@ -1,8 +1,7 @@
-"""The exit paths of `cli.main` that write a record or one error line:
+"""The exit paths of `cli.main` that write one error line:
 
-* a failed internal check (exit 3) still writes the command's record, to
-  stdout or to --output, and puts one "check failed:" line on stderr; an
-  --output that cannot be written is invalid input (exit 2) instead;
+* a RuntimeError raised by an internal check exits 3, writes no record
+  and puts one "internal check failed:" line on stderr;
 * an n that fits a float but not an index is invalid input (exit 2) on the
   routes that build a selector of n entries, with one "error:" line that
   names the limit, or n itself when a given selector has the wrong length;
@@ -15,18 +14,9 @@ import sys
 import pytest
 
 from thermalverify import cli
-from thermalverify.identities import IdentityReport
 
-ORACLE_FAILS = ["oracle-check", "--nmax", "4", "--betas", "0.5", "--tolerance", "0"]
-IDENTITIES = ["identities", "--kmax", "6"]
 BEYOND_INDEX = str(10**30)  # fits a float, not an index
 VERIFY = ["verify", "--beta", "1", "--epsilon", "0.1", "--delta", "0.1", "--samples", "10"]
-
-
-@pytest.fixture()
-def odd_check_fails(monkeypatch):
-    """identities with its odd check reporting one failed case."""
-    monkeypatch.setattr(cli, "check_odd", lambda k_max: IdentityReport(k_max, (("odd", 3, 1),)))
 
 
 def run(argv, capsys):
@@ -35,46 +25,26 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
-class TestFailedCheck:
-    def test_oracle_check_writes_its_record_to_stdout(self, capsys):
-        code, out, err = run(ORACLE_FAILS, capsys)
-        assert code == 3
-        result = json.loads(out)["result"]
-        assert result["ok"] is False and result["max_abs_error"] > result["tolerance"] == 0.0
-        assert err.count("\n") == 1
-        assert err.startswith("check failed: closed form deviates")
+def test_a_failed_internal_check_exits_three(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("fine bound exceeded coarse bound")
+    monkeypatch.setattr(cli, "error_bounds", broken)
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 4, "e2": [[1, 2]]}')
+    code, out, err = run(["expectation", "--graph", str(path), "--beta", "1",
+                          "--output", str(tmp_path / "out.json")], capsys)
+    assert (code, out) == (3, "")
+    assert err == "internal check failed: fine bound exceeded coarse bound\n"
+    assert not (tmp_path / "out.json").exists()
 
-    def test_oracle_check_writes_its_record_to_the_output_file(self, tmp_path, capsys):
-        path = tmp_path / "oracle.json"
-        code, out, err = run(ORACLE_FAILS + ["--output", str(path)], capsys)
-        assert (code, out) == (3, "")
-        assert json.loads(path.read_text())["result"]["ok"] is False
-        assert err.count("\n") == 1
-        assert err.startswith("check failed: closed form deviates")
 
-    def test_identities_writes_its_record_to_stdout(self, odd_check_fails, capsys):
-        code, out, err = run(IDENTITIES, capsys)
-        assert code == 3
-        result = json.loads(out)["result"]
-        assert result["ok"] is False and result["failures"] == [["odd", 3, 1]]
-        assert result["checks"] == {"odd": False, "even": True, "alternating": True}
-        assert err == "check failed: 1 identity checks failed\n"
-
-    def test_identities_writes_its_record_to_the_output_file(self, odd_check_fails, tmp_path,
-                                                             capsys):
-        path = tmp_path / "identities.json"
-        code, out, err = run(IDENTITIES + ["--output", str(path)], capsys)
-        assert (code, out) == (3, "")
-        assert json.loads(path.read_text())["result"]["ok"] is False
-        assert err == "check failed: 1 identity checks failed\n"
-
-    @pytest.mark.parametrize("argv", [ORACLE_FAILS, IDENTITIES])
-    def test_an_unwritable_output_is_invalid_input(self, odd_check_fails, tmp_path, capsys,
-                                                   argv):
-        code, out, err = run(argv + ["--output", str(tmp_path)], capsys)
-        assert (code, out) == (2, "")
-        assert err.count("\n") == 1
-        assert err.startswith("error: [Errno 21] Is a directory")
+@pytest.mark.parametrize("command", ["identities", "oracle-check"])
+def test_the_self_checks_are_no_subcommands(capsys, command):
+    # they run under pytest: python -m pytest tests/test_acceptance.py
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 class TestSiteCountBeyondIndex:

@@ -56,18 +56,6 @@ SURFACE = {
         (("--betas",), "betas", None, True, "comma-separated inverse temperatures", None),
         (("--output",), "output", None, False, None, None),
     ]),
-    "identities": ("exact combinatorial identity checks", [
-        HELP,
-        (("--kmax",), "kmax", 40, False, None, None),
-        (("--output",), "output", None, False, None, None),
-    ]),
-    "oracle-check": ("closed forms vs dense thermal oracle", [
-        HELP,
-        (("--nmax",), "nmax", 8, False, None, None),
-        (("--betas",), "betas", "0.2,0.5,1.0,2.0", False, None, None),
-        (("--tolerance",), "tolerance", 1e-9, False, None, None),
-        (("--output",), "output", None, False, None, None),
-    ]),
     "certify-iqp": ("accept/reject rule for certified sampling", [
         HELP,
         (("--n",), "n", None, True, None, None),

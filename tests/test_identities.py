@@ -3,8 +3,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from thermalverify import (IdentityReport, check_alternating, check_even, check_odd,
-                           signed_pattern_count)
+from util_identities import (IdentityReport, check_alternating, check_even, check_odd,
+                             signed_pattern_count)
 
 
 def brute_force_count(n: int, wt: int, m: int) -> int:

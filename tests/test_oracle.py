@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import partial
 
@@ -5,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermalverify import (HypergraphSpec, PauliString, build_pure_state, dense_expectation,
-                           fidelity, flip_probability, ring_graph, setting_expectation,
-                           stabilizer_product, thermal_density)
+from thermalverify import (HypergraphSpec, PauliString, build_pure_state, fidelity,
+                           flip_probability, ring_graph, setting_expectation, stabilizer_product)
 from thermalverify.oracle import _flip_factor, _hadamard_factor, _kron_power
 from util_dense import (apply_operator, boltzmann_density, density_expectation,
                         exhaustive_parity_expectation, from_letters, generator,
@@ -16,6 +16,7 @@ from util_dense import (apply_operator, boltzmann_density, density_expectation,
                         mask_loop_thermal_density, normal_form, path_graph, pauli_matrix,
                         per_edge_pure_state, random_hypergraph, stabilizer_check,
                         stabilizer_product_matrix, try_to_pauli)
+from util_oracle import dense_expectation, thermal_density
 
 BETA_HALF = math.log(2) / 2
 
@@ -70,6 +71,23 @@ class TestBuildPureState:
         assert psi.shape == (1 << h.n,)
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
         assert np.array_equal(psi, hypergraph_state_vector(h))
+
+    def test_every_single_edge_and_triple_flips_exactly_its_indices(self):
+        # np.negative(v, out=v) miscomputes on NumPy 2.4 when the view v has
+        # an inner element stride of 8; each view build_pure_state negates
+        # has one of a few geometries, and this sweep meets every one of
+        # them up to n = 12, which random hypergraphs cannot promise
+        checked = 0
+        for n in range(2, 13):
+            idx = np.arange(1 << n)
+            for edge in itertools.chain(itertools.combinations(range(1, n + 1), 2),
+                                        itertools.combinations(range(1, n + 1), 3)):
+                spec = HypergraphSpec(n, **{"e2" if len(edge) == 2 else "e3": {edge}})
+                mask = sum(1 << (v - 1) for v in edge)
+                expected = np.where(idx & mask == mask, -1.0, 1.0) * 2.0 ** (-n / 2.0)
+                assert np.array_equal(build_pure_state(spec), expected), (n, edge)
+                checked += 1
+        assert checked == math.comb(13, 3) + math.comb(13, 4)  # 286 edges, 715 triples
 
 
 class TestApplyOperator:

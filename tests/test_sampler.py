@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from thermalverify import (HypergraphSpec, PauliString, ProtocolConfig, VerificationReport,
-                           build_pure_state, check_error_bound, dense_expectation,
-                           flip_probability, ring_graph, run_protocol, sample_size,
-                           setting_expectation, stabilizer_product, thermal_density)
+                           build_pure_state, check_error_bound, flip_probability, ring_graph,
+                           run_protocol, sample_size, setting_expectation, stabilizer_product)
 from thermalverify.sampler import MAX_SAMPLES
 from util_dense import (StabilizerProduct, from_letters, measure_outcome, path_graph,
                         sample_error_pattern)
+from util_oracle import dense_expectation, thermal_density
 
 BETA_HALF = math.log(2) / 2
 

@@ -19,7 +19,7 @@ from thermalverify import (CertificationDecision, HypergraphSpec, ProtocolConfig
                            alternating_setting, build_family, build_pure_state, certify,
                            exact_outcome_distribution, fidelity, iqp_sample, optimal_setting,
                            ring_graph, run_protocol, sample_size, setting_expectation,
-                           stabilizer_product, thermal_density)
+                           stabilizer_product)
 from thermalverify.oracle import MAX_STATEVECTOR_N
 from thermalverify.pauli import _normal_form
 from thermalverify.sampler import MAX_SAMPLES
@@ -31,6 +31,7 @@ from util_dense import (H2, ascending_generalized_product, family_members,
                         family_triples_reference, kron_power_reference,
                         mixture_outcome_distribution, normal_form, outcome_counts_reference,
                         stabilizer_check, total_variation)
+from util_oracle import dense_expectation, thermal_density
 
 FIG3_TRIANGLES = {
     (1, 2, 3), (5, 6, 7),
@@ -659,7 +660,7 @@ def test_reduced_setting_expectation_matches_half_weight_closed_form():
     """On the restricted family the single setting behaves exactly like a
     half-weight graph setting: its dense thermal expectation equals the
     closed form, e2 dressing included."""
-    from thermalverify import dense_expectation, half_weight_expectation, thermal_density
+    from thermalverify import half_weight_expectation
 
     for n, e2 in ((4, frozenset()), (6, frozenset({(1, 2)})),
                   (8, frozenset({(2, 5), (1, 8)}))):

@@ -40,10 +40,10 @@ decimal arithmetic, the reference for the closed forms in thermal. per_edge_pure
 loop that oracle.build_pure_state's site-by-site build replaced, and
 kron_power_reference the explicit Kronecker power m^(x)n that
 oracle._kron_power applies in GEMM passes. mask_loop_thermal_density is
-the per-mask loop that oracle.thermal_density's one real matrix product
-replaced.
+the per-mask loop that util_oracle.thermal_density's one real matrix
+product replaced.
 
-These dense checks live here because no CLI command reaches them:
+These dense checks live here because the protocol never runs them:
 boltzmann_density builds the thermal state a second, independent way, as
 the Gibbs exponential of the generator Hamiltonian H = -sum_i D X_i D (D
 the diagonal sign pattern of the pure state, X_i an index flip), so it
@@ -52,7 +52,7 @@ operator_coefficients is the normal-form map c with Op|z> = c[z] |z ^ x_mask>
 of a PauliString or StabilizerProduct; on it rest apply_operator (Op applied
 to an amplitude vector, an index permutation and a sign), stabilizer_check
 (Op|psi> = |psi> for an amplitude vector) and density_expectation
-(Tr[rho Op] for any supported operator, where oracle.dense_expectation
+(Tr[rho Op] for any supported operator, where util_oracle.dense_expectation
 takes only a PauliString).
 
 Index convention matches the package: bit i-1 of a basis index is site i.
@@ -222,7 +222,7 @@ def kron_power_reference(m: np.ndarray, n: int, vec: np.ndarray) -> np.ndarray:
 
 
 def mask_loop_thermal_density(spec, beta: float) -> np.ndarray:
-    """Reference for oracle.thermal_density: the phase-flip mixture
+    """Reference for util_oracle.thermal_density: the phase-flip mixture
     sum over masks of Pr(mask) * Z_mask |psi><psi| Z_mask, one complex row
     per mask in a Python loop, with psi from per_edge_pure_state."""
     from thermalverify import flip_probability
@@ -432,7 +432,7 @@ def operator_coefficients(op, idx: np.ndarray) -> np.ndarray:
     """c over the basis indices idx with Op|z> = c[z] |z ^ x_mask>, for a
     PauliString (sign * i^|X&Z| * (-1)^(z.Z)) or a StabilizerProduct
     (sign * (-1)^f(z) with its phase polynomial f)."""
-    from thermalverify.oracle import _signs
+    from util_oracle import _signs
 
     if isinstance(op, PauliString):
         prefactor = op.sign * (1j) ** ((op.x_mask & op.z_mask).bit_count())
@@ -611,7 +611,7 @@ def exact_setting_expectation(n: int, wt: int, beta: float) -> Fraction:
     """Bracket sum sum_m signed_pattern_count(n, wt, m) x^m / (1+x)^n in
     exact rationals, with x = exp(-2*beta) rounded to the float the package
     itself starts from."""
-    from thermalverify import signed_pattern_count
+    from util_identities import signed_pattern_count
 
     x = Fraction(math.exp(-2.0 * beta))
     total = Fraction(0)

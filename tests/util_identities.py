@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .thermal import _check_integer, _check_weight
+from thermalverify.thermal import _check_integer, _check_weight
 
 
 def signed_pattern_count(n: int, wt: int, m: int) -> int:
