@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -150,9 +151,15 @@ class PauliString:
     def __str__(self) -> str:
         return ("+" if self.sign > 0 else "-") + self.letters()
 
-    @property
+    def __repr__(self) -> str:
+        # masks in hex: Python refuses to write an int of more than 4300 decimal
+        # digits, which a mask reaches at about 14 300 sites
+        return (f"PauliString(n={self.n}, sign={self.sign}, x_mask={self.x_mask:#x}, "
+                f"z_mask={self.z_mask:#x})")
+
+    @cached_property
     def xy_support(self) -> int:
-        """Number of sites carrying X or Y."""
+        """Number of sites carrying X or Y, counted on first read."""
         return self.x_mask.bit_count()
 
 

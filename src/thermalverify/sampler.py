@@ -5,15 +5,19 @@ the outcome of measuring a signed Pauli word depends on the error pattern
 only through the parity of its overlap with the word's X/Y sites. Shots are
 therefore independent +-1 draws that read -1 with probability
 q = (1 - tanh(beta)^wt)/2, and a run of N shots is one Binomial(N, q) draw
-from a generator seeded with the run's seed: the cost does not depend on N
-or n, and the same seed gives the same report, whose beta_used is a plain
-float (math.inf at T = 0). The per-shot model that the draw stands for (an
-error pattern per shot, read through the word's X/Y sites) is kept in
-tests/util_dense.py as the reference it is tested against.
+from a generator seeded with the run's seed. The report stores that draw:
+the word, N and the -1 count m, with beta_used a plain float (math.inf at
+T = 0). f_est = (N - 2m)/N and the +1 count follow on read; the word's
+letters and the error bounds are derived on first read. So a run costs the
+same whatever N or n, and the same seed gives the same report. The per-shot
+model that the draw stands for (an error pattern per shot, read through the
+word's X/Y sites) is kept in tests/util_dense.py as the reference it is
+tested against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,42 +66,56 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Record of one protocol run.
+    """Record of one protocol run: the measured word, the shot count and the
+    number of shots that read -1. Everything else is derived from them.
 
     beta_used, the simulated inverse temperature as a float (math.inf at
     T = 0), is ground truth for tests; no bound-checking code reads it.
     """
 
-    f_est: float
+    word: PauliString
     n_samples: int
-    plus_count: int
     minus_count: int
-    setting: str
     beta_used: float
-    bound_report: BoundReport | None
     epsilon: float
     delta: float
     seed: int
 
-    def __post_init__(self):
-        if self.plus_count + self.minus_count != self.n_samples:
-            raise ValueError("outcome counts do not add up to the sample count")
-        expected = (self.plus_count - self.minus_count) / self.n_samples
-        if not abs(self.f_est - expected) <= 1e-15:  # NaN fails too
-            raise ValueError("f_est does not match the outcome counts")
+    @property
+    def plus_count(self) -> int:
+        return self.n_samples - self.minus_count
+
+    @property
+    def f_est(self) -> float:
+        return (self.n_samples - 2 * self.minus_count) / self.n_samples
+
+    @cached_property
+    def setting(self) -> str:
+        """The word's sign and letters, spelled on first read."""
+        return str(self.word)
+
+    @cached_property
+    def bound_report(self) -> BoundReport | None:
+        """error_bounds of the run, or None for odd n or n < 4."""
+        if self.word.n % 2 == 0 and self.word.n >= 4:
+            return error_bounds(self.word.n, self.beta_used, self.epsilon, wt=self.word.xy_support)
+        return None
 
     def to_dict(self) -> dict:
         bounds = self.bound_report
-        return {**vars(self),
+        return {"f_est": self.f_est, "n_samples": self.n_samples, "plus_count": self.plus_count,
+                "minus_count": self.minus_count, "setting": self.setting,
                 "beta_used": {"beta": self.beta_used, "p_flip": flip_probability(self.beta_used)},
-                "bound_report": None if bounds is None else dict(vars(bounds))}
+                "bound_report": None if bounds is None else dict(vars(bounds)),
+                "epsilon": self.epsilon, "delta": self.delta, "seed": self.seed}
 
 
 def run_protocol(target, setting: PauliString, beta: float,
                  config: ProtocolConfig) -> VerificationReport:
-    """Run the estimation protocol: draw the number of -1 outcomes of
-    `setting` among the sample budget, and aggregate the empirical mean with
-    its error budget.
+    """Run the estimation protocol: one Binomial draw of the number of -1
+    outcomes of `setting` among the sample budget. The report holds the
+    word and the counts; the estimate follows from them, and the letters
+    and the error bounds are derived on first read.
 
     The parity model is exact when `setting` stabilizes the noiseless target;
     callers obtain it from stabilizer_product(target, selector), which takes
@@ -115,22 +133,8 @@ def run_protocol(target, setting: PauliString, beta: float,
     total = int(config.resolved_samples())  # numpy integers pass the rule; JSON needs int
     q = minus_probability(n, setting.xy_support, beta)
     minus = int(np.random.default_rng(config.seed).binomial(total, q))
-    plus = total - minus
-    bounds = None
-    if n % 2 == 0 and n >= 4:
-        bounds = error_bounds(n, beta, config.epsilon, wt=setting.xy_support)
-    return VerificationReport(
-        f_est=(plus - minus) / total,
-        n_samples=total,
-        plus_count=plus,
-        minus_count=minus,
-        setting=str(setting),
-        beta_used=beta,
-        bound_report=bounds,
-        epsilon=config.epsilon,
-        delta=config.delta,
-        seed=int(config.seed),
-    )
+    return VerificationReport(word=setting, n_samples=total, minus_count=minus, beta_used=beta,
+                              epsilon=config.epsilon, delta=config.delta, seed=int(config.seed))
 
 
 def check_error_bound(report: VerificationReport, true_fidelity: float) -> bool:

@@ -521,6 +521,14 @@ class TestCertifyBudget:
         err = self.refused(["--report", str(report), "--allow-small-n"], capsys)
         assert err == f"error: {field} in report {report} is not a JSON {kind}: {value}\n"
 
+    def test_a_report_without_f_est_is_refused(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        report.write_text('{"result": {"report": {"n_samples": 5}}}')
+        assert main(["certify-iqp", "--n", "10", "--allow-small-n", "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no f_est field found in report {report}\n"
+
     def test_a_full_scale_report_is_evaluated(self, tmp_path, capsys):
         report = tmp_path / "r.json"
         assert main(["certify-iqp", "--n", "400000", "--temperature", "0",

@@ -315,6 +315,17 @@ def test_specs_of_different_types_differ():
     assert repr(HypergraphSpec(3, e2={(2, 1)})) == "HypergraphSpec(n=3, e2=[[1, 2]], e3=[])"
 
 
+def test_a_spec_never_equals_another_kind_of_object():
+    assert HypergraphSpec(3).__eq__("x") is NotImplemented
+    assert (HypergraphSpec(3) == "x") is False and HypergraphSpec(3) != (3, (), ())
+
+
+def test_edges_that_are_not_int_sequences_take_the_per_edge_route():
+    h = HypergraphSpec(4, e2=[frozenset({2, 1})], e3=[frozenset({4, 2, 3})])
+    assert h.e2_rows.tolist() == [[1, 2]] and h.e3_rows.tolist() == [[2, 3, 4]]
+    assert not h.e2_rows.flags.writeable and h.e2_rows.dtype == np.int64
+
+
 @given(hypergraphs_with_selector())
 @settings(max_examples=200, deadline=None)
 def test_to_dict_bytes_match_sorted_views(case):

@@ -82,6 +82,13 @@ class TestPauliString:
         if cls is PauliString:
             assert str(op) == "+XIX"
 
+    @pytest.mark.parametrize("n", [3, 20_000])
+    def test_repr_round_trips_past_the_decimal_digit_limit(self, n):
+        word = PauliString(n, -1, (1 << n) - 1, 1 << (n - 1))
+        assert eval(repr(word), {"PauliString": PauliString}) == word
+        assert repr(PauliString(3, -1, 0b101, 0b110)) == (
+            "PauliString(n=3, sign=-1, x_mask=0x5, z_mask=0x6)")
+
     def test_anti_hermitian_product_raises(self):
         x = from_letters("X")
         z = from_letters("Z")

@@ -1,13 +1,18 @@
 import json
 import math
 import time
+from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermalverify import (HypergraphSpec, PauliString, ProtocolConfig, VerificationReport,
-                           build_pure_state, check_error_bound, flip_probability, ring_graph,
-                           run_protocol, sample_size, setting_expectation, stabilizer_product)
+                           build_pure_state, check_error_bound, flip_probability,
+                           minus_probability, ring_graph, run_protocol, sample_size,
+                           setting_expectation, stabilizer_product)
+from thermalverify import sampler
 from thermalverify.sampler import MAX_SAMPLES
 from util_dense import (StabilizerProduct, from_letters, measure_outcome, path_graph,
                         sample_error_pattern)
@@ -271,13 +276,84 @@ class TestReportSerialization:
         assert report.bound_report.fine_bound == before["bound_report"]["fine_bound"]
         assert report.beta_used == 1.0
 
-    @pytest.mark.parametrize("f_est", [math.nan, math.inf, 0.2 + 1e-12, -0.2])
-    def test_report_rejects_an_estimate_its_counts_do_not_give(self, f_est):
-        fields = dict(n_samples=10, plus_count=6, minus_count=4, setting="+YYZ",
-                      beta_used=0.5, bound_report=None, epsilon=0.1, delta=0.1, seed=0)
-        assert VerificationReport(f_est=0.2, **fields).f_est == 0.2
-        with pytest.raises(ValueError, match="does not match the outcome counts"):
-            VerificationReport(f_est=f_est, **fields)
+
+REPORT_KEYS = ["f_est", "n_samples", "plus_count", "minus_count", "setting", "beta_used",
+               "bound_report", "epsilon", "delta", "seed"]
+WORD = stabilizer_product(ring_graph(4), "1100")
+
+
+class TestReportStoresTheDraw:
+    """A report holds the word, the shot count and the -1 count; f_est and
+    the +1 count follow from them, and the letters and the bounds are
+    derived on first read."""
+
+    def test_report_fields_are_the_draw(self):
+        assert [field.name for field in fields(VerificationReport)] == [
+            "word", "n_samples", "minus_count", "beta_used", "epsilon", "delta", "seed"]
+
+    @pytest.mark.parametrize("read", [lambda report: report.setting,
+                                      lambda report: report.to_dict()["setting"]])
+    def test_a_run_spells_no_word_and_evaluates_no_bound(self, monkeypatch, read):
+        spelled, bounded = [], []
+        spell, bounds = PauliString.__str__, sampler.error_bounds
+        monkeypatch.setattr(PauliString, "__str__", lambda word: spelled.append(1) or spell(word))
+        monkeypatch.setattr(sampler, "error_bounds",
+                            lambda *args, **kwargs: bounded.append(1) or bounds(*args, **kwargs))
+        report = run_protocol(ring_graph(4), WORD, 1.0, ProtocolConfig(0.1, 0.1, 50, 3))
+        assert (spelled, bounded) == ([], [])
+        assert read(report) == "+YYZZ" and spelled == [1]
+        assert report.setting == report.to_dict()["setting"] == "+YYZZ"
+        assert report.bound_report is report.bound_report
+        assert spelled == [1] and len(bounded) == 1
+
+    def test_repr_names_the_draw_at_any_n(self):
+        n = 20_000
+        spec = HypergraphSpec(n)
+        report = run_protocol(spec, stabilizer_product(spec, "01" * (n // 2)), math.inf,
+                              ProtocolConfig(0.1, 0.1, 10, 0))
+        assert repr(report).startswith(f"VerificationReport(word=PauliString(n={n}, sign=1, ")
+        assert repr(report).endswith(
+            "n_samples=10, minus_count=0, beta_used=inf, epsilon=0.1, delta=0.1, seed=0)")
+
+    @given(st.integers(1, MAX_SAMPLES), st.integers(0, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_estimate_and_plus_count_follow_from_the_counts(self, total, pick):
+        minus = (0, 1, total // 2, total - 1, total)[pick]
+        report = VerificationReport(word=WORD, n_samples=total, minus_count=minus,
+                                    beta_used=1.0, epsilon=0.1, delta=0.1, seed=0)
+        exact = Fraction(total - 2 * minus, total)
+        assert report.f_est == (total - 2 * minus) / total == float(exact)
+        assert report.plus_count == total - minus
+        doc = report.to_dict()
+        assert list(doc) == REPORT_KEYS
+        assert (doc["f_est"], doc["plus_count"], doc["minus_count"]) == (
+            report.f_est, total - minus, minus)
+
+
+class TestPaperScaleDraw:
+    """The mean -1 rate of many seeded runs at n = 4e6 and the default
+    budget matches the closed form. Seeds and the |z| <= 5 bound were fixed
+    before the first run."""
+
+    SEEDS = range(400)
+
+    @pytest.mark.parametrize("beta", [8.0, 13.757])
+    def test_mean_minus_rate_matches_the_closed_form(self, beta):
+        n = 4_000_000
+        spec = HypergraphSpec(n)
+        word = stabilizer_product(spec, "01" * (n // 2))
+        assert word.xy_support == n // 2
+        start = time.perf_counter()
+        reports = [run_protocol(spec, word, beta, ProtocolConfig(1e-6, 1e-2, seed=seed))
+                   for seed in self.SEEDS]
+        elapsed = time.perf_counter() - start
+        total = reports[0].n_samples
+        assert total == 10_596_634_733_097
+        q = minus_probability(n, n // 2, beta)
+        mean = sum(report.minus_count for report in reports) / (total * len(self.SEEDS))
+        z = (mean - q) / math.sqrt(q * (1 - q) / (total * len(self.SEEDS)))
+        assert abs(z) <= 5, (beta, q, mean, z)
+        assert elapsed < 5.0  # a run that spelled the 4e6-letter word took about 25 ms
 
 
 class TestCheckErrorBound:

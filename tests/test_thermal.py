@@ -305,6 +305,10 @@ class TestInvertTemperature:
             beta = invert_temperature(n, fidelity(n, 0.0), from_fidelity=True)
             assert beta == 0.0 and math.copysign(1.0, beta) == 1.0, n
 
+    def test_fidelity_too_close_to_one_for_its_n_is_zero_temperature(self):
+        # observed^(-1/n) - 1 underflows to 0: no finite beta is that cold
+        assert invert_temperature(10**308, 1 - 2**-53, from_fidelity=True) == math.inf
+
     def test_validation(self):
         with pytest.raises(ValueError):
             invert_temperature(10, 0.0)
