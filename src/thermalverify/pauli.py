@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -157,9 +156,9 @@ class PauliString:
         return (f"PauliString(n={self.n}, sign={self.sign}, x_mask={self.x_mask:#x}, "
                 f"z_mask={self.z_mask:#x})")
 
-    @cached_property
+    @property
     def xy_support(self) -> int:
-        """Number of sites carrying X or Y, counted on first read."""
+        """Number of sites carrying X or Y."""
         return self.x_mask.bit_count()
 
 

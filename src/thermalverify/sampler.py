@@ -8,11 +8,12 @@ q = (1 - tanh(beta)^wt)/2, and a run of N shots is one Binomial(N, q) draw
 from a generator seeded with the run's seed. The report stores that draw:
 the word, N and the -1 count m, with beta_used a plain float (math.inf at
 T = 0). f_est = (N - 2m)/N and the +1 count follow on read; the word's
-letters and the error bounds are derived on first read. So a run costs the
-same whatever N or n, and the same seed gives the same report. The per-shot
-model that the draw stands for (an error pattern per shot, read through the
-word's X/Y sites) is kept in tests/util_dense.py as the reference it is
-tested against.
+letters and the error bounds are derived on first read. So a run builds no
+string and evaluates no bound: its cost does not depend on N, its only
+n-dependent step is one popcount of the word's X mask, and the same seed
+gives the same report. The per-shot model that the draw stands for (an
+error pattern per shot, read through the word's X/Y sites) is kept in
+tests/util_dense.py as the reference it is tested against.
 """
 from __future__ import annotations
 
