@@ -20,8 +20,9 @@ takes none of these steps: every empty edge set is the same read-only
 (0, 2) or (0, 3) array.
 
 The public e2 and e3 stay frozensets of sorted tuples: they are views of
-the arrays, built on first read. The setting reductions in pauli and the
-statevector builder in oracle read the arrays and never build the views.
+the arrays, built on each read and not stored. The setting reductions in
+pauli and the statevector builder in oracle read the arrays and never
+build the views.
 
 load_hypergraph reads a graph file by one of two routes. The byte route
 takes the layout json.dumps writes for to_dict(), in any JSON whitespace.
@@ -41,7 +42,6 @@ from __future__ import annotations
 import gc
 import json
 from contextlib import contextmanager
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -103,6 +103,11 @@ def _checked_rows(rows: np.ndarray, n: int, arity: int) -> np.ndarray | None:
     return rows
 
 
+# The largest n whose int64 triple block NumPy can index: build_family's
+# block holds 12 int64 values per 4 vertices, (n // 4 + 1) * 96 bytes, and
+# NumPy refuses an array of more than 2**63 - 1 bytes. A ring's (n, 2)
+# rows are smaller, so ring_graph stops at the same n.
+MAX_BLOCK_N = 4 * ((2**63 - 1) // 96) - 2
 _NO_ROWS = {arity: np.empty((0, arity), np.int64) for arity in (2, 3)}  # every empty edge set
 for _rows in _NO_ROWS.values():
     _rows.flags.writeable = False
@@ -181,14 +186,14 @@ class HypergraphSpec:
         return (f"{type(self).__name__}(n={self.n}, e2={self.e2_rows.tolist()}, "
                 f"e3={self.e3_rows.tolist()})")
 
-    @cached_property
+    @property
     def e2(self) -> frozenset:
-        """The two-vertex edges as sorted tuples, built on first read."""
+        """The two-vertex edges as sorted tuples, built on each read."""
         return _edge_set(self.e2_rows)
 
-    @cached_property
+    @property
     def e3(self) -> frozenset:
-        """The three-vertex edges as sorted tuples, built on first read."""
+        """The three-vertex edges as sorted tuples, built on each read."""
         return _edge_set(self.e3_rows)
 
     def to_dict(self) -> dict:
@@ -324,10 +329,18 @@ def load_hypergraph(source) -> HypergraphSpec:
         raise ValueError(f"graph document: {exc}") from None
 
 
+def _check_block_sites(n: int) -> int:
+    """n, if it is at most MAX_BLOCK_N; checked before any row is built."""
+    if n > MAX_BLOCK_N:
+        raise ValueError(f"need n <= {MAX_BLOCK_N}, the largest n whose int64 triple block "
+                         f"NumPy can index, got {n}")
+    return n
+
+
 def ring_graph(n: int) -> HypergraphSpec:
-    """The cycle 1-2-...-n-1 (requires n >= 3)."""
-    n = _check_integer("n", n)
+    """The cycle 1-2-...-n-1 (requires 3 <= n <= MAX_BLOCK_N). Its edge
+    rows are built as one int64 array, already in canonical order."""
+    n = _check_block_sites(_check_integer("n", n))
     if n < 3:
         raise ValueError(f"ring graph needs at least 3 vertices, got {n}")
-    edges = {(i, i + 1) for i in range(1, n)} | {(1, n)}
-    return HypergraphSpec(n, e2=edges)
+    return HypergraphSpec(n, e2=np.column_stack((np.r_[1, 1:n], np.r_[2, n, 3:n + 1])))

@@ -7,9 +7,9 @@ therefore independent +-1 draws that read -1 with probability
 q = (1 - tanh(beta)^wt)/2, and a run of N shots is one Binomial(N, q) draw
 from a generator seeded with the run's seed. The report stores that draw:
 the word, N and the -1 count m, with beta_used a plain float (math.inf at
-T = 0). f_est = (N - 2m)/N and the +1 count follow on read; the word's
-letters and the error bounds are derived on first read. So a run builds no
-string and evaluates no bound: its cost does not depend on N, its only
+T = 0). f_est = (N - 2m)/N, the +1 count, the word's letters and the
+error bounds are derived on each read, and nothing is cached. So a run
+builds no string and evaluates no bound: its cost does not depend on N, its only
 n-dependent step is one popcount of the word's X mask, and the same seed
 gives the same report. The per-shot model that the draw stands for (an
 error pattern per shot, read through the word's X/Y sites) is kept in
@@ -18,8 +18,6 @@ tests/util_dense.py as the reference it is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .pauli import PauliString
@@ -70,8 +68,10 @@ class VerificationReport:
     """Record of one protocol run: the measured word, the shot count and the
     number of shots that read -1. Everything else is derived from them.
 
-    beta_used, the simulated inverse temperature as a float (math.inf at
-    T = 0), is ground truth for tests; no bound-checking code reads it.
+    beta_used is the simulated inverse temperature as a float (math.inf at
+    T = 0). The error bounds are evaluated at it (bound_report), so
+    check_error_bound and verify's within_fine_bound compare against a
+    bound of the simulated beta, and to_dict writes it.
     """
 
     word: PauliString
@@ -90,14 +90,15 @@ class VerificationReport:
     def f_est(self) -> float:
         return (self.n_samples - 2 * self.minus_count) / self.n_samples
 
-    @cached_property
+    @property
     def setting(self) -> str:
-        """The word's sign and letters, spelled on first read."""
+        """The word's sign and letters, spelled on each read."""
         return str(self.word)
 
-    @cached_property
+    @property
     def bound_report(self) -> BoundReport | None:
-        """error_bounds of the run, or None for odd n or n < 4."""
+        """error_bounds of the run, evaluated on each read, or None for odd
+        n or n < 4."""
         if self.word.n % 2 == 0 and self.word.n >= 4:
             return error_bounds(self.word.n, self.beta_used, self.epsilon, wt=self.word.xy_support)
         return None
@@ -115,8 +116,8 @@ def run_protocol(target, setting: PauliString, beta: float,
                  config: ProtocolConfig) -> VerificationReport:
     """Run the estimation protocol: one Binomial draw of the number of -1
     outcomes of `setting` among the sample budget. The report holds the
-    word and the counts; the estimate follows from them, and the letters
-    and the error bounds are derived on first read.
+    word and the counts; the estimate, the letters and the error bounds
+    are derived from them on each read.
 
     The parity model is exact when `setting` stabilizes the noiseless target;
     callers obtain it from stabilizer_product(target, selector), which takes
@@ -144,6 +145,6 @@ def check_error_bound(report: VerificationReport, true_fidelity: float) -> bool:
     The fine bound already includes the statistical epsilon, so with the
     prescribed sample budget this holds with probability at least 1 - delta.
     """
-    if report.bound_report is None:
+    if (bounds := report.bound_report) is None:
         raise ValueError("report carries no bound evaluations (n odd or < 4)")
-    return abs(true_fidelity - report.f_est) <= report.bound_report.fine_bound
+    return abs(true_fidelity - report.f_est) <= bounds.fine_bound

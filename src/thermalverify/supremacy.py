@@ -51,7 +51,7 @@ from functools import partial
 
 import numpy as np
 
-from .graphs import _NO_ROWS, HypergraphSpec, _canonical_rows
+from .graphs import _NO_ROWS, HypergraphSpec, _canonical_rows, _check_block_sites
 from .oracle import (_check_statevector_n, _flip_factor, _hadamard_factor, _kron_power,
                      build_pure_state)
 from .pauli import PauliString, stabilizer_product
@@ -70,18 +70,32 @@ _DISTRIBUTIONS = weakref.WeakValueDictionary()
 @dataclass(frozen=True)
 class CertificationDecision:
     """Outcome of the accept/reject rule applied to an estimate: the rule
-    accepts when margin = f_est - 2/n reaches threshold (ACCEPT_MARGIN)."""
+    accepts when margin = f_est - 2/n reaches threshold (ACCEPT_MARGIN).
+    The record holds f_est and n; the rest follows from them on each read."""
 
     f_est: float
     n: int
-    threshold_met: bool
-    tvd_bound: float
-    verdict: str
-    margin: float
-    threshold: float
+    threshold = ACCEPT_MARGIN
+
+    @property
+    def margin(self) -> float:
+        return self.f_est - 2.0 / self.n
+
+    @property
+    def threshold_met(self) -> bool:
+        return self.margin >= ACCEPT_MARGIN
+
+    @property
+    def verdict(self) -> str:
+        return "accept" if self.threshold_met else "reject"
+
+    @property
+    def tvd_bound(self) -> float:
+        return 2.0 * math.sqrt(max(0.0, 1.0 + EPSILON_FULL_SCALE - self.margin))
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        keys = ("f_est", "n", "threshold_met", "tvd_bound", "verdict", "margin", "threshold")
+        return {key: getattr(self, key) for key in keys}
 
 
 # Triple j of the four progressions, minus 4j: rows in lexicographic order.
@@ -89,7 +103,8 @@ _PROGRESSIONS = np.array([[-3, -2, -1], [-3, -1, 0], [-1, 0, 1], [-1, 1, 2]])
 
 
 def _family_rows(n: int) -> np.ndarray:
-    """The family's triples as an (n - 2, 3) int64 array, rows ascending.
+    """The family's triples as a read-only (n - 2, 3) int64 array, rows
+    ascending.
 
     Block j holds (4j-3, 4j-2, 4j-1), (4j-3, 4j-1, 4j), (4j-1, 4j, 4j+1)
     and (4j-1, 4j+1, 4j+2), so flattened row k has largest vertex k + 3:
@@ -97,12 +112,13 @@ def _family_rows(n: int) -> np.ndarray:
     the first n - 2 rows.
     """
     block = 4 * np.arange(1, n // 4 + 2)[:, None, None] + _PROGRESSIONS
-    return block.reshape(-1, 3)[: max(n - 2, 0)]
+    rows = block.reshape(-1, 3)[: max(n - 2, 0)]
+    rows.flags.writeable = False
+    return rows
 
 
 _CHECK_ROWS = 1 << 12  # triples compared per block: a 96 KiB reference
 _FIRST_ROWS = _family_rows(_CHECK_ROWS + 2)  # every member's first _CHECK_ROWS triples
-_FIRST_ROWS.flags.writeable = False
 
 
 def _holds_family_rows(rows: np.ndarray, n: int) -> bool:
@@ -119,11 +135,10 @@ def _holds_family_rows(rows: np.ndarray, n: int) -> bool:
 
 def build_family(n: int, e2=frozenset()) -> HypergraphSpec:
     """The restricted family's member on n (even) vertices: its fixed
-    triangle pattern plus the caller's two-vertex edges e2."""
-    n = _check_sites(n, even_from=4, need="family requires")
-    e3_rows = _family_rows(n)
-    e3_rows.flags.writeable = False
-    return _built(HypergraphSpec, n=n, e2_rows=_canonical_rows(e2, n, 2), e3_rows=e3_rows)
+    triangle pattern plus the caller's two-vertex edges e2. n past
+    MAX_BLOCK_N is a ValueError, raised before any row is built."""
+    n = _check_block_sites(_check_sites(n, even_from=4, need="family requires"))
+    return _built(HypergraphSpec, n=n, e2_rows=_canonical_rows(e2, n, 2), e3_rows=_family_rows(n))
 
 
 def optimal_setting(spec: HypergraphSpec) -> PauliString:
@@ -168,6 +183,13 @@ def certify(f_est: float, n: int, allow_small_n: bool = False) -> CertificationD
     The full-scale regime assumes n >= 400000 (with epsilon 1e-6); pass
     allow_small_n=True to evaluate the same arithmetic at desk scales.
 
+    A float carries no budget. The bound assumes the estimate came from a
+    run at epsilon = EPSILON_FULL_SCALE (1e-6) with sample_size(1e-6, delta)
+    shots, and certify cannot check that: certify(run.f_est, 400000) of a
+    10-shot run at T = 0 accepts with tvd_bound 0.0049. A library caller
+    must hold its run to that budget, as the certify-iqp CLI does (it
+    refuses any other budget outside --allow-small-n).
+
     At n = 400000 the rule sits on its boundary: 1 - 2/n equals 0.999995
     exactly, and the float margin 1.0 - 2.0/400000 rounds to the same double
     as ACCEPT_MARGIN, so only f_est == 1.0 (no -1 shot at all) accepts. One
@@ -186,18 +208,7 @@ def certify(f_est: float, n: int, allow_small_n: bool = False) -> CertificationD
             f"n = {n} is below the full-scale regime (>= {MIN_FULL_SCALE_N}); "
             "pass allow_small_n=True to evaluate anyway"
         )
-    margin = f_est - 2.0 / n
-    threshold_met = margin >= ACCEPT_MARGIN
-    tvd_bound = 2.0 * math.sqrt(max(0.0, 1.0 + EPSILON_FULL_SCALE - margin))
-    return CertificationDecision(
-        f_est=f_est,
-        n=n,
-        threshold_met=threshold_met,
-        tvd_bound=tvd_bound,
-        verdict="accept" if threshold_met else "reject",
-        margin=margin,
-        threshold=ACCEPT_MARGIN,
-    )
+    return CertificationDecision(f_est, n)
 
 
 def exact_outcome_distribution(spec: HypergraphSpec, beta: float) -> np.ndarray:

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import thermalverify
 from thermalverify import (ProtocolConfig, build_family, certify, fidelity, optimal_setting,
                            ring_graph, run_protocol, supremacy)
+from thermalverify import sampler
 from thermalverify.cli import _dumps, build_parser, main
 from thermalverify.supremacy import EPSILON_FULL_SCALE, L1_TARGET
 from util_dense import dumps_reference
@@ -276,6 +277,17 @@ class TestVerify:
         assert main(args + ["--output", str(out1)]) == 0
         assert main(args + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_each_trial_evaluates_the_bounds_once(self, tmp_path, monkeypatch):
+        calls, bounds = [], sampler.error_bounds
+        monkeypatch.setattr(sampler, "error_bounds",
+                            lambda *args, **kwargs: calls.append(1) or bounds(*args, **kwargs))
+        out = tmp_path / "trials.csv"
+        assert main(["verify", "--graph", str(RING12), "--beta", "1", "--epsilon", "0.1",
+                     "--delta", "0.1", "--samples", "100", "--trials", "3",
+                     "--output", str(out)]) == 0
+        assert len(calls) == 3
+        assert [row["fine_bound"] != "" for row in read_csv(out)] == [True] * 3 + [False]
 
     def test_epsilon_one_runs_with_error_bounds(self, tmp_path):
         # an even n computes the error bounds, which take epsilon = 1 as

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import re
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermalverify import HypergraphSpec, build_family, load_hypergraph, ring_graph
+from thermalverify.graphs import MAX_BLOCK_N
 from util_dense import (canonical_edge_reference, generator, hypergraphs_with_selector,
                         integer_edge_arrays, path_graph, raw_edges, reference_edge_set)
 
@@ -180,6 +182,35 @@ def test_load_rejects_bad_documents():
 def test_round_trip_to_dict():
     h = HypergraphSpec(4, e2={(1, 2)}, e3={(1, 3, 4)})
     assert load_hypergraph(h.to_dict()) == h
+
+
+def test_reading_the_edge_views_stores_nothing():
+    spec = HypergraphSpec(4, e2=[(1, 2)], e3=[(2, 3, 4)])
+    assert (spec.e2, spec.e3) == ({(1, 2)}, {(2, 3, 4)})
+    assert spec.to_dict() == {"n": 4, "e2": [[1, 2]], "e3": [[2, 3, 4]]}
+    assert list(vars(spec)) == ["n", "e2_rows", "e3_rows"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_ring_rows_match_the_edge_set(n):
+    ring = ring_graph(n)
+    assert ring == HypergraphSpec(n, e2={(i, i + 1) for i in range(1, n)} | {(1, n)})
+    assert ring.e2_rows.dtype == np.int64 and not ring.e2_rows.flags.writeable
+
+
+@pytest.mark.parametrize("build", [ring_graph, build_family])
+@pytest.mark.parametrize("n", [MAX_BLOCK_N + 2, 2**62, 10**30])
+def test_an_n_past_the_block_limit_is_named_before_any_row_is_built(build, n):
+    # each n fails its check before NumPy is asked for an array
+    with pytest.raises(ValueError, match=f"need n <= {MAX_BLOCK_N}, the largest n whose int64 "
+                                         f"triple block NumPy can index, got {n}$"):
+        build(n)
+
+
+def test_the_block_limit_is_the_largest_n_numpy_can_index():
+    # build_family's block holds n // 4 + 1 groups of 12 int64 values
+    assert MAX_BLOCK_N % 2 == 0
+    assert (MAX_BLOCK_N // 4 + 1) * 96 <= sys.maxsize < ((MAX_BLOCK_N + 2) // 4 + 1) * 96
 
 
 def test_helpers():

@@ -283,9 +283,8 @@ WORD = stabilizer_product(ring_graph(4), "1100")
 
 
 class TestReportStoresTheDraw:
-    """A report holds the word, the shot count and the -1 count; f_est and
-    the +1 count follow from them, and the letters and the bounds are
-    derived on first read."""
+    """A report holds the word, the shot count and the -1 count; f_est, the
+    +1 count, the letters and the bounds are derived on each read."""
 
     def test_report_fields_are_the_draw(self):
         assert [field.name for field in fields(VerificationReport)] == [
@@ -302,9 +301,16 @@ class TestReportStoresTheDraw:
         report = run_protocol(ring_graph(4), WORD, 1.0, ProtocolConfig(0.1, 0.1, 50, 3))
         assert (spelled, bounded) == ([], [])
         assert read(report) == "+YYZZ" and spelled == [1]
-        assert report.setting == report.to_dict()["setting"] == "+YYZZ"
-        assert report.bound_report is report.bound_report
-        assert spelled == [1] and len(bounded) == 1
+        spelled.clear(), bounded.clear()
+        assert report.to_dict()["setting"] == "+YYZZ"
+        assert (spelled, bounded) == ([1], [1])
+
+    def test_reading_every_view_stores_nothing(self):
+        report = run_protocol(ring_graph(4), WORD, 1.0, ProtocolConfig(0.1, 0.1, 50, 3))
+        views = (report.f_est, report.plus_count, report.setting, report.bound_report,
+                 report.to_dict())
+        assert all(view is not None for view in views)
+        assert list(vars(report)) == [field.name for field in fields(VerificationReport)]
 
     def test_repr_names_the_draw_at_any_n(self):
         n = 20_000

@@ -7,6 +7,7 @@ import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
+from dataclasses import fields
 from functools import reduce
 from pathlib import Path
 
@@ -292,6 +293,14 @@ class TestCertify:
         decision = certify(1.0, np.int64(400_000))
         assert type(decision.n) is int
         assert json.dumps(decision.to_dict()) == json.dumps(certify(1.0, 400_000).to_dict())
+
+    def test_decision_stores_its_inputs(self):
+        decision = certify(0.9999999, 400_000)
+        assert [field.name for field in fields(CertificationDecision)] == ["f_est", "n"]
+        assert list(vars(decision)) == ["f_est", "n"]
+        assert list(decision.to_dict()) == ["f_est", "n", "threshold_met", "tvd_bound",
+                                            "verdict", "margin", "threshold"]
+        assert decision == CertificationDecision(0.9999999, 400_000)
 
     def test_decision_dict_keys_and_copy(self):
         decision = certify(1.0, 400_000)
