@@ -9,12 +9,13 @@ to the output, or on stderr when writing CSV to stdout. All JSON goes
 through one encoder (_dumps): strict JSON with sorted keys, every infinite
 float at any depth written as the string "infinity", in the bytes
 json.dumps(indent=2, sort_keys=True, allow_nan=False) would write, from
-one recursive pass that converts, sorts and checks as it writes. Given the
-same parameters and seed, outputs are reproducible byte for byte,
-timestamps excluded. Every --output file is written by _write_text, which
-rewrites an existing file in place and never truncates it to zero first:
-on ext4 that pattern flushes the file on close (auto_da_alloc): about
-130 us per small file against about 7-12 us in place on a 2-core VM.
+one recursive pass that converts, sorts and checks as it writes, into one
+list joined once with the trailing newline. Given the same parameters and
+seed, outputs are reproducible byte for byte, timestamps excluded. Every
+--output file is written by _write_text, which rewrites an existing file
+in place and never truncates it to zero first: on ext4 that pattern
+flushes the file on close (auto_da_alloc): about 130 us per small file
+against about 7-12 us in place on a 2-core VM.
 Options that exclude each other are argparse groups, so a conflict exits 2.
 
 The parser is built once per process, at the first `main` call (2-5 ms);
@@ -22,16 +23,16 @@ list defaults are strings converted per parse, so no parse changes it and
 `main(argv)` is safe to call repeatedly in process. Each argv is parsed
 once, by the named subcommand's own parser (_parse); the top-level parser
 runs only for help, an empty argv or an unknown subcommand. certify-iqp
-reduces the family member without two-vertex edges as the edgeless spec,
-so it builds no triples. An in-process `certify-iqp --n 2000 --samples
-2000 --beta 3 --allow-small-n` costs 0.32-0.36 ms (median of 250 calls in
-each of six fresh processes, on a 2-core VM shared with other work,
-BENCH_33.json); on a quieter run of the same VM, BENCH_27.json measured
-0.17-0.18 ms, against 0.23-0.24 ms through build_family and
-optimal_setting. The bound certify
-reports assumes epsilon = EPSILON_FULL_SCALE and at least the shots that
-epsilon needs at the run's delta, so outside --allow-small-n certify-iqp
-refuses any other budget: its own, and the one a --report file states.
+simulates the family member without two-vertex edges and writes its word
+in closed form, X on every even site (the supremacy module docstring says
+why), so a run builds no triples, reduces no selector and makes one
+seeded draw. perfbench's certify-family jobs (`certify-iqp --n 2000
+--samples 2000 --allow-small-n`, beta in 2..6) take a median 0.46 ms
+against 0.51 ms when the CLI reduced the edgeless spec (10 pairs on a
+2-core VM, BENCH_34.json). The bound certify reports assumes epsilon =
+EPSILON_FULL_SCALE and at least the shots that epsilon needs at the run's
+delta, so outside --allow-small-n certify-iqp refuses any other budget:
+its own, and the one a --report file states.
 
 Exit codes: 0 success, 2 invalid input, 3 a RuntimeError raised by an
 internal check.
@@ -52,7 +53,8 @@ from pathlib import Path
 
 from . import __version__
 from .graphs import HypergraphSpec, load_hypergraph
-from .pauli import _check_selector_sites, alternating_setting, parse_setting, stabilizer_product
+from .pauli import (PauliString, _check_selector_sites, alternating_setting, parse_setting,
+                    stabilizer_product)
 from .sampler import ProtocolConfig, run_protocol
 from .supremacy import EPSILON_FULL_SCALE, L1_TARGET, certify
 from .thermal import (_check_beta, _check_epsilon, _check_sites, beta_from_temperature,
@@ -76,43 +78,52 @@ def _manifest(args: argparse.Namespace) -> dict:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _dumps(doc) -> str:
+def _dumps(doc, end: str = "") -> str:
     """The one JSON encoder: the bytes of json.dumps(doc, indent=2,
-    sort_keys=True, allow_nan=False), except that every infinite float, at
-    any depth, is written as the string "infinity" or "-infinity", and a
-    key that is not a str is a TypeError. One recursive pass writes, sorts
-    and checks; with an indent the stdlib would run its pure-Python encoder
-    on a converted copy."""
-    return _encode(doc, "\n")
+    sort_keys=True, allow_nan=False), then `end`, except that every
+    infinite float, at any depth, is written as the string "infinity" or
+    "-infinity", and a key that is not a str is a TypeError. One recursive
+    pass writes, sorts and checks, appending fragments to one list that is
+    joined once, so a long string is copied once however deep it sits;
+    with an indent the stdlib would run its pure-Python encoder on a
+    converted copy."""
+    parts: list[str] = []
+    _encode(doc, "\n", parts.append)
+    return "".join([*parts, end])
 
 
-def _encode(value, newline: str) -> str:
-    """`value` as indented JSON whose lines start with `newline`."""
+def _encode(value, newline: str, write) -> None:
+    """Pass `value` to `write` as fragments of indented JSON whose lines
+    start with `newline`."""
     if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
+        write(_quote(value))
+    elif value is None or value is True or value is False:
+        write("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, float):
         if math.isinf(value):
-            return '"infinity"' if value > 0 else '"-infinity"'
-        if value != value:
+            write('"infinity"' if value > 0 else '"-infinity"')
+        elif value != value:
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        items = [_encode(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
-    if isinstance(value, dict):
-        items = [_quote(key) + ": " + _encode(item, inner)
-                 for key, item in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        else:
+            write(float.__repr__(value))
+    elif isinstance(value, dict):
+        inner, sep = newline + "  ", "{"
+        for key, item in sorted(value.items()):
+            write(sep + inner + _quote(key) + ": ")
+            _encode(item, inner, write)
+            sep = ","
+        write(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner, sep = newline + "  ", "["
+        for item in value:
+            write(sep + inner)
+            _encode(item, inner, write)
+            sep = ","
+        write(newline + "]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _cell(value):
@@ -146,13 +157,13 @@ def _emit(args, record) -> None:
     stderr."""
     manifest = _manifest(args)
     if isinstance(record, dict):
-        text, sidecar = _dumps({"manifest": manifest, "result": record}) + "\n", ""
+        text, sidecar = _dumps({"manifest": manifest, "result": record}, "\n"), ""
     else:
         schema, header, rows = record
         fh = io.StringIO()
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerows([_cell(v) for v in row] for row in [header, *rows])
-        text, sidecar = fh.getvalue(), _dumps({**manifest, "csv_schema": schema}) + "\n"
+        text, sidecar = fh.getvalue(), _dumps({**manifest, "csv_schema": schema}, "\n")
     if args.output:
         _write_text(args.output, text)
         if sidecar:
@@ -356,8 +367,9 @@ def cmd_certify_iqp(args) -> dict:
     if f_est is None:
         beta = _resolve_beta(args)
         n = _check_selector_sites(_check_sites(args.n, even_from=4, need="family requires"))
-        member = HypergraphSpec(n)  # the triples cancel in closed form (optimal_setting)
-        report = run_protocol(member, stabilizer_product(member, "01" * (n // 2)), beta, config)
+        # the member's word in closed form (optimal_setting says why): X on every even site
+        word = PauliString(n, 1, 2 * ((1 << n) // 3))  # bits 1, 3, ..., n - 1
+        report = run_protocol(HypergraphSpec(n), word, beta, config)
         f_est = report.f_est
         result["report"] = report.to_dict()
     result["decision"] = certify(f_est, args.n, allow_small_n=args.allow_small_n).to_dict()

@@ -16,9 +16,11 @@ protocol applies unchanged. The cancellation is exact for every member, so
 optimal_setting checks membership and reduces only the two-vertex edges;
 stabilizer_product, which verify runs, reduces every edge of any spec.
 optimal_setting is the library route, for a member a caller built.
-certify-iqp simulates the member without two-vertex edges, so the CLI
-reduces the edgeless HypergraphSpec(n) under 0101...01 itself, the same
-word with no triples built and no membership to check.
+certify-iqp simulates the member without two-vertex edges, whose word
+follows from the cancellation alone: X on every even site, sign +1 and no
+Z, since no two-vertex edge is left to add a Z letter or a sign. The CLI
+writes that word in closed form, with no triple built, no selector
+reduced and no membership to check.
 
 The decision rule accepts when f_est - 2/n >= 0.999995 and converts the
 accepted estimate into a bound on the (unhalved) l1 distance between the
@@ -71,11 +73,17 @@ _DISTRIBUTIONS = weakref.WeakValueDictionary()
 class CertificationDecision:
     """Outcome of the accept/reject rule applied to an estimate: the rule
     accepts when margin = f_est - 2/n reaches threshold (ACCEPT_MARGIN).
-    The record holds f_est and n; the rest follows from them on each read."""
+    The record holds f_est and n, checked as certify describes (f_est in
+    [-1, 1], n even and >= 4); the rest follows from them on each read."""
 
     f_est: float
     n: int
     threshold = ACCEPT_MARGIN
+
+    def __post_init__(self):
+        if not -1.0 <= self.f_est <= 1.0:
+            raise ValueError(f"f_est must lie in [-1, 1], got {self.f_est}")
+        object.__setattr__(self, "n", _check_sites(self.n, even_from=4, need="family requires"))
 
     @property
     def margin(self) -> float:
@@ -175,10 +183,12 @@ def optimal_setting(spec: HypergraphSpec) -> PauliString:
 
 def certify(f_est: float, n: int, allow_small_n: bool = False) -> CertificationDecision:
     """Apply the accept/reject rule to an estimate on n qubits: accept when
-    the margin f_est - 2/n reaches ACCEPT_MARGIN. n must be even and >= 4,
-    as build_family requires: at odd n there is no family member, no
-    half-weight setting and no 2/n bound (error_bounds), whatever the source
-    of f_est.
+    the margin f_est - 2/n reaches ACCEPT_MARGIN. f_est must lie in
+    [-1, 1], and n must be even and >= 4, as build_family requires: at odd
+    n there is no family member, no half-weight setting and no 2/n bound
+    (error_bounds), whatever the source of f_est. CertificationDecision
+    checks both, so a decision built directly obeys the same rule; certify
+    adds only the full-scale policy.
 
     The full-scale regime assumes n >= 400000 (with epsilon 1e-6); pass
     allow_small_n=True to evaluate the same arithmetic at desk scales.
@@ -200,15 +210,11 @@ def certify(f_est: float, n: int, allow_small_n: bool = False) -> CertificationD
     threshold: with allow_small_n=True, f_est = 1.0 at n = 12 has margin
     0.833 and is rejected.
     """
-    if not -1.0 <= f_est <= 1.0:
-        raise ValueError(f"f_est must lie in [-1, 1], got {f_est}")
-    n = _check_sites(n, even_from=4, need="family requires")
-    if n < MIN_FULL_SCALE_N and not allow_small_n:
-        raise ValueError(
-            f"n = {n} is below the full-scale regime (>= {MIN_FULL_SCALE_N}); "
-            "pass allow_small_n=True to evaluate anyway"
-        )
-    return CertificationDecision(f_est, n)
+    decision = CertificationDecision(f_est, n)  # checks f_est and n
+    if decision.n < MIN_FULL_SCALE_N and not allow_small_n:
+        raise ValueError(f"n = {decision.n} is below the full-scale regime "
+                         f"(>= {MIN_FULL_SCALE_N}); pass allow_small_n=True to evaluate anyway")
+    return decision
 
 
 def exact_outcome_distribution(spec: HypergraphSpec, beta: float) -> np.ndarray:

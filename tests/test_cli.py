@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermalverify
-from thermalverify import (ProtocolConfig, build_family, certify, fidelity, optimal_setting,
-                           ring_graph, run_protocol, supremacy)
+from thermalverify import (HypergraphSpec, ProtocolConfig, build_family, certify, fidelity,
+                           optimal_setting, pauli, ring_graph, run_protocol, stabilizer_product,
+                           supremacy)
 from thermalverify import sampler
 from thermalverify.cli import _dumps, build_parser, main
 from thermalverify.supremacy import EPSILON_FULL_SCALE, L1_TARGET
@@ -571,8 +573,8 @@ class TestCertifyBudget:
            seed=st.integers(0, 2**31), samples=st.integers(1, 10**15))
     @settings(max_examples=40, deadline=None)
     def test_simulation_equals_the_library_route(self, n, beta, seed, samples):
-        # the CLI reduces the edgeless member; the library's route builds the
-        # family member and checks it in optimal_setting
+        # the CLI writes the member's word in closed form; the library's route
+        # builds the family member and reduces it in optimal_setting
         with contextlib.redirect_stdout(io.StringIO()) as stdout:
             assert main(["certify-iqp", "--n", str(n), "--beta", repr(beta), "--seed", str(seed),
                          "--samples", str(samples), "--allow-small-n"]) == 0
@@ -590,11 +592,17 @@ class TestCertifyBudget:
         assert doc["result"]["report"]["setting"] == str(setting)
 
     def test_simulation_builds_no_family_triples(self, capsys, monkeypatch):
-        def refuse(n):
-            raise AssertionError(f"_family_rows({n}) called")
-        monkeypatch.setattr(supremacy, "_family_rows", refuse)
+        # nor reduces a selector: the word is written in closed form
+        def refuse(name):
+            def refused(*args):
+                raise AssertionError(f"{name} called")
+            return refused
+        monkeypatch.setattr(supremacy, "_family_rows", refuse("_family_rows"))
+        monkeypatch.setattr(pauli, "_normal_form", refuse("_normal_form"))
         with pytest.raises(AssertionError, match="_family_rows"):
             build_family(2000)
+        with pytest.raises(AssertionError, match="_normal_form"):
+            stabilizer_product(HypergraphSpec(4), "0101")
         for argv in (["--n", "2000", "--beta", "3", "--samples", "2000", "--allow-small-n"],
                      ["--n", "400000", "--temperature", "0"]):
             assert main(["certify-iqp"] + argv) == 0
@@ -820,6 +828,16 @@ class TestStrictJson:
     @settings(max_examples=400, deadline=None)
     def test_encoder_writes_the_stdlib_bytes(self, doc):
         assert _dumps(doc) == dumps_reference(doc)
+
+    def test_a_long_string_deep_in_the_document_is_copied_once(self):
+        leaf = "+IXZY" * 200_000  # 10**6 characters, like a report's setting, three levels deep
+        doc = {"manifest": {"seed": 0}, "result": {"l1_target": 0.1, "report": {"setting": leaf}}}
+        tracemalloc.start()
+        text = _dumps(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert text == dumps_reference(doc)
+        assert peak < 2.5 * len(leaf)  # the quoted leaf and the joined document
 
     @pytest.mark.parametrize("bad, error", [(math.nan, ValueError), ({1}, TypeError),
                                             (np.int64(1), TypeError)])

@@ -90,3 +90,11 @@ def test_running_out_of_memory_is_invalid_input(tmp_path, monkeypatch, capsys):
                          capsys)
     assert (code, out) == (2, "")
     assert err == "error: the input needs more memory than is available\n"
+
+
+def test_a_site_count_just_below_the_index_limit_is_invalid_input(capsys):
+    # 2**63 - 2 passes every site check and fails on the word's first
+    # integer, before anything is allocated
+    code, out, err = run(["certify-iqp", "--n", "9223372036854775806", "--beta", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")

@@ -270,6 +270,18 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify(1.5, 400_000)
 
+    @pytest.mark.parametrize("f_est, n, message", [
+        (2.0, 3, r"f_est must lie in \[-1, 1\], got 2.0"),
+        (1.0, 3, "family requires even n >= 4, got 3"),
+        (math.nan, 400_000, r"f_est must lie in \[-1, 1\], got nan"),
+    ])
+    def test_the_decision_checks_its_own_inputs(self, f_est, n, message):
+        # the record, not only certify, refuses what the rule cannot decide
+        with pytest.raises(ValueError, match=message):
+            CertificationDecision(f_est, n)
+        with pytest.raises(ValueError, match=message):
+            certify(f_est, n, allow_small_n=True)
+
     def test_decision_serializes(self):
         doc = certify(1.0, 400_000).to_dict()
         assert doc["verdict"] == "accept" and doc["n"] == 400_000
@@ -292,6 +304,7 @@ class TestCertify:
     def test_numpy_integer_n_serializes_as_plain_int(self):
         decision = certify(1.0, np.int64(400_000))
         assert type(decision.n) is int
+        assert type(CertificationDecision(1.0, np.int64(400_000)).n) is int
         assert json.dumps(decision.to_dict()) == json.dumps(certify(1.0, 400_000).to_dict())
 
     def test_decision_stores_its_inputs(self):
