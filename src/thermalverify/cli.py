@@ -27,7 +27,7 @@ simulates the family member without two-vertex edges and writes its word
 in closed form, X on every even site (the supremacy module docstring says
 why), so a run builds no triples, reduces no selector and makes one
 seeded draw. perfbench's certify-family jobs (`certify-iqp --n 2000
---samples 2000 --allow-small-n`, beta in 2..6) take a median 0.46 ms
+--samples 2000 --allow-small-n`, beta in 2..6) take a median 0.47 ms
 against 0.51 ms when the CLI reduced the edgeless spec (10 pairs on a
 2-core VM, BENCH_34.json). The bound certify reports assumes epsilon =
 EPSILON_FULL_SCALE and at least the shots that epsilon needs at the run's
@@ -78,50 +78,51 @@ def _manifest(args: argparse.Namespace) -> dict:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _dumps(doc, end: str = "") -> str:
+def _dumps(doc) -> str:
     """The one JSON encoder: the bytes of json.dumps(doc, indent=2,
-    sort_keys=True, allow_nan=False), then `end`, except that every
+    sort_keys=True, allow_nan=False) and a newline, except that every
     infinite float, at any depth, is written as the string "infinity" or
     "-infinity", and a key that is not a str is a TypeError. One recursive
     pass writes, sorts and checks, appending fragments to one list that is
-    joined once, so a long string is copied once however deep it sits;
-    with an indent the stdlib would run its pure-Python encoder on a
-    converted copy."""
+    joined once, newline included, so a long string is copied once however
+    deep it sits; with an indent the stdlib would run its pure-Python
+    encoder on a converted copy."""
     parts: list[str] = []
-    _encode(doc, "\n", parts.append)
-    return "".join([*parts, end])
+    _encode(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _encode(value, newline: str, write) -> None:
-    """Pass `value` to `write` as fragments of indented JSON whose lines
+def _encode(value, newline: str, parts: list[str]) -> None:
+    """Append `value` to `parts` as fragments of indented JSON whose lines
     start with `newline`."""
     if isinstance(value, str):
-        write(_quote(value))
+        parts.append(_quote(value))
     elif value is None or value is True or value is False:
-        write("null" if value is None else "true" if value else "false")
+        parts.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
-        write(int.__repr__(value))
+        parts.append(int.__repr__(value))
     elif isinstance(value, float):
         if math.isinf(value):
-            write('"infinity"' if value > 0 else '"-infinity"')
+            parts.append('"infinity"' if value > 0 else '"-infinity"')
         elif value != value:
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         else:
-            write(float.__repr__(value))
+            parts.append(float.__repr__(value))
     elif isinstance(value, dict):
         inner, sep = newline + "  ", "{"
         for key, item in sorted(value.items()):
-            write(sep + inner + _quote(key) + ": ")
-            _encode(item, inner, write)
+            parts.append(sep + inner + _quote(key) + ": ")
+            _encode(item, inner, parts)
             sep = ","
-        write(newline + "}" if value else "{}")
+        parts.append(newline + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         inner, sep = newline + "  ", "["
         for item in value:
-            write(sep + inner)
-            _encode(item, inner, write)
+            parts.append(sep + inner)
+            _encode(item, inner, parts)
             sep = ","
-        write(newline + "]" if value else "[]")
+        parts.append(newline + "]" if value else "[]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -157,13 +158,13 @@ def _emit(args, record) -> None:
     stderr."""
     manifest = _manifest(args)
     if isinstance(record, dict):
-        text, sidecar = _dumps({"manifest": manifest, "result": record}, "\n"), ""
+        text, sidecar = _dumps({"manifest": manifest, "result": record}), ""
     else:
         schema, header, rows = record
         fh = io.StringIO()
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerows([_cell(v) for v in row] for row in [header, *rows])
-        text, sidecar = fh.getvalue(), _dumps({**manifest, "csv_schema": schema}, "\n")
+        text, sidecar = fh.getvalue(), _dumps({**manifest, "csv_schema": schema})
     if args.output:
         _write_text(args.output, text)
         if sidecar:
@@ -366,9 +367,11 @@ def cmd_certify_iqp(args) -> dict:
         _check_full_scale_budget(**budget, source=f"report {args.report}: " if args.report else "")
     if f_est is None:
         beta = _resolve_beta(args)
+        # no selector is built: _check_selector_sites is kept so that an n
+        # >= sys.maxsize is refused with its message and exit code 2
         n = _check_selector_sites(_check_sites(args.n, even_from=4, need="family requires"))
-        # the member's word in closed form (optimal_setting says why): X on every even site
-        word = PauliString(n, 1, 2 * ((1 << n) // 3))  # bits 1, 3, ..., n - 1
+        # the member's word in closed form (the supremacy docstring says why)
+        word = PauliString(n, 1, 2 * ((1 << n) // 3))  # X on sites 2, 4, ..., n
         report = run_protocol(HypergraphSpec(n), word, beta, config)
         f_est = report.f_est
         result["report"] = report.to_dict()

@@ -29,15 +29,13 @@ takes the layout json.dumps writes for to_dict(), in any JSON whitespace.
 It parses first: each edge array goes through np.fromstring into int64
 values, and the number of values gives the array's edge count. It checks
 after: the file's structure must be exactly the one those counts imply,
-compared with bytes.count and startswith, which copy nothing. The rows
-then take the constructor's checks without being copied, and are stored
-as parsed when they are canonical (an integer ndarray a caller passes to
-the constructor is copied, so the caller keeps theirs); no Python object
-is built per edge. Every other document (other key orders, other value
-types, anything malformed) takes the JSON route: json.loads with the
-garbage collector paused, then the dict checks. to_dict pauses it too,
-while it builds one list per edge. A document the byte route takes loads
-to the spec, or raises the error, that json.loads of it would give.
+compared with bytes.count and startswith, which copy nothing. The rows go
+to the constructor, which validates them; no Python object is built per
+edge. Every other document (other key orders, other value types, anything
+malformed) takes the JSON route: json.loads with the garbage collector
+paused, then the dict checks. to_dict pauses it too, while it builds one
+list per edge. A document the byte route takes loads to the spec, or
+raises the error, that json.loads of it would give.
 """
 from __future__ import annotations
 
@@ -49,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .thermal import _built, _check_integer, _check_sites
+from .thermal import _check_integer, _check_sites
 
 
 def _canonical_edge(edge, n: int, arity: int) -> tuple[int, ...]:
@@ -115,17 +113,15 @@ for _rows in _NO_ROWS.values():
     _rows.flags.writeable = False
 
 
-def _canonical_rows(edges, n: int, arity: int, copy: bool = True) -> np.ndarray:
+def _canonical_rows(edges, n: int, arity: int) -> np.ndarray:
     """Sorted, deduplicated, read-only (m, arity) int64 rows of an edge
-    collection; raises ValueError naming the first invalid edge. An integer
-    ndarray that is already canonical is copied, so the caller keeps
-    theirs, unless copy=False: a builder whose rows nobody else holds."""
+    collection; raises ValueError naming the first invalid edge."""
     if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
         rows = _checked_rows(edges.astype(np.int64, copy=False), n, arity)
         if rows is None:
             edges = edges.tolist()
-        elif copy and rows is edges:
-            rows = rows.copy()
+        elif rows is edges:
+            rows = rows.copy()  # the caller keeps theirs
     else:
         if not isinstance(edges, (list, tuple)):
             edges = list(edges)  # read an iterator once, in its own order
@@ -312,12 +308,9 @@ def load_hypergraph(source) -> HypergraphSpec:
         with open(source, "rb", buffering=0) as fh:  # one unbuffered read to the end
             data = fh.read()
         layout = _layout_rows(data)
-        if layout is not None:  # HypergraphSpec(n, **edges), storing the parsed rows uncopied
+        if layout is not None:
             n, edges = layout
-            n = _check_sites(n)
-            return _built(HypergraphSpec, n=n,
-                          e2_rows=_canonical_rows(edges.get("e2", ()), n, 2, copy=False),
-                          e3_rows=_canonical_rows(edges.get("e3", ()), n, 3, copy=False))
+            return HypergraphSpec(n, **edges)
         text = data.decode("utf-8")
         with _gc_paused():
             doc = json.loads(text)

@@ -588,7 +588,7 @@ class TestCertifyBudget:
                   "decision": certify(report.f_est, n, allow_small_n=True).to_dict(),
                   "l1_target": L1_TARGET}
         doc = json.loads(out)  # the manifest, timestamp included, is the CLI's own
-        assert out == _dumps({"manifest": doc["manifest"], "result": result}) + "\n"
+        assert out == _dumps({"manifest": doc["manifest"], "result": result})
         assert doc["result"]["report"]["setting"] == str(setting)
 
     def test_simulation_builds_no_family_triples(self, capsys, monkeypatch):
@@ -827,7 +827,7 @@ class TestStrictJson:
                         | st.dictionaries(st.text(), inner, max_size=4), max_leaves=30))
     @settings(max_examples=400, deadline=None)
     def test_encoder_writes_the_stdlib_bytes(self, doc):
-        assert _dumps(doc) == dumps_reference(doc)
+        assert _dumps(doc) == dumps_reference(doc) + "\n"
 
     def test_a_long_string_deep_in_the_document_is_copied_once(self):
         leaf = "+IXZY" * 200_000  # 10**6 characters, like a report's setting, three levels deep
@@ -836,7 +836,7 @@ class TestStrictJson:
         text = _dumps(doc)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert text == dumps_reference(doc)
+        assert text == dumps_reference(doc) + "\n"
         assert peak < 2.5 * len(leaf)  # the quoted leaf and the joined document
 
     @pytest.mark.parametrize("bad, error", [(math.nan, ValueError), ({1}, TypeError),

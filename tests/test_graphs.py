@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermalverify import HypergraphSpec, build_family, graphs, load_hypergraph, ring_graph
+from thermalverify import HypergraphSpec, build_family, load_hypergraph, ring_graph
 from thermalverify.graphs import MAX_BLOCK_N
 from util_dense import (canonical_edge_reference, generator, hypergraphs_with_selector,
                         integer_edge_arrays, path_graph, raw_edges, reference_edge_set)
@@ -541,24 +541,6 @@ def test_layouts_the_byte_route_takes(tmp_path, text):
     got, parsed, expected = _file_and_json_routes(tmp_path / "g.json", text)
     assert not parsed
     assert got == expected and type(got) is type(expected)
-
-
-def test_the_byte_route_stores_the_rows_it_parsed(tmp_path, monkeypatch):
-    # a caller's array is copied (test_rows_are_sorted_read_only_int64);
-    # rows the loader parsed itself are validated in place and kept
-    parsed, layout_rows = [], graphs._layout_rows
-
-    def keep_layout_rows(data):
-        parsed.append(layout_rows(data))
-        return parsed[-1]
-    monkeypatch.setattr(graphs, "_layout_rows", keep_layout_rows)
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(build_family(10, e2={(1, 4)}).to_dict()))
-    spec = load_hypergraph(path)
-    (_, edges), = parsed
-    assert spec.e2_rows is edges["e2"] and spec.e3_rows is edges["e3"]
-    assert not spec.e2_rows.flags.writeable and not spec.e3_rows.flags.writeable
-    assert spec == build_family(10, e2={(1, 4)})
 
 
 @pytest.mark.parametrize("text", DECLINED_LAYOUTS.values(), ids=DECLINED_LAYOUTS.keys())
